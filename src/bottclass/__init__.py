@@ -59,6 +59,7 @@ from .cohomology import (
 )
 from .gf2 import (
     BoundExceeded,
+    InvariantViolation,
     Gf2Mat,
     Gf2Vec,
     enumerate_invertible,

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .gf2 import BoundExceeded, parity, popcount, rank_masks
+from .gf2 import BoundExceeded, InvariantViolation, parity, rank_masks, transpose_masks
 
 STRICT_UPPER_ENUM_BOUND = 7
 CLASSIFY_BOUND = 6
@@ -27,24 +28,6 @@ class ColumnMismatch(ValueError):
 
 class MatrixParseError(ValueError):
     pass
-
-
-def _stuck_set(n: int, rows: Sequence[int]) -> int:
-    """Mask of vertices a topological sort cannot place (the cyclic part)."""
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        for j in range(n):
-            if (r >> j) & 1:
-                cols[j] |= 1 << i
-    placed = 0
-    progress = True
-    while progress:
-        progress = False
-        for v in range(n):
-            if not (placed >> v) & 1 and cols[v] & ~placed == 0:
-                placed |= 1 << v
-                progress = True
-    return ((1 << n) - 1) & ~placed
 
 
 def _find_cycle(n: int, rows: Sequence[int], alive: int) -> list[int]:
@@ -64,32 +47,40 @@ def _find_cycle(n: int, rows: Sequence[int], alive: int) -> list[int]:
         v = pred
 
 
-def _topo_order(n: int, rows: Sequence[int]) -> Optional[list[int]]:
+def _topo_order(n: int, rows: Sequence[int]) -> list[int]:
     """Topological order of the edge digraph, smallest index first on ties.
 
     Vertex v may be placed once all its predecessors (k with a[k][v] = 1)
-    are placed.  Returns None when the digraph has a cycle.
+    are placed.  On a cycle the order stops short: the vertices it leaves
+    out are the ones no topological sort can place.
     """
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        for j in range(n):
-            if (r >> j) & 1:
-                cols[j] |= 1 << i
+    cols = transpose_masks(n, rows)
     placed = 0
     order: list[int] = []
-    for _ in range(n):
+    while len(order) < n:
         v = next(
             (u for u in range(n) if not (placed >> u) & 1 and cols[u] & ~placed == 0),
             None,
         )
         if v is None:
-            return None
+            break
         order.append(v)
         placed |= 1 << v
     return order
 
 
-@dataclass(frozen=True)
+def _strict_upper_perm(n: int, rows: Sequence[int]) -> list[int]:
+    """perm[v] = position of v in the topological order."""
+    order = _topo_order(n, rows)
+    if len(order) < n:
+        raise InvariantViolation(f"rows {tuple(rows)} left the Bott class (cyclic digraph)")
+    perm = [0] * n
+    for pos, v in enumerate(order):
+        perm[v] = pos
+    return perm
+
+
+@dataclass(frozen=True, slots=True)
 class BottMatrix:
     """Binary square matrix encoding one real Bott manifold."""
 
@@ -105,8 +96,11 @@ class BottMatrix:
                 raise NotBottMatrix(f"row {i + 1} does not fit in {n} columns")
             if (r >> i) & 1:
                 raise NotBottMatrix(f"nonzero diagonal entry at ({i + 1},{i + 1})")
-        if _topo_order(n, rows) is None:
-            cycle = _find_cycle(n, rows, _stuck_set(n, rows))
+        if self.is_strictly_upper:
+            return  # acyclic by construction
+        order = _topo_order(n, rows)
+        if len(order) < n:
+            cycle = _find_cycle(n, rows, ((1 << n) - 1) & ~sum(1 << v for v in order))
             pretty = " -> ".join(str(v + 1) for v in cycle + cycle[:1])
             raise NotBottMatrix(f"edge digraph has a cycle: {pretty}")
 
@@ -132,10 +126,7 @@ class BottMatrix:
         return self.rows[i]
 
     def col_mask(self, j: int) -> int:
-        mask = 0
-        for i, r in enumerate(self.rows):
-            mask |= ((r >> j) & 1) << i
-        return mask
+        return transpose_masks(self.n, self.rows)[j]
 
     @property
     def is_strictly_upper(self) -> bool:
@@ -259,13 +250,10 @@ def to_strict_upper(m: BottMatrix) -> tuple[tuple[int, ...], BottMatrix]:
     broken by smallest original index first, so strictly upper input maps
     to itself under the identity.
     """
-    order = _topo_order(m.n, m.rows)
-    assert order is not None  # acyclicity is part of the type
-    perm = [0] * m.n
-    for pos, v in enumerate(order):
-        perm[v] = pos
+    perm = _strict_upper_perm(m.n, m.rows)
     b = BottMatrix(m.n, _conjugate_raw(m.n, m.rows, perm))
-    assert b.is_strictly_upper
+    if not b.is_strictly_upper:
+        raise InvariantViolation(f"topological relabelling of {m.rows} is not strictly upper")
     return tuple(perm), b
 
 
@@ -288,13 +276,11 @@ def enumerate_strict_upper(
 
 
 def _iter_strict_upper_raw(n: int) -> Iterator[tuple[int, ...]]:
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for code in range(1 << len(positions)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(positions):
-            if (code >> b) & 1:
-                rows[i] |= 1 << j
-        yield tuple(rows)
+    # Counting order of the row-major code over the entries above the
+    # diagonal: row 0 varies fastest, each row through its values in order.
+    choices = [[v << (i + 1) for v in range(1 << (n - 1 - i))] for i in reversed(range(n))]
+    for combo in product(*choices):
+        yield combo[::-1]
 
 
 def is_orientable(m: BottMatrix) -> bool:
@@ -334,67 +320,52 @@ class DiffeoClass:
         return len(self.members)
 
 
-def _lex_key(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    return tuple((rows[i] >> j) & 1 for i in range(n) for j in range(n))
+@lru_cache(maxsize=None)
+def _reversed_bits(n: int) -> tuple[int, ...]:
+    return tuple(int(format(r, f"0{n}b")[::-1], 2) for r in range(1 << n))
 
 
-def _linear_extensions(n: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All vertex orders compatible with the edge partial order."""
-    cols = [0] * n
+def _code(n: int, rows: Sequence[int]) -> int:
+    """The entries above the diagonal, row-major, read as one binary number
+    with a[0][1] highest.  On strictly upper matrices this is a bijection
+    onto 0 .. 2^(n(n-1)/2) - 1 that orders them as their entry lists do."""
+    rev = _reversed_bits(n)
+    code = 0
     for i, r in enumerate(rows):
-        for j in range(n):
-            if (r >> j) & 1:
-                cols[j] |= 1 << i
-    order = [0] * n
-
-    def rec(placed: int, depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(order)
-            return
-        for v in range(n):
-            if (placed >> v) & 1 or cols[v] & ~placed:
-                continue
-            order[depth] = v
-            yield from rec(placed | (1 << v), depth + 1)
-
-    yield from rec(0, 0)
+        code = (code << (n - 1 - i)) | rev[r]
+    return code
 
 
 def _renorm_raw(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    order = _topo_order(n, rows)
-    assert order is not None, "operation left the Bott class"
-    perm = [0] * n
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    return _conjugate_raw(n, rows, perm)
+    return _conjugate_raw(n, rows, _strict_upper_perm(n, rows))
 
 
-def _neighbors_raw(n: int, rows: tuple[int, ...]) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    # Op1: conjugates by every linear extension, i.e. every strictly upper
-    # permutation conjugate of this matrix.
-    for ext in _linear_extensions(n, rows):
-        perm = [0] * n
-        for pos, v in enumerate(ext):
-            perm[v] = pos
-        out.add(_conjugate_raw(n, rows, perm))
-    # Op2 keeps strict upper triangularity.
+def _neighbors_raw(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """One move away from a strictly upper matrix, renormalized to strictly
+    upper form (see `diffeo_classes` for why this generator set suffices)."""
+    out = []
+    # Op1: the adjacent transposition (i i+1) where a[i][i+1] = 0.  Rows i
+    # and i+1 trade places; only rows above them hold bits i and i+1.
+    for i in range(n - 1):
+        if not (rows[i] >> (i + 1)) & 1:
+            both = 3 << i
+            head = tuple(r ^ both if ((r >> i) ^ (r >> (i + 1))) & 1 else r for r in rows[:i])
+            out.append(head + (rows[i + 1], rows[i]) + rows[i + 2:])
+    # Op2 keeps strict upper triangularity; it is the identity unless both
+    # row k and column k are nonzero.
+    cols = transpose_masks(n, rows)
     for k in range(n):
-        out.add(_op2_raw(rows, k))
+        if rows[k] and cols[k]:
+            out.append(_op2_raw(rows, k))
     # Op3 on every ordered pair with equal columns, renormalized.
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        for j in range(n):
-            if (r >> j) & 1:
-                cols[j] |= 1 << i
     for l in range(n):
         for m_idx in range(n):
             if l == m_idx or cols[l] != cols[m_idx]:
                 continue
             moved = list(rows)
-            moved[m_idx] ^= moved[l]
-            lower = any(moved[i] & ((1 << (i + 1)) - 1) for i in range(n))
-            out.add(_renorm_raw(n, moved) if lower else tuple(moved))
+            moved[m_idx] ^= rows[l]
+            lower = rows[l] & ((1 << m_idx) - 1)  # only row m_idx can turn lower
+            out.append(_renorm_raw(n, moved) if lower else tuple(moved))
     return out
 
 
@@ -425,50 +396,72 @@ def _fingerprint_raw(n: int, rows: tuple[int, ...]) -> ClassFingerprint:
     )
 
 
+class _ClassTable(tuple):
+    """The classes of one dimension, carrying the code -> class index of
+    `diffeo_class_of`, so the index is memoised, and dropped, with them."""
+
+    by_code: list[Optional[DiffeoClass]]
+
+
 @lru_cache(maxsize=None)
 def diffeo_classes(n: int, bound: int = CLASSIFY_BOUND) -> tuple[DiffeoClass, ...]:
     """Partition all strictly upper matrices of size n into diffeomorphism
     classes (orbits of Op1/Op2/Op3), each with its canonical representative
     and invariant fingerprint.
 
-    Orbit invariance of the fingerprint is asserted for every member.
+    The orbit walk stays on strictly upper matrices.  Op2 keeps that form
+    and Op3 results are relabelled to it.  Op1 contributes only the
+    adjacent transpositions (i i+1) with a[i][i+1] = 0, which keep it too.
+    These reach every strictly upper conjugate, i.e. every linear extension
+    of the edge order: to reach a target order, move its first vertex down
+    past the vertices before it (none is a predecessor, so no edge joins
+    two swapped neighbours), then repeat on the rest.
+
+    Orbit invariance of the fingerprint is checked for every member and
+    raises InvariantViolation when it fails.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {bound}")
-    visited: set[tuple[int, ...]] = set()
+    by_code: list[Optional[DiffeoClass]] = [None] * (1 << (n * (n - 1) // 2))
     classes: list[DiffeoClass] = []
     for seed in _iter_strict_upper_raw(n):
-        if seed in visited:
+        if by_code[_code(n, seed)] is not None:
             continue
         members = orbit_raw(n, seed)
-        visited |= members
         fp = _fingerprint_raw(n, seed)
         for other in members:
-            assert _fingerprint_raw(n, other) == fp, (
-                f"fingerprint not constant on orbit of {seed}: {other}"
-            )
-        canonical = min(members, key=lambda r: _lex_key(n, r))
-        classes.append(
-            DiffeoClass(
-                canonical=BottMatrix(n, canonical),
-                members=frozenset(BottMatrix(n, r) for r in members),
-                fingerprint=fp,
-            )
+            if _fingerprint_raw(n, other) != fp:
+                raise InvariantViolation(f"fingerprint not constant on orbit of {seed}: {other}")
+        canonical = min(members, key=lambda r: _code(n, r))
+        cls = DiffeoClass(
+            canonical=BottMatrix(n, canonical),
+            members=frozenset(BottMatrix(n, r) for r in members),
+            fingerprint=fp,
         )
-    classes.sort(key=lambda c: _lex_key(n, c.canonical.rows))
-    assert sum(c.size for c in classes) == 1 << (n * (n - 1) // 2)
-    return tuple(classes)
+        classes.append(cls)
+        for r in members:
+            slot = _code(n, r)
+            if by_code[slot] is not None:
+                raise InvariantViolation(f"{r} is in two orbits")
+            by_code[slot] = cls
+    total = sum(c.size for c in classes)
+    if total != 1 << (n * (n - 1) // 2):
+        raise InvariantViolation(f"class sizes sum to {total}, not 2^{n * (n - 1) // 2}")
+    classes.sort(key=lambda c: _code(n, c.canonical.rows))
+    table = _ClassTable(classes)
+    table.by_code = by_code
+    return table
 
 
 def diffeo_class_of(m: BottMatrix) -> DiffeoClass:
     """The class of one matrix (normalized to strictly upper first)."""
-    _, b = to_strict_upper(m)
-    for cls in diffeo_classes(m.n):
-        if b in cls.members:
-            return cls
-    raise AssertionError("classification did not cover the input matrix")
+    rows = _renorm_raw(m.n, m.rows)
+    found = diffeo_classes(m.n).by_code[_code(m.n, rows)]
+    if found is None:
+        raise InvariantViolation(f"classification did not cover {rows}")
+    return found
 
 
 def count_ghw_rbm_classes(n: int) -> int:

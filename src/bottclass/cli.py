@@ -25,7 +25,7 @@ from .bottmatrix import (
     parse_matrix,
     to_json_dict,
 )
-from .gf2 import BoundExceeded, rank_masks
+from .gf2 import BoundExceeded, InvariantViolation, rank_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -260,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (MatrixParseError, NotBottMatrix, BoundExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except (InvariantViolation, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_USAGE

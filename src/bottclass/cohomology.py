@@ -13,7 +13,7 @@ from math import comb
 from typing import FrozenSet, Iterable, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper
-from .gf2 import popcount, rank_masks
+from .gf2 import popcount, rank_masks, transpose_masks
 
 Terms = FrozenSet[int]
 
@@ -118,9 +118,7 @@ class CohomRing:
         # y_j = sum of x_i over the set column j; for strictly upper input
         # every variable in y_j has index < j, which is what makes the
         # square rewriting terminate (see _reduce_exp).
-        self.cols: tuple[int, ...] = tuple(
-            self.matrix.col_mask(j) for j in range(self.n)
-        )
+        self.cols: tuple[int, ...] = tuple(transpose_masks(self.n, self.matrix.rows))
         self._exp_memo: dict[tuple[int, ...], Terms] = {}
         self._pair_memo: dict[tuple[int, int], Terms] = {}
         self._sigma: list[Gf2Poly] | None = None
@@ -274,42 +272,43 @@ def ring_of(m: BottMatrix) -> CohomRing:
 def w2_of_rows(n: int, rows: Sequence[int]) -> Terms:
     """Normal form of w_2 = sum_{i<j} y_i y_j straight from the row masks.
 
-    Products of two degree-1 classes need at most one rewriting step, so
-    this avoids building a full ring context (used in the classification
-    inner loop).
+    No ring context is built (this runs on every orbit member during
+    classification).  With R_a = row a, so that x_a occurs in y_j for j in
+    R_a, the coefficient of x_a x_b (a < b) is |R_a||R_b| - |R_a & R_b|
+    (from x_a x_b with a, b taken from distinct y_i, y_j), plus one for each
+    end c of {a, b} whose square x_c^2 = x_c y_c arises an odd number
+    C(|R_c|, 2) of times and whose y_c holds the other end.  For fixed a the
+    coefficients over all b form one bitmask: the overlap parities
+    |R_a & R_b| mod 2 are the XOR of the columns j in R_a.
     """
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        for j in range(n):
-            if (r >> j) & 1:
-                cols[j] |= 1 << i
-    acc: set[int] = set()
-    for i in range(n):
-        yi = cols[i]
-        if not yi:
-            continue
-        for j in range(i + 1, n):
-            yj = cols[j]
-            if not yj:
-                continue
-            for a in range(n):
-                if not (yi >> a) & 1:
-                    continue
-                for b in range(n):
-                    if not (yj >> b) & 1:
-                        continue
-                    if a == b:
-                        # x_a^2 = x_a * y_a, already square free
-                        for c in range(n):
-                            if (cols[a] >> c) & 1:
-                                acc ^= {(1 << c) | (1 << a)}
-                    else:
-                        acc ^= {(1 << a) | (1 << b)}
+    cols = transpose_masks(n, rows)
+    odd = squares = 0
+    for a, r in enumerate(rows):
+        w = r.bit_count()
+        odd |= (w & 1) << a
+        squares |= ((w >> 1) & 1) << a  # C(w, 2) odd
+    acc = []
+    for a, r in enumerate(rows):
+        coeffs = r & squares
+        if (odd >> a) & 1:
+            coeffs ^= odd
+        if (squares >> a) & 1:
+            coeffs ^= cols[a]
+        while r:
+            low = r & -r
+            coeffs ^= cols[low.bit_length() - 1]
+            r ^= low
+        coeffs >>= a + 1
+        b = a + 1
+        while coeffs:
+            if coeffs & 1:
+                acc.append((1 << a) | (1 << b))
+            coeffs >>= 1
+            b += 1
     return frozenset(acc)
 
 
 def h2_real_is_zero(m: BottMatrix) -> bool:
     """True iff no two columns sum to zero over GF(2) (all columns distinct),
     the matrix form of H^2(M(A); R) = 0."""
-    cols = [m.col_mask(j) for j in range(m.n)]
-    return len(set(cols)) == m.n
+    return len(set(transpose_masks(m.n, m.rows))) == m.n

@@ -24,12 +24,32 @@ class BoundExceeded(Gf2Error):
     pass
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: a bug, never a user error.
+
+    Raised explicitly rather than by `assert`, so `python -O` keeps it.
+    """
+
+
 def popcount(x: int) -> int:
     return x.bit_count()
 
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def transpose_masks(n: int, rows: Sequence[int]) -> list[int]:
+    """Column masks of a matrix given by row masks: bit i of column j is
+    bit j of row i, for the n columns 0..n-1."""
+    cols = [0] * n
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return cols
 
 
 @dataclass(frozen=True)

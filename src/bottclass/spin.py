@@ -85,11 +85,14 @@ def clifford_inv(a: CliffordElement) -> CliffordElement:
 class ObstructionWitness:
     """A pair of rows certifying that no Spin structure exists.
 
-    kind PART_I: a[i][j] = 0 and the supports overlap in an odd set.
-    kind PART_II: a[i][j] = 1 and disjoint supports, both of weight
-    2 mod 4.  (The a[i][j] = 1 condition is what makes s_i^2 = (s_i s_j)^2
-    in the group; without it the obstruction is false, e.g. rows {5,6}
-    and {3,4} in dimension 6 give a Spin manifold.)
+    kind PART_I: a[i][j] = a[j][i] = 0 and the supports overlap in an odd
+    set.
+    kind PART_II: an edge between i and j (a[i][j] = 1 or a[j][i] = 1)
+    and disjoint supports, both of weight 2 mod 4.  (The edge is what
+    makes s_i^2 = (s_i s_j)^2 in the group; without it the obstruction is
+    false, e.g. rows {5,6} and {3,4} in dimension 6 give a Spin manifold.)
+    Both conditions are symmetric in i and j, so they do not depend on the
+    labelling: on a strictly upper matrix (i < j) they read a[i][j] only.
     Indices are 0-based; `data` is the overlap size for PART_I and the
     two support sizes for PART_II.
     """
@@ -101,11 +104,12 @@ class ObstructionWitness:
 
     def verify(self, m: BottMatrix) -> bool:
         ri, rj = m.rows[self.i], m.rows[self.j]
+        edge = m.entry(self.i, self.j) | m.entry(self.j, self.i)
         if self.kind == PART_I:
-            return m.entry(self.i, self.j) == 0 and popcount(ri & rj) % 2 == 1
+            return edge == 0 and popcount(ri & rj) % 2 == 1
         if self.kind == PART_II:
             return (
-                m.entry(self.i, self.j) == 1
+                edge == 1
                 and ri & rj == 0
                 and ri != 0
                 and rj != 0
@@ -116,12 +120,12 @@ class ObstructionWitness:
 
 
 def odd_overlap_witness(m: BottMatrix) -> Optional[ObstructionWitness]:
-    """First (i, j) in lexicographic order with a[i][j] = 0 and odd row
-    overlap; such a pair rules out a Spin structure."""
+    """First (i, j), i < j, in lexicographic order with no edge between i
+    and j and odd row overlap; such a pair rules out a Spin structure."""
     _require_orientable(m)
     for i in range(m.n):
         for j in range(i + 1, m.n):
-            if m.entry(i, j):
+            if m.entry(i, j) or m.entry(j, i):
                 continue
             overlap = popcount(m.rows[i] & m.rows[j])
             if overlap & 1:
@@ -130,15 +134,16 @@ def odd_overlap_witness(m: BottMatrix) -> Optional[ObstructionWitness]:
 
 
 def disjoint_rows_witness(m: BottMatrix) -> Optional[ObstructionWitness]:
-    """First (i, j) with a[i][j] = 1 and disjoint nonzero supports both of
-    weight 2 mod 4; such a pair rules out a Spin structure."""
+    """First (i, j), i < j, with an edge between i and j in either
+    direction and disjoint nonzero supports both of weight 2 mod 4; such a
+    pair rules out a Spin structure."""
     _require_orientable(m)
     for i in range(m.n):
         ri = m.rows[i]
         if ri == 0 or popcount(ri) % 4 != 2:
             continue
         for j in range(i + 1, m.n):
-            if not m.entry(i, j):
+            if not (m.entry(i, j) or m.entry(j, i)):
                 continue
             rj = m.rows[j]
             if rj == 0 or ri & rj or popcount(rj) % 4 != 2:

@@ -1,6 +1,12 @@
 """Bott matrices: validation, the three moves, enumeration, classification."""
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +31,7 @@ from bottclass.bottmatrix import (
     to_strict_upper,
     validate,
 )
-from bottclass.gf2 import BoundExceeded
+from bottclass.gf2 import BoundExceeded, InvariantViolation
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 A23 = catalog.DIM5_ORIENTED["A23"]
@@ -313,6 +319,115 @@ def test_diffeo_class_of_catalog():
     assert len(reps) == 7
     torus_rep = diffeo_class_of(BottMatrix(5, (0,) * 5)).canonical
     assert torus_rep not in reps
+
+
+def _strict_upper(mat):
+    return all(mat[i][j] == 0 for i in range(len(mat)) for j in range(i + 1))
+
+
+def _closure_oracle(mat):
+    """Orbit of a strictly upper matrix built from the list oracles: every
+    strictly upper conjugate, Op2 at every k, and Op3 on every pair of
+    equal columns followed by the first relabelling that makes it strictly
+    upper again."""
+    n = len(mat)
+    perms = list(itertools.permutations(range(n)))
+
+    def key(m):
+        return tuple(map(tuple, m))
+
+    def upper_conjugates(m):
+        return [c for c in (op1_oracle(m, p) for p in perms) if _strict_upper(c)]
+
+    seen = {key(mat)}
+    todo = [mat]
+    while todo:
+        m = todo.pop()
+        nbs = upper_conjugates(m) + [op2_oracle(m, k) for k in range(n)]
+        for l in range(n):
+            for m_idx in range(n):
+                if l != m_idx and all(m[i][l] == m[i][m_idx] for i in range(n)):
+                    nbs.append(upper_conjugates(op3_oracle(m, l, m_idx))[0])
+        for nb in nbs:
+            if key(nb) not in seen:
+                seen.add(key(nb))
+                todo.append(nb)
+    return {tuple(int("".join(map(str, row[::-1])), 2) for row in m) for m in seen}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbits_match_independent_closure(n):
+    classes = diffeo_classes(n)
+    for cls in classes:
+        assert _closure_oracle(lists(cls.canonical)) == {m.rows for m in cls.members}
+    assert sum(cls.size for cls in classes) == 1 << (n * (n - 1) // 2)
+
+
+def test_diffeo_class_of_every_relabelling_n4():
+    diffeo_classes.cache_clear()  # the index must belong to the fresh memo
+    classes = diffeo_classes(4)
+    for m in enumerate_strict_upper(4):
+        home = diffeo_class_of(m)
+        assert m in home.members
+        assert any(c is home for c in classes)
+        for perm in itertools.permutations(range(4)):
+            assert diffeo_class_of(op1(m, perm)) is home
+
+
+def test_diffeo_class_of_seeded_walks_n6():
+    rng = random.Random(20240)
+    n = 6
+    for _ in range(150):
+        start = [[int(j > i and rng.random() < 0.5) for j in range(n)] for i in range(n)]
+        moved = start
+        for _ in range(rng.randint(1, 8)):
+            pairs = [(l, m_idx) for l in range(n) for m_idx in range(n)
+                     if l != m_idx and all(moved[i][l] == moved[i][m_idx] for i in range(n))]
+            move = rng.randrange(3)
+            if move == 0:
+                moved = op1_oracle(moved, rng.sample(range(n), n))
+            elif move == 1:
+                moved = op2_oracle(moved, rng.randrange(n))
+            elif pairs:
+                moved = op3_oracle(moved, *rng.choice(pairs))
+        assert BottMatrix.from_rows(start) in diffeo_class_of(BottMatrix.from_rows(moved)).members
+
+
+def test_broken_fingerprint_raises_under_python_O():
+    # The orbit checks raise InvariantViolation, not assert, so they
+    # survive `python -O`.
+    code = textwrap.dedent("""
+        import dataclasses, itertools
+        from bottclass import bottmatrix
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        real, calls = bottmatrix._fingerprint_raw, itertools.count()
+        def broken(n, rows):  # flips w2_zero on every other call
+            fp = real(n, rows)
+            return dataclasses.replace(fp, w2_zero=not fp.w2_zero) if next(calls) % 2 else fp
+        bottmatrix._fingerprint_raw = broken
+        try:
+            bottmatrix.diffeo_classes(3)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: fingerprint not constant on orbit")
+
+
+def test_diffeo_class_of_uncovered_matrix_raises():
+    classes = diffeo_classes(3)
+    saved = classes.by_code[:]
+    classes.by_code[:] = [None] * len(saved)
+    try:
+        with pytest.raises(InvariantViolation):
+            diffeo_class_of(BottMatrix(3, (0, 0, 0)))
+    finally:
+        classes.by_code[:] = saved
 
 
 # --- interchange formats ------------------------------------------------------

@@ -155,6 +155,19 @@ def test_bad_dim_exits_2(capsys):
     assert code == 2
 
 
+def test_invariant_violation_exits_3(monkeypatch, capsys):
+    from bottclass import cli
+    from bottclass.gf2 import InvariantViolation
+
+    def broken(dim):
+        raise InvariantViolation("orbit check failed")
+
+    monkeypatch.setattr(cli, "diffeo_classes", broken)
+    code, _, err = run(capsys, "classify", "--dim", "3")
+    assert code == 3
+    assert "orbit check failed" in err
+
+
 def test_matrix_from_stdin(monkeypatch, capsys):
     import io
 

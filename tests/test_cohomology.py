@@ -133,8 +133,26 @@ def test_w1_zero_iff_orientable_exhaustive_n4():
 
 
 def test_w2_fast_path_matches_ring():
-    for m in enumerate_strict_upper(4):
-        assert w2_of_rows(m.n, m.rows) == ring_of(m).stiefel_whitney(2).terms
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            assert w2_of_rows(m.n, m.rows) == ring_of(m).stiefel_whitney(2).terms
+
+
+def test_w2_fast_path_follows_relabelling():
+    # on P A P^-1 every variable x_i is renamed x_perm[i]
+    import itertools
+
+    from bottclass.bottmatrix import op1
+
+    def rename(mask, perm):
+        return sum(1 << perm[i] for i in range(len(perm)) if (mask >> i) & 1)
+
+    for n in range(1, 5):
+        for m in enumerate_strict_upper(n):
+            w2 = w2_of_rows(n, m.rows)
+            for perm in itertools.permutations(range(n)):
+                expected = frozenset(rename(t, perm) for t in w2)
+                assert w2_of_rows(n, op1(m, perm).rows) == expected
 
 
 def test_sigma1_fast_path_matches_table():

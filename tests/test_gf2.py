@@ -15,6 +15,7 @@ from bottclass.gf2 import (
     rank,
     rank_masks,
     solve,
+    transpose_masks,
 )
 
 A4_ROWS = [
@@ -55,6 +56,16 @@ def test_rank_identity():
 def test_rank_a4_against_span_oracle():
     assert span_size_rank(A4_ROWS) == 3
     assert rank(Gf2Mat.from_rows(A4_ROWS)) == 3
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_transpose_masks_entrywise(nr, nc, data):
+    rows = [data.draw(st.integers(0, (1 << nc) - 1)) for _ in range(nr)]
+    cols = transpose_masks(nc, rows)
+    assert len(cols) == nc
+    for i in range(nr):
+        for j in range(nc):
+            assert (cols[j] >> i) & 1 == (rows[i] >> j) & 1
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())

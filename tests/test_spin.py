@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bottclass import catalog
-from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, is_orientable
+import itertools
+
+from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, is_orientable, op1, parse_matrix
 from bottclass.cohomology import h2_real_is_zero, ring_of
 from bottclass.spin import (
     PART_I,
@@ -159,6 +161,32 @@ def test_detectors_match_scan_oracles_n_le_5():
             assert (got2 is None) == (exp2 is None)
             if got2:
                 assert (got2.i, got2.j) == exp2
+
+
+def test_detectors_independent_of_labelling_n_le_5():
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            if not is_orientable(m):
+                continue
+            fires = (odd_overlap_witness(m) is not None, disjoint_rows_witness(m) is not None)
+            for perm in itertools.permutations(range(n)):
+                q = op1(m, perm)
+                w1, w2 = odd_overlap_witness(q), disjoint_rows_witness(q)
+                assert (w1 is not None, w2 is not None) == fires
+                assert all(w.verify(q) for w in (w1, w2) if w is not None)
+
+
+@pytest.mark.parametrize("rows", [
+    ("000101", "000000", "000101", "010001", "000101", "000000"),
+    ("0000000", "0000000", "0100010", "1010011", "0000000", "0000000", "0100010"),
+])
+def test_no_witness_on_relabelled_spin_manifolds(rows):
+    # a[j][i] = 1 for a pair i < j with a[i][j] = 0 and odd overlap: not Part I
+    m = parse_matrix(f"{len(rows)}\n" + "\n".join(rows))
+    assert has_spin(m) and spin_lift_search(m) is not None
+    assert odd_overlap_witness(m) is None
+    assert disjoint_rows_witness(m) is None
+    assert not spinc_obstructed(m)
 
 
 def test_detectors_require_orientability():
