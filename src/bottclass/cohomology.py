@@ -4,6 +4,9 @@ The ring of an n x n Bott matrix A is Z2[x_1..x_n] modulo the relations
 x_j^2 = x_j * (sum_i a_{i,j} x_i).  Monomials in normal form are square
 free and stored as int bitmasks over the variable indices (0-based); a
 polynomial is a frozenset of such masks (symmetric-difference addition).
+Products of degree-1 classes also have a packed form, read from a table
+(`CohomRing.linear_products`): a degree-2 class is an int with one bit per
+square-free pair x_a x_b (a < b), at bit `pair_bit(a, b)`.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from math import comb
 from typing import FrozenSet, Iterable, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper
-from .gf2 import popcount, rank_masks, transpose_masks
+from .gf2 import InvariantViolation, popcount, rank_masks, transpose_masks
 
 Terms = FrozenSet[int]
 
@@ -23,6 +26,17 @@ ONE: Terms = frozenset({0})
 
 class PolyParseError(ValueError):
     pass
+
+
+def pair_bit(a: int, b: int) -> int:
+    """Bit index of the square-free pair x_a x_b (a < b) in a packed
+    degree-2 class: pairs in colexicographic order, C(n, 2) bits in all."""
+    return b * (b - 1) // 2 + a
+
+
+def linear_terms(mask: int) -> Terms:
+    """The degree-1 class sum_{i in mask} x_i as a set of monomials."""
+    return frozenset(1 << i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,7 @@ class CohomRing:
         self._exp_memo: dict[tuple[int, ...], Terms] = {}
         self._pair_memo: dict[tuple[int, int], Terms] = {}
         self._sigma: list[Gf2Poly] | None = None
+        self._prod: list[list[int]] | None = None
 
     # -- normal form ------------------------------------------------------
 
@@ -153,7 +168,8 @@ class CohomRing:
             base[j] -= 1
             for i in range(self.n):
                 if (col >> i) & 1:
-                    assert i < j, "rewrite must only introduce smaller indices"
+                    if i >= j:
+                        raise InvariantViolation("rewrite must only introduce smaller indices")
                     child = list(base)
                     child[i] += 1
                     acc ^= self._reduce_exp(tuple(child))
@@ -203,9 +219,29 @@ class CohomRing:
                 acc ^= self.square_of_var(i)
         return frozenset(acc)
 
+    def linear_products(self) -> list[list[int]]:
+        """Table of the products of degree-1 classes: prod[u][v] is u * v
+        packed over the square-free pairs (see `pair_bit`), for the masks
+        u, v < 2^n of sums of x_i.  Built once per ring by bilinearity from
+        the n^2 products x_a x_b."""
+        if self._prod is None:
+            prod = [[0] * (1 << self.n)]
+            for a in range(self.n):
+                by_var = []  # by_var[b]: x_a x_b packed
+                for b in range(self.n):
+                    bits = 0
+                    for t in self._mono_mul(1 << a, 1 << b):
+                        lo = t & -t
+                        bits |= 1 << pair_bit(lo.bit_length() - 1, (t ^ lo).bit_length() - 1)
+                    by_var.append(bits)
+                unit = _subset_sums(by_var)  # unit[v] = x_a * v
+                prod += [[p ^ q for p, q in zip(row, unit)] for row in prod]
+            self._prod = prod
+        return self._prod
+
     def y(self, j: int) -> Gf2Poly:
         """Degree-1 class of the j-th line bundle: y_j = sum_i a_{i,j} x_i."""
-        return Gf2Poly(frozenset(1 << i for i in range(self.n) if (self.cols[j] >> i) & 1))
+        return Gf2Poly(linear_terms(self.cols[j]))
 
     # -- characteristic classes -------------------------------------------
 
@@ -239,8 +275,9 @@ class CohomRing:
 
     def betti_z2(self, k: int) -> int:
         """GF(2) dimension of the degree-k part, computed as the rank of the
-        span of the normal forms of every degree-k monomial; asserts that
-        the square-free monomials of size k are exactly the basis."""
+        span of the normal forms of every degree-k monomial; checks that
+        the square-free monomials of size k are exactly the basis and raises
+        InvariantViolation otherwise."""
         if not 0 <= k <= self.n:
             raise ValueError(f"degree {k} out of range 0..{self.n}")
         index = {m: i for i, m in enumerate(_masks_of_weight(self.n, k))}
@@ -252,12 +289,22 @@ class CohomRing:
             terms = self._reduce_exp(tuple(exps))
             row = 0
             for t in terms:
-                assert popcount(t) == k, "reduction must preserve degree"
+                if popcount(t) != k:
+                    raise InvariantViolation("reduction must preserve degree")
                 row |= 1 << index[t]
             span_rows.append(row)
         dim = rank_masks(span_rows)
-        assert dim == comb(self.n, k), "normal-form basis must be the square-free monomials"
+        if dim != comb(self.n, k):
+            raise InvariantViolation("normal-form basis must be the square-free monomials")
         return dim
+
+
+def _subset_sums(gens: Sequence[int]) -> list[int]:
+    """XOR of every subset of `gens`, indexed by the subset's bitmask."""
+    sums = [0]
+    for g in gens:
+        sums += [s ^ g for s in sums]
+    return sums
 
 
 def _masks_of_weight(n: int, k: int) -> list[int]:

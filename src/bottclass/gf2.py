@@ -173,7 +173,9 @@ def rank_masks(rows: Iterable[int]) -> int:
     basis: list[int] = []
     for r in rows:
         for b in basis:
-            r = min(r, r ^ b)
+            x = r ^ b
+            if x < r:
+                r = x
         if r:
             basis.append(r)
     return len(basis)
@@ -273,7 +275,9 @@ def enumerate_invertible(n: int, bound: int = INVERTIBLE_ENUM_BOUND) -> Iterator
         for v in range(1, full):
             r = v
             for b in basis:
-                r = min(r, r ^ b)
+                x = r ^ b
+                if x < r:
+                    r = x
             if r == 0:
                 continue
             rows.append(v)

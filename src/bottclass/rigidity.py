@@ -6,6 +6,16 @@ the target ring.  Candidates are enumerated row by row in ascending
 bitmask order; the relation for x_j only involves rows up to j (source
 matrices are normalized to strictly upper), so each level is filtered
 exactly as soon as its row is chosen.
+
+The filter reads the target's degree-1 product table
+(`CohomRing.linear_products`): row v satisfies the relation for x_j with
+y_j mapped to y iff v^2 + v y = v (v + y) = 0, one lookup.  The rows that
+pass are listed per y once per search (`admissible[y]`, ascending), and
+the span of the rows already chosen is kept as a 2^n-bit set, so the
+independence test is one bit test.  Neither changes the order in which
+candidates are met, so the first witness is the same as that of a plain
+ascending walk.  The witness found is re-checked on normal forms, apart
+from the table.
 """
 from __future__ import annotations
 
@@ -15,8 +25,16 @@ from functools import lru_cache
 from typing import Optional
 
 from .bottmatrix import BottMatrix, diffeo_classes
-from .cohomology import CohomRing, Terms
-from .gf2 import BoundExceeded, DimensionMismatch, Gf2Mat, rank_masks
+from .cohomology import CohomRing, linear_terms
+from .gf2 import (
+    BoundExceeded,
+    DimensionMismatch,
+    Gf2Mat,
+    Gf2Vec,
+    InvariantViolation,
+    rank_masks,
+    solve,
+)
 
 EXHAUSTIVE_BOUND = 5
 PRUNED_BOUND = 6
@@ -29,32 +47,11 @@ class RingIsoWitness:
     map: Gf2Mat
 
 
-def _linear_mul(ring: CohomRing, u: int, v: int) -> Terms:
-    acc: set[int] = set()
-    for a in range(ring.n):
-        if not (u >> a) & 1:
-            continue
-        for b in range(ring.n):
-            if (v >> b) & 1:
-                acc ^= ring._mono_mul(1 << a, 1 << b)
-    return frozenset(acc)
-
-
 def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
-    """Does the image of x_j^2 + x_j y_j reduce to zero in the target?"""
-    return not (ring_b.square_of_linear(image_j) ^ _linear_mul(ring_b, image_j, image_yj))
-
-
-def _degree2_index(n: int) -> dict[int, int]:
-    masks = [m for m in range(1 << n) if bin(m).count("1") == 2]
-    return {m: i for i, m in enumerate(masks)}
-
-
-def _terms_to_bits(index: dict[int, int], terms: Terms) -> int:
-    out = 0
-    for t in terms:
-        out |= 1 << index[t]
-    return out
+    """Does the image of x_j^2 + x_j y_j reduce to zero in the target?
+    Computed on normal forms, not from the product table."""
+    product = ring_b.multiply_terms(linear_terms(image_j), linear_terms(image_yj))
+    return not (ring_b.square_of_linear(image_j) ^ product)
 
 
 @lru_cache(maxsize=None)
@@ -64,14 +61,11 @@ def ring_invariants(m: BottMatrix) -> tuple:
     annihilator dimensions dim{v : v w = 0} over all nonzero w."""
     ring = CohomRing(m)
     n = ring.n
-    index = _degree2_index(n)
-    sq_rows = [_terms_to_bits(index, ring.square_of_var(i)) for i in range(n)]
-    sq_ker_dim = n - rank_masks(sq_rows)
-    ann_dims = []
-    for w in range(1, 1 << n):
-        rows = [_terms_to_bits(index, _linear_mul(ring, 1 << i, w)) for i in range(n)]
-        ann_dims.append(n - rank_masks(rows))
-    return (sq_ker_dim, tuple(sorted(ann_dims)))
+    prod = ring.linear_products()
+    units = [1 << i for i in range(n)]
+    sq_ker_dim = n - rank_masks([prod[u][u] for u in units])
+    ann_dims = sorted(n - rank_masks([prod[u][w] for u in units]) for w in range(1, 1 << n))
+    return (sq_ker_dim, tuple(ann_dims))
 
 
 def ring_isomorphic(
@@ -80,9 +74,13 @@ def ring_isomorphic(
     """First graded-ring isomorphism H*(M(a)) -> H*(M(b)) in the fixed
     enumeration order of GL(n,2), or None.
 
-    Pruning discards candidate pairs only via proven invariants and never
-    changes the verdict.  Exhaustive search is allowed up to n = 5; n = 6
-    requires pruning.
+    Rows are tried in ascending order at each level, restricted to the
+    rows `admissible` for the image of y_j (read from the target's
+    product table) and independent of the rows before them.  Pruning
+    discards candidate pairs only via proven invariants and never changes
+    the verdict.  Exhaustive search is allowed up to n = 5; n = 6
+    requires pruning.  The witness is re-checked on normal forms and an
+    InvariantViolation is raised if it fails.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
@@ -97,40 +95,41 @@ def ring_isomorphic(
     if prune and ring_invariants(ring_a.matrix) != ring_invariants(ring_b.matrix):
         return None
     cols_a = ring_a.cols
+    full = 1 << n
+    prod = ring_b.linear_products()
+    admissible = [[v for v in range(1, full) if not prod[v][v ^ y]] for y in range(full)]
     chosen = [0] * n
-    basis: list[int] = []
 
-    def rec(level: int) -> Optional[tuple[int, ...]]:
+    def rec(level: int, span: int, elems: list[int]) -> Optional[tuple[int, ...]]:
+        # span: bit s set for every s in the span of chosen[:level]; elems lists them
         if level == n:
             return tuple(chosen)
-        for v in range(1, 1 << n):
-            r = v
-            for bb in basis:
-                r = min(r, r ^ bb)
-            if r == 0:
-                continue
-            image_y = 0
-            col = cols_a[level]
-            for i in range(level):
-                if (col >> i) & 1:
-                    image_y ^= chosen[i]
-            if not _relation_holds(ring_b, v, image_y):
+        image_y = 0
+        col = cols_a[level]
+        for i in range(level):
+            if (col >> i) & 1:
+                image_y ^= chosen[i]
+        for v in admissible[image_y]:
+            if (span >> v) & 1:
                 continue
             chosen[level] = v
-            basis.append(r)
-            found = rec(level + 1)
+            moved = [e ^ v for e in elems]
+            grown = span
+            for e in moved:
+                grown |= 1 << e
+            found = rec(level + 1, grown, elems + moved)
             if found is not None:
                 return found
-            basis.pop()
-        chosen[level] = 0
         return None
 
-    found = rec(0)
+    found = rec(0, 1, [0])
     if found is None:
         return None
-    witness = RingIsoWitness(Gf2Mat(n, found))
-    assert _is_witness(ring_a, ring_b, found)
-    return witness
+    if not _is_witness(ring_a, ring_b, found):
+        raise InvariantViolation(
+            f"ring_isomorphic({a.rows}, {b.rows}) found {found}, which fails the relation check"
+        )
+    return RingIsoWitness(Gf2Mat(n, found))
 
 
 def _is_witness(ring_a: CohomRing, ring_b: CohomRing, rows: tuple[int, ...]) -> bool:
@@ -149,16 +148,16 @@ def _is_witness(ring_a: CohomRing, ring_b: CohomRing, rows: tuple[int, ...]) -> 
 
 
 def witness_inverse(witness: RingIsoWitness) -> Gf2Mat:
-    """Inverse substitution over GF(2) (exists: the witness is invertible)."""
-    n = witness.map.ncols
-    aug = [witness.map.rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if (aug[i] >> col) & 1)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for i in range(n):
-            if i != col and (aug[i] >> col) & 1:
-                aug[i] ^= aug[col]
-    return Gf2Mat(n, tuple(r >> n for r in aug))
+    """Inverse substitution over GF(2): column j solves map @ x = e_j."""
+    m = witness.map
+    n = m.ncols
+    cols = []
+    for j in range(n):
+        solved = solve(m, Gf2Vec(n, 1 << j))
+        if solved is None or solved[1]:
+            raise InvariantViolation(f"witness {m.rows} is not invertible")
+        cols.append(solved[0].mask)
+    return Gf2Mat(n, tuple(cols)).transpose()
 
 
 def rigidity_experiment(

@@ -12,6 +12,7 @@ from bottclass.cohomology import (
     PolyParseError,
     format_poly,
     h2_real_is_zero,
+    linear_terms,
     parse_poly,
     poly_from_vars,
     ring_of,
@@ -250,3 +251,40 @@ def test_parse_poly_errors():
         parse_poly("x1*x1")
     with pytest.raises(PolyParseError):
         parse_poly("y2")
+
+
+def _packed(n, terms):
+    """Degree-2 terms packed as documented: x_a x_b (a < b) at bit b(b-1)/2 + a."""
+    index = {(1 << a) | (1 << b): b * (b - 1) // 2 + a
+             for b in range(n) for a in range(b)}
+    return sum(1 << index[t] for t in terms)
+
+
+def _check_linear_products(m):
+    ring = CohomRing(m)
+    prod = ring.linear_products()
+    full = 1 << m.n
+    assert len(prod) == full and all(len(row) == full for row in prod)
+    for u in range(full):
+        for v in range(full):
+            expected = ring.multiply_terms(linear_terms(u), linear_terms(v))
+            assert prod[u][v] == _packed(m.n, expected), (m.rows, u, v)
+    assert ring.linear_products() is prod  # built once per ring
+
+
+def test_linear_products_match_normal_forms_n_le_4():
+    for n in range(1, 5):
+        for m in enumerate_strict_upper(n):
+            _check_linear_products(m)
+
+
+def test_linear_products_match_normal_forms_n6_seeded():
+    rng = random.Random(6)
+    for _ in range(20):
+        rows = tuple(rng.getrandbits(6) & -(2 << i) & 0b111111 for i in range(6))
+        _check_linear_products(BottMatrix(6, rows))
+
+
+def test_linear_terms():
+    assert linear_terms(0) == frozenset()
+    assert linear_terms(0b1011) == frozenset({1, 2, 8})

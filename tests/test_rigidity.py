@@ -1,17 +1,29 @@
 """Ring isomorphism search and the rigidity experiment."""
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from bottclass import catalog
-from bottclass.bottmatrix import BottMatrix, diffeo_classes, enumerate_strict_upper
+from bottclass.bottmatrix import (
+    BottMatrix,
+    diffeo_class_of,
+    diffeo_classes,
+    enumerate_strict_upper,
+)
 from bottclass.cohomology import CohomRing
-from bottclass.gf2 import BoundExceeded, enumerate_invertible
+from bottclass.gf2 import BoundExceeded, Gf2Mat, enumerate_invertible
 from bottclass.rigidity import (
     RingIsoWitness,
     _is_witness,
+    _relation_holds,
     rigidity_experiment,
+    ring_invariants,
     ring_isomorphic,
     witness_inverse,
 )
@@ -28,6 +40,46 @@ def brute_force_isomorphic(a, b):
         if _is_witness(ring_a, ring_b, cand.rows):
             return cand.rows
     return None
+
+
+def ascending_search(a, b):
+    """Oracle: the plain row-by-row search in ascending bitmask order,
+    filtering each row by linear independence and by its relation on
+    normal forms, with no product table and no precomputed lists."""
+    ring_a, ring_b = CohomRing(a), CohomRing(b)
+    n = a.n
+    chosen = [0] * n
+    basis = []
+
+    def rec(level):
+        if level == n:
+            return tuple(chosen)
+        for v in range(1, 1 << n):
+            r = v
+            for bb in basis:
+                r = min(r, r ^ bb)
+            if r == 0:
+                continue
+            image_y = 0
+            for i in range(level):
+                if (ring_a.cols[level] >> i) & 1:
+                    image_y ^= chosen[i]
+            if not _relation_holds(ring_b, v, image_y):
+                continue
+            chosen[level] = v
+            basis.append(r)
+            found = rec(level + 1)
+            if found is not None:
+                return found
+            basis.pop()
+        return None
+
+    return rec(0)
+
+
+def matrix(*rows):
+    """Bott matrix from row strings; character j of row i is entry (i, j)."""
+    return BottMatrix(len(rows), tuple(int(r[::-1], 2) for r in rows))
 
 
 def test_identity_witness_on_self():
@@ -135,3 +187,93 @@ def test_experiment_n5_sampled():
 def test_experiment_bound():
     with pytest.raises(BoundExceeded):
         rigidity_experiment(6)
+
+
+def test_search_matches_ascending_oracle_all_n4_pairs():
+    mats = list(enumerate_strict_upper(4))
+    for a, b in itertools.product(mats, repeat=2):
+        got = ring_isomorphic(a, b, prune=False)
+        assert (None if got is None else got.map.rows) == ascending_search(a, b), (a.rows, b.rows)
+
+
+def test_search_matches_ascending_oracle_n5_seeded():
+    rng = random.Random(5)
+    mats = list(enumerate_strict_upper(5))
+    found = 0
+    for _ in range(50):
+        a = rng.choice(mats)
+        # half the pairs are same-class, so that witnesses are compared too
+        b = rng.choice(sorted(diffeo_class_of(a).members, key=lambda m: m.rows)) \
+            if rng.random() < 0.5 else rng.choice(mats)
+        got = ring_isomorphic(a, b, prune=False)
+        assert (None if got is None else got.map.rows) == ascending_search(a, b), (a.rows, b.rows)
+        found += got is not None
+    assert found >= 20
+
+
+# Pairs that took seconds to over a minute while the search tested every
+# row against normal forms.
+SLOW_ISOMORPHIC_PAIRS = [
+    (matrix("011111", "000000", "000001", "000001", "000000", "000000"),
+     matrix("010111", "001000", "000000", "000000", "000000", "000000")),
+    (matrix("000000", "000001", "000000", "000000", "000000", "000000"),
+     matrix("000000", "000000", "000000", "000000", "000001", "000000")),
+]
+# The three classes with square kernel dimension 4 that share their
+# ring_invariants.
+SQUARE_KERNEL_4_BUCKET = [
+    matrix("000000", "000000", "000000", "000010", "000001", "000000"),
+    matrix("000000", "000000", "000001", "000010", "000000", "000000"),
+    matrix("000000", "000000", "000001", "000010", "000001", "000000"),
+]
+
+
+@pytest.mark.parametrize("a, b", SLOW_ISOMORPHIC_PAIRS)
+def test_slow_same_class_pairs_isomorphic(a, b):
+    assert diffeo_class_of(a) is diffeo_class_of(b)
+    w = ring_isomorphic(a, b)
+    assert w is not None
+    assert _is_witness(CohomRing(a), CohomRing(b), w.map.rows)
+
+
+def test_square_kernel_4_bucket_cross_pairs_not_isomorphic():
+    invariants = {ring_invariants(m) for m in SQUARE_KERNEL_4_BUCKET}
+    assert len(invariants) == 1 and next(iter(invariants))[0] == 4
+    assert len({id(diffeo_class_of(m)) for m in SQUARE_KERNEL_4_BUCKET}) == 3
+    for a, b in itertools.permutations(SQUARE_KERNEL_4_BUCKET, 2):
+        assert ring_isomorphic(a, b) is None
+
+
+def test_witness_inverse_is_two_sided():
+    for cls in diffeo_classes(4):
+        for member in cls.members:
+            w = ring_isomorphic(member, cls.canonical)
+            inv = witness_inverse(w)
+            assert w.map.mul_mat(inv) == Gf2Mat.identity(4)
+            assert inv.mul_mat(w.map) == Gf2Mat.identity(4)
+
+
+def test_corrupted_product_table_raises_under_python_O():
+    # The final witness check raises InvariantViolation, not assert, so it
+    # survives `python -O`.  With an all-zero product table every row is
+    # admissible and the search returns the identity, which is no ring
+    # isomorphism between these two rings.
+    code = textwrap.dedent("""
+        from bottclass.bottmatrix import BottMatrix
+        from bottclass.cohomology import CohomRing
+        from bottclass.gf2 import InvariantViolation
+        from bottclass.rigidity import ring_isomorphic
+        assert not __debug__
+        CohomRing.linear_products = lambda self: [[0] * (1 << self.n)] * (1 << self.n)
+        torus, sup = BottMatrix(3, (0, 0, 0)), BottMatrix(3, (0b010, 0b100, 0))
+        try:
+            ring_isomorphic(torus, sup, prune=False)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: ring_isomorphic(")

@@ -258,3 +258,17 @@ def test_detectors_sound_against_w2_n_le_5():
                 continue
             if odd_overlap_witness(m) or disjoint_rows_witness(m):
                 assert not ring_of(m).stiefel_whitney(2).is_zero()
+
+
+def test_lift_matches_w2_all_oriented_n6():
+    # Acceptance 6 checks n <= 5; this extends the lift oracle to n = 6.
+    checked = spin = 0
+    for m in enumerate_strict_upper(6):
+        if not is_orientable(m):
+            continue
+        w2_zero = ring_of(m).stiefel_whitney(2).is_zero()
+        assert (spin_lift_search(m) is not None) == w2_zero, m.rows
+        checked += 1
+        spin += w2_zero
+    assert checked == 1024
+    assert 0 < spin < checked
