@@ -67,6 +67,7 @@ from .gf2 import (
     kernel_basis,
     rank,
     solve,
+    UsageError,
 )
 from .rigidity import RingIsoWitness, rigidity_experiment, ring_isomorphic
 from .spin import (

@@ -137,7 +137,8 @@ class IntLattice:
 
     def add(self, vec: Sequence[int]) -> None:
         v = list(vec)
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{self.n}")
         for j in range(self.n):
             if v[j] == 0:
                 continue
@@ -166,7 +167,8 @@ class IntLattice:
 
     def contains(self, vec: Sequence[int]) -> bool:
         v = list(vec)
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{self.n}")
         for j in range(self.n):
             if v[j] == 0:
                 continue
@@ -242,6 +244,13 @@ def _exponent_matrix(n: int, gens: Sequence[AffineIso]) -> gf2.Gf2Mat:
     return gf2.Gf2Mat(len(gens), tuple(rows))
 
 
+def _require_translation(g: AffineIso, what: str) -> None:
+    """Raise InvariantViolation unless g is a pure translation; the checks
+    stay under `python -O`, unlike `assert`."""
+    if not g.is_translation:
+        raise gf2.InvariantViolation(f"{what} {format_iso(g)} is not a translation")
+
+
 def _ordered_product(gens: Sequence[AffineIso], subset: Iterable[int]) -> AffineIso:
     acc = AffineIso.identity(gens[0].n)
     for i in sorted(subset):
@@ -263,19 +272,19 @@ def lattice_of(gens: Sequence[AffineIso]) -> TransLattice:
     vectors: list[tuple[int, ...]] = []
     for g in gens:
         sq = g.compose(g)
-        assert sq.is_translation
+        _require_translation(sq, "generator square")
         vectors.append(sq.trans2)
         if g.is_translation:
             vectors.append(g.trans2)
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
             c = g.compose(h).compose(g.inverse()).compose(h.inverse())
-            assert c.is_translation
+            _require_translation(c, "commutator")
             vectors.append(c.trans2)
     mat = _exponent_matrix(n, gens)
     for kvec in gf2.kernel_basis(mat):
         prod = _ordered_product(gens, (i for i in range(len(gens)) if (kvec.mask >> i) & 1))
-        assert prod.is_translation
+        _require_translation(prod, "kernel product")
         vectors.append(prod.trans2)
     for v in vectors:
         lat.add(v)
@@ -324,7 +333,7 @@ def gamma_n_generators(n: int) -> GroupPresentation:
     """Generators gamma_0 = (I, e_1), gamma_i = (diag(-1 at i), e_{i+1}/2)
     of the group Gamma_n (n = 2 is the Klein bottle group)."""
     if n < 2:
-        raise ValueError(f"Gamma_n needs n >= 2, got {n}")
+        raise gf2.UsageError(f"Gamma_n needs n >= 2, got {n}")
     gens = [AffineIso((1,) * n, tuple(2 if j == 0 else 0 for j in range(n)))]
     for i in range(1, n):
         signs = tuple(-1 if j == i - 1 else 1 for j in range(n))
@@ -350,7 +359,7 @@ def member(g: AffineIso, p: GroupPresentation) -> bool:
     x = solved[0].mask
     g_s = _ordered_product(p.generators, (i for i in range(len(p.generators)) if (x >> i) & 1))
     diff = g.compose(g_s.inverse())
-    assert diff.is_translation
+    _require_translation(diff, "quotient by the matching generator product")
     return p.lattice.contains2(diff.trans2)
 
 
@@ -385,7 +394,8 @@ def holonomy_rep(p: GroupPresentation) -> list[tuple[int, ...]]:
     one per point-group element, identity first."""
     reps = coset_reps(p)
     out = [r.signs for r in reps]
-    assert len(set(out)) == 1 << p.point_rank
+    if len(set(out)) != 1 << p.point_rank:
+        raise gf2.InvariantViolation("coset representatives must have distinct linear parts")
     return out
 
 
@@ -418,7 +428,7 @@ def squares_lattice_rank(p: GroupPresentation) -> int:
     lat = IntLattice(p.n)
     for g in p.generators:
         sq = g.compose(g)
-        assert sq.is_translation
+        _require_translation(sq, "generator square")
         lat.add(sq.trans2)
     return lat.rank
 
@@ -433,7 +443,7 @@ def tower_conjugation_report(n: int) -> list[dict]:
     Gamma_n and Gamma(A) with A the superdiagonal matrix, under the
     anti-diagonal permutation."""
     if not 2 <= n <= 8:
-        raise ValueError(f"dimension {n} out of the supported range 2..8")
+        raise gf2.UsageError(f"dimension {n} out of the supported range 2..8")
     gamma = gamma_n_generators(n)
     bott = generators_of(superdiagonal_matrix(n))
     reversal = tuple(n - 1 - i for i in range(n))

@@ -12,7 +12,14 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .gf2 import BoundExceeded, InvariantViolation, parity, rank_masks, transpose_masks
+from .gf2 import (
+    BoundExceeded,
+    InvariantViolation,
+    UsageError,
+    parity,
+    rank_masks,
+    transpose_masks,
+)
 
 STRICT_UPPER_ENUM_BOUND = 7
 CLASSIFY_BOUND = 6
@@ -226,14 +233,14 @@ def _op2_raw(rows: Sequence[int], k: int) -> tuple[int, ...]:
 def op2(m: BottMatrix, k: int) -> BottMatrix:
     """Add column k into every column j with a[k][j] = 1 (an involution)."""
     if not 0 <= k < m.n:
-        raise ValueError(f"index {k} out of range")
+        raise UsageError(f"index {k} out of range")
     return BottMatrix(m.n, _op2_raw(m.rows, k))
 
 
 def op3(m: BottMatrix, l: int, m_idx: int) -> BottMatrix:
     """Replace row m_idx by row l + row m_idx; requires equal columns l, m_idx."""
     if l == m_idx or not 0 <= l < m.n or not 0 <= m_idx < m.n:
-        raise ValueError(f"need two distinct indices in range, got {l}, {m_idx}")
+        raise UsageError(f"need two distinct indices in range, got {l}, {m_idx}")
     if m.col_mask(l) != m.col_mask(m_idx):
         raise ColumnMismatch(
             f"columns {l + 1} and {m_idx + 1} differ; the row move does not apply"
@@ -266,7 +273,7 @@ def enumerate_strict_upper(
 ) -> Iterator[BottMatrix]:
     """All 2^(n(n-1)/2) strictly upper triangular binary matrices."""
     if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+        raise UsageError(f"dimension must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(
             f"enumerate_strict_upper(n={n}) exceeds the configured bound {bound}"
@@ -421,7 +428,7 @@ def diffeo_classes(n: int, bound: int = CLASSIFY_BOUND) -> tuple[DiffeoClass, ..
     raises InvariantViolation when it fails.
     """
     if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+        raise UsageError(f"dimension must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {bound}")
     by_code: list[Optional[DiffeoClass]] = [None] * (1 << (n * (n - 1) // 2))

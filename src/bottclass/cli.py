@@ -3,7 +3,9 @@
 Commands: enumerate, classify, table, invariants, spin, prop1, rigidity.
 Streams are JSON-lines; everything else is a single JSON document of the
 form {"command", "inputs", "results", "version"}.  Exit codes: 0 ok,
-2 usage or parse error, 3 internal invariant violation.
+2 usage or parse error (`gf2.UsageError`, a bad matrix, an unreadable
+file), 3 internal invariant violation.  Any other exception is a bug and
+propagates.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .bottmatrix import (
     parse_matrix,
     to_json_dict,
 )
-from .gf2 import BoundExceeded, InvariantViolation, rank_masks
+from .gf2 import BoundExceeded, InvariantViolation, UsageError, rank_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -257,7 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "rigidity":
             return cmd_rigidity(args.dim, args.sample, args.seed, not args.no_prune)
         parser.error(f"unknown command {args.command!r}")
-    except (MatrixParseError, NotBottMatrix, BoundExceeded, ValueError, OSError) as exc:
+    except (MatrixParseError, NotBottMatrix, BoundExceeded, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvariantViolation, AssertionError) as exc:

@@ -1,22 +1,34 @@
 """Z2 cohomology rings of real Bott manifolds and Stiefel-Whitney classes.
 
 The ring of an n x n Bott matrix A is Z2[x_1..x_n] modulo the relations
-x_j^2 = x_j * (sum_i a_{i,j} x_i).  Monomials in normal form are square
-free and stored as int bitmasks over the variable indices (0-based); a
-polynomial is a frozenset of such masks (symmetric-difference addition).
-Products of degree-1 classes also have a packed form, read from a table
-(`CohomRing.linear_products`): a degree-2 class is an int with one bit per
-square-free pair x_a x_b (a < b), at bit `pair_bit(a, b)`.
+x_j^2 = x_j * y_j with y_j = sum_i a_{i,j} x_i.  Monomials in normal form
+are square free and stored as int bitmasks over the variable indices
+(0-based).  At the public boundary (`Gf2Poly.terms`) a polynomial is a
+frozenset of such masks (symmetric-difference addition).
+
+Inside `CohomRing` a polynomial is packed: one int with bit s set for each
+square-free monomial s < 2^n, so addition is XOR.  The ring keeps, built
+once on first use, the multiply-by-x_i tables mul[i][s], the packed normal
+form of x_i times the monomial s: 2^(s | 1<<i) when x_i is not in s, and
+the XOR of mul[l][s] over the l in y_i when it is (x_i^2 = x_i y_i).  For
+strictly upper A every such l is below i, so the rows are built in order
+of i.  Multiplying a packed polynomial by x_i shifts its monomials without
+x_i by 2^i and reads the table for the others.  Betti ranks, Stiefel-
+Whitney classes and general products are built from these tables.
+
+Products of degree-1 classes have a second packed form, read straight
+from the columns (`CohomRing.linear_products`): a degree-2 class is an int
+with one bit per square-free pair x_a x_b (a < b), at bit `pair_bit(a, b)`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
-from typing import FrozenSet, Iterable, Sequence
+from operator import xor
+from typing import FrozenSet, Iterable, Iterator, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper
-from .gf2 import InvariantViolation, popcount, rank_masks, transpose_masks
+from .gf2 import InvariantViolation, UsageError, popcount, rank_masks, transpose_masks
 
 Terms = FrozenSet[int]
 
@@ -36,7 +48,7 @@ def pair_bit(a: int, b: int) -> int:
 
 def linear_terms(mask: int) -> Terms:
     """The degree-1 class sum_{i in mask} x_i as a set of monomials."""
-    return frozenset(1 << i for i in range(mask.bit_length()) if (mask >> i) & 1)
+    return frozenset(1 << i for i in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -131,74 +143,79 @@ class CohomRing:
         self.n = matrix.n
         # y_j = sum of x_i over the set column j; for strictly upper input
         # every variable in y_j has index < j, which is what makes the
-        # square rewriting terminate (see _reduce_exp).
+        # square rewriting terminate (see _tables).
         self.cols: tuple[int, ...] = tuple(transpose_masks(self.n, self.matrix.rows))
-        self._exp_memo: dict[tuple[int, ...], Terms] = {}
-        self._pair_memo: dict[tuple[int, int], Terms] = {}
+        self._mul: list[list[int]] | None = None
+        self._free: list[int] = []  # _free[i]: the monomials s without x_i
+        self._betti: list[int] | None = None
         self._sigma: list[Gf2Poly] | None = None
         self._prod: list[list[int]] | None = None
 
     # -- normal form ------------------------------------------------------
 
-    def _reduce_exp(self, exps: tuple[int, ...]) -> Terms:
-        """Normal form of the monomial prod x_i^exps[i].
+    def _tables(self) -> list[list[int]]:
+        """mul[i][s]: packed normal form of x_i times the monomial s.
 
-        Rewrites the highest squared variable first; each rewrite of x_j^2
-        only introduces variables of strictly smaller index, so the
-        recursion is well founded.
+        For i in s, x_i m_s = x_i^2 m_{s - i} = (sum_{l in y_i} x_l) m_s;
+        every l is below i, so row i is read from rows already built.
         """
-        cached = self._exp_memo.get(exps)
-        if cached is not None:
-            return cached
-        j = -1
-        for i in range(self.n - 1, -1, -1):
-            if exps[i] >= 2:
-                j = i
-                break
-        if j < 0:
-            mask = 0
-            for i, e in enumerate(exps):
-                if e:
-                    mask |= 1 << i
-            result: Terms = frozenset({mask})
-        else:
-            col = self.cols[j]
-            acc: set[int] = set()
-            base = list(exps)
-            base[j] -= 1
-            for i in range(self.n):
-                if (col >> i) & 1:
-                    if i >= j:
-                        raise InvariantViolation("rewrite must only introduce smaller indices")
-                    child = list(base)
-                    child[i] += 1
-                    acc ^= self._reduce_exp(tuple(child))
-            result = frozenset(acc)
-        self._exp_memo[exps] = result
-        return result
+        if self._mul is None:
+            full = 1 << self.n
+            mul: list[list[int]] = []
+            for i, col in enumerate(self.cols):
+                if col >> i:
+                    raise InvariantViolation("rewrite must only introduce smaller indices")
+                square = [0] * full  # y_i m_s, the entry for s holding i
+                for l in _bits(col):
+                    square = list(map(xor, square, mul[l]))
+                bit = 1 << i
+                mul.append([square[s] if s & bit else 1 << (s | bit) for s in range(full)])
+            self._mul = mul
+            # over the 2^n bits s, runs of 2^i ones (bit i of s clear) and
+            # 2^i zeros: the all-ones word over blocks of 2^(i+1) bits, times
+            # the low run
+            self._free = [((1 << full) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
+                          for i in range(self.n)]
+        return self._mul
 
-    def _mono_mul(self, u: int, v: int) -> Terms:
-        key = (u, v) if u <= v else (v, u)
-        cached = self._pair_memo.get(key)
-        if cached is not None:
-            return cached
-        common = u & v
-        if common == 0:
-            result: Terms = frozenset({u | v})
-        else:
-            exps = tuple(
-                ((u >> i) & 1) + ((v >> i) & 1) for i in range(self.n)
-            )
-            result = self._reduce_exp(exps)
-        self._pair_memo[key] = result
-        return result
+    def _times_var(self, i: int, forms: Iterable[int]) -> list[int]:
+        """Packed normal forms of x_i times each packed normal form in forms."""
+        row = (self._mul or self._tables())[i]
+        keep = self._free[i]
+        shift = 1 << i
+        out = []
+        for p in forms:
+            # the monomials s without x_i go to s + 2^i: one shift by 2^i
+            free = p & keep
+            acc = free << shift
+            p ^= free
+            while p:
+                low = p & -p
+                acc ^= row[low.bit_length() - 1]
+                p ^= low
+            out.append(acc)
+        return out
+
+    def _reduce_exp(self, exps: tuple[int, ...]) -> Terms:
+        """Normal form of the monomial prod x_i^exps[i], one table
+        application per factor."""
+        forms = [1]
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                forms = self._times_var(i, forms)
+        return _unpack(forms[0])
 
     def multiply_terms(self, p: Terms, q: Terms) -> Terms:
-        acc: set[int] = set()
-        for u in p:
-            for v in q:
-                acc ^= self._mono_mul(u, v)
-        return frozenset(acc)
+        """Normal form of p * q: p times each monomial of q, one variable at
+        a time."""
+        packed = [sum(1 << t for t in p)]  # bit t per monomial t
+        acc = 0
+        for v in q:
+            forms = packed
+            for i in _bits(v):
+                forms = self._times_var(i, forms)
+            acc ^= forms[0]
+        return _unpack(acc)
 
     def multiply(self, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
         """Square-free normal form of p * q."""
@@ -208,32 +225,31 @@ class CohomRing:
         return Gf2Poly(self.multiply_terms(p.terms, q.terms))
 
     def square_of_var(self, j: int) -> Terms:
-        """Normal form of x_j^2, i.e. x_j * y_j."""
-        return self._mono_mul(1 << j, 1 << j)
+        """Normal form of x_j^2, i.e. x_j * y_j: square free, as y_j only
+        holds variables below j.  Read from the column, not the tables."""
+        return frozenset((1 << l) | (1 << j) for l in _bits(self.cols[j]))
 
     def square_of_linear(self, mask: int) -> Terms:
         """Normal form of (sum_{i in mask} x_i)^2; squaring is linear over Z2."""
         acc: set[int] = set()
-        for i in range(self.n):
-            if (mask >> i) & 1:
-                acc ^= self.square_of_var(i)
+        for i in _bits(mask):
+            acc ^= self.square_of_var(i)
         return frozenset(acc)
 
     def linear_products(self) -> list[list[int]]:
         """Table of the products of degree-1 classes: prod[u][v] is u * v
         packed over the square-free pairs (see `pair_bit`), for the masks
         u, v < 2^n of sums of x_i.  Built once per ring by bilinearity from
-        the n^2 products x_a x_b."""
+        the n^2 products x_a x_b, read from the columns: x_a x_b is a
+        square-free monomial for a != b, and x_a^2 = sum_{l in y_a} x_l x_a."""
         if self._prod is None:
             prod = [[0] * (1 << self.n)]
-            for a in range(self.n):
-                by_var = []  # by_var[b]: x_a x_b packed
-                for b in range(self.n):
-                    bits = 0
-                    for t in self._mono_mul(1 << a, 1 << b):
-                        lo = t & -t
-                        bits |= 1 << pair_bit(lo.bit_length() - 1, (t ^ lo).bit_length() - 1)
-                    by_var.append(bits)
+            for a, col in enumerate(self.cols):
+                square = 0
+                for l in _bits(col):
+                    square |= 1 << pair_bit(l, a)
+                by_var = [square if b == a else 1 << pair_bit(min(a, b), max(a, b))
+                          for b in range(self.n)]  # by_var[b]: x_a x_b packed
                 unit = _subset_sums(by_var)  # unit[v] = x_a * v
                 prod += [[p ^ q for p, q in zip(row, unit)] for row in prod]
             self._prod = prod
@@ -248,55 +264,84 @@ class CohomRing:
     def stiefel_whitney(self, k: int) -> Gf2Poly:
         """sigma_k(y_1, ..., y_n) in normal form (zero above degree n)."""
         if k < 0:
-            raise ValueError(f"degree {k} is negative")
+            raise UsageError(f"degree {k} is negative")
         if k > self.n:
             return Gf2Poly()
         if k == 0:
             return Gf2Poly(ONE)
         if k == 1 and self._sigma is None:
-            # sigma_1 = sum_j y_j needs no products; skip the full table
-            acc: set[int] = set()
+            # sigma_1 = sum_j y_j needs no products; skip the tables
+            w1 = 0
             for col in self.cols:
-                for i in range(self.n):
-                    if (col >> i) & 1:
-                        acc ^= {1 << i}
-            return Gf2Poly(frozenset(acc))
+                w1 ^= col
+            return Gf2Poly(linear_terms(w1))
         if self._sigma is None:
-            sigma: list[Terms] = [ONE] + [ZERO] * self.n
-            for j in range(self.n):
-                yj = self.y(j).terms
-                if not yj:
+            sigma = [1] + [0] * self.n
+            for j, col in enumerate(self.cols):
+                if not col:
                     continue
+                # descending k: sigma[k - 1] is still the value before y_j
                 for k_ in range(min(j + 1, self.n), 0, -1):
                     if sigma[k_ - 1]:
-                        sigma[k_] = sigma[k_] ^ self.multiply_terms(sigma[k_ - 1], yj)
-            self._sigma = [Gf2Poly(t) for t in sigma]
+                        for l in _bits(col):
+                            sigma[k_] ^= self._times_var(l, [sigma[k_ - 1]])[0]
+            self._sigma = [Gf2Poly(_unpack(s)) for s in sigma]
         return self._sigma[k]
 
     def betti_z2(self, k: int) -> int:
-        """GF(2) dimension of the degree-k part, computed as the rank of the
-        span of the normal forms of every degree-k monomial; checks that
-        the square-free monomials of size k are exactly the basis and raises
-        InvariantViolation otherwise."""
+        """GF(2) dimension of the degree-k part: the rank of the span of the
+        normal forms of every degree-k monomial.
+
+        All degrees are computed in one pass and kept on the ring: the
+        monomials of degree k are x_i times a degree-(k-1) monomial whose
+        variables are all <= i, so each normal form is one table
+        application.  Raises InvariantViolation if a normal form leaves
+        degree k or the rank is not C(n, k).  The rank is a consistency
+        check of the reducer, not an independent count: the leading terms
+        x_j^2 are pairwise coprime, so the square-free monomials are a
+        basis and the check can only fail through degree loss (the tests
+        count the quotient from the ideal side instead).
+        """
         if not 0 <= k <= self.n:
-            raise ValueError(f"degree {k} out of range 0..{self.n}")
-        index = {m: i for i, m in enumerate(_masks_of_weight(self.n, k))}
-        span_rows = []
-        for combo in combinations_with_replacement(range(self.n), k):
-            exps = [0] * self.n
-            for i in combo:
-                exps[i] += 1
-            terms = self._reduce_exp(tuple(exps))
-            row = 0
-            for t in terms:
-                if popcount(t) != k:
-                    raise InvariantViolation("reduction must preserve degree")
-                row |= 1 << index[t]
-            span_rows.append(row)
-        dim = rank_masks(span_rows)
-        if dim != comb(self.n, k):
-            raise InvariantViolation("normal-form basis must be the square-free monomials")
-        return dim
+            raise UsageError(f"degree {k} out of range 0..{self.n}")
+        if self._betti is None:
+            n = self.n
+            weight = [0] * (n + 1)  # weight[k]: the square-free monomials of size k
+            for s in range(1 << n):
+                weight[s.bit_count()] |= 1 << s
+            betti = [1]
+            by_last = [[1]] + [[] for _ in range(n - 1)]  # degree 0: the monomial 1
+            for k_ in range(1, n + 1):
+                # by_last[i]: normal forms of the degree-k_ monomials whose
+                # largest variable is x_i, i.e. x_i times the degree-(k_ - 1)
+                # ones whose largest variable is at most x_i
+                below: list[int] = []
+                for i in range(n):
+                    below += by_last[i]
+                    by_last[i] = self._times_var(i, below)
+                rows = [p for forms in by_last for p in forms]
+                outside = ~weight[k_]
+                for p in rows:
+                    if p & outside:
+                        raise InvariantViolation("reduction must preserve degree")
+                dim = rank_masks(rows)
+                if dim != comb(n, k_):
+                    raise InvariantViolation("normal-form basis must be the square-free monomials")
+                betti.append(dim)
+            self._betti = betti
+        return self._betti[k]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _unpack(p: int) -> Terms:
+    return frozenset(_bits(p))
 
 
 def _subset_sums(gens: Sequence[int]) -> list[int]:
@@ -305,10 +350,6 @@ def _subset_sums(gens: Sequence[int]) -> list[int]:
     for g in gens:
         sums += [s ^ g for s in sums]
     return sums
-
-
-def _masks_of_weight(n: int, k: int) -> list[int]:
-    return [m for m in range(1 << n) if popcount(m) == k]
 
 
 def ring_of(m: BottMatrix) -> CohomRing:

@@ -24,6 +24,12 @@ class BoundExceeded(Gf2Error):
     pass
 
 
+class UsageError(ValueError):
+    """A request outside the supported range, such as a dimension, an
+    index or a degree out of bounds: the caller's error, which the CLI
+    reports with exit code 2.  Other ValueErrors are not caught there."""
+
+
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed: a bug, never a user error.
 
@@ -169,16 +175,22 @@ class Gf2Mat:
 
 
 def rank_masks(rows: Iterable[int]) -> int:
-    """Rank of a set of int-mask rows, by XOR elimination on top set bits."""
-    basis: list[int] = []
+    """Rank of a set of int-mask rows over GF(2).
+
+    Each row is reduced against the kept rows by its top set bit, looked
+    up in a dict of kept rows keyed by their top bit (their bit length):
+    one lookup per step instead of a pass over the whole basis.
+    """
+    pivots: dict[int, int] = {}
     for r in rows:
-        for b in basis:
-            x = r ^ b
-            if x < r:
-                r = x
-        if r:
-            basis.append(r)
-    return len(basis)
+        while r:
+            top = r.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = r
+                break
+            r ^= pivot
+    return len(pivots)
 
 
 def rank(m: Gf2Mat) -> int:
@@ -239,7 +251,8 @@ def solve(m: Gf2Mat, b: Gf2Vec) -> Optional[tuple[Gf2Vec, list[Gf2Vec]]]:
 def kernel_basis(m: Gf2Mat) -> list[Gf2Vec]:
     """Basis of {x : m @ x = 0}."""
     solved = solve(m, Gf2Vec(m.nrows, 0))
-    assert solved is not None
+    if solved is None:
+        raise InvariantViolation("a homogeneous system always has the zero solution")
     return solved[1]
 
 

@@ -73,7 +73,8 @@ def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
 def clifford_inv(a: CliffordElement) -> CliffordElement:
     # a * a = sq.sign * 1, so a^-1 = sq.sign * a (signs are self-inverse)
     sq = clifford_mul(a, a)
-    assert sq.support == 0
+    if sq.support:
+        raise gf2.InvariantViolation("a sign monomial squares to +-1")
     return CliffordElement(a.n, a.sign * sq.sign, a.support)
 
 
@@ -198,13 +199,13 @@ def _lattice_coords_mod2(basis2: tuple[tuple[int, ...], ...], trans2: tuple[int,
         pivots.append((p, idx))
     for p, idx in sorted(pivots):
         row = basis2[idx]
-        assert v[p] % row[p] == 0, "vector is not in the lattice"
-        q = v[p] // row[p]
+        q = v[p] // row[p]  # a remainder stays in v and fails the check below
         coeffs[idx] = q
         if q:
             for k in range(p, n):
                 v[k] -= q * row[k]
-    assert all(x == 0 for x in v), "vector is not in the lattice"
+    if any(v):
+        raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
     mask = 0
     for idx, c in enumerate(coeffs):
         if c & 1:
@@ -268,11 +269,12 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         for kvec in gf2.kernel_basis(gf2.Gf2Mat(len(active), tuple(rows))):
             subset = [active[pos] for pos in range(len(active)) if (kvec.mask >> pos) & 1]
             prod_group = bieberbach._ordered_product(gens, subset)
-            assert prod_group.is_translation
+            bieberbach._require_translation(prod_group, "kernel product")
             cliff = CliffordElement.identity(n)
             for i in subset:
                 cliff = clifford_mul(cliff, CliffordElement(n, 1, supports[i]))
-            assert cliff.support == 0
+            if cliff.support:
+                raise gf2.InvariantViolation("a kernel product of sign monomials must be +-1")
             mixed.append((kvec.mask, coords(prod_group.trans2), 0 if cliff.sign == 1 else 1))
 
     for chi in range(1 << nbasis):
@@ -293,7 +295,8 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
                     row: (-1 if (chi >> idx) & 1 else 1) for idx, row in enumerate(basis2)
                 }
                 lift = SpinLift(gen_signs, character)
-                assert _verify_lift(m, pres, lift)
+                if not _verify_lift(m, pres, lift):
+                    raise gf2.InvariantViolation(f"lift found for {m.rows} fails the relation check")
                 return lift
     return None
 

@@ -316,3 +316,23 @@ def test_parse_iso_rejects_garbage():
 def test_module_level_compose_inverse():
     a = AffineIso((1, -1), (1, 1))
     assert compose(a, inverse(a)) == AffineIso.identity(2)
+
+
+def test_lattice_vector_of_wrong_length_is_a_dimension_mismatch():
+    from bottclass.bieberbach import IntLattice
+    from bottclass.gf2 import DimensionMismatch
+
+    lat = IntLattice(2)
+    with pytest.raises(DimensionMismatch):
+        lat.add([1, 2, 3])
+    with pytest.raises(DimensionMismatch):
+        lat.contains([1])
+
+
+def test_non_translation_is_an_invariant_violation():
+    from bottclass.bieberbach import AffineIso, _require_translation
+    from bottclass.gf2 import InvariantViolation
+
+    _require_translation(AffineIso((1, 1), (2, 0)), "square")
+    with pytest.raises(InvariantViolation, match="square"):
+        _require_translation(AffineIso((-1, 1), (0, 0)), "square")

@@ -155,6 +155,32 @@ def test_bad_dim_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--dim", "0"),
+    ("enumerate", "--dim", "0"),
+    ("prop1", "--dim", "1"),
+    ("prop1", "--dim", "9"),
+    ("rigidity", "--dim", "0"),
+])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and not out
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    # only UsageError (and parse/file errors) exit 2; a stray ValueError
+    # from inside the package is a bug and propagates
+    from bottclass import cli
+
+    def broken(dim):
+        raise ValueError("internal slip")
+
+    monkeypatch.setattr(cli, "diffeo_classes", broken)
+    with pytest.raises(ValueError, match="internal slip"):
+        main(["classify", "--dim", "3"])
+
+
 def test_invariant_violation_exits_3(monkeypatch, capsys):
     from bottclass import cli
     from bottclass.gf2 import InvariantViolation

@@ -68,6 +68,16 @@ def test_transpose_masks_entrywise(nr, nc, data):
             assert (cols[j] >> i) & 1 == (rows[i] >> j) & 1
 
 
+@given(st.lists(st.integers(0, (1 << 256) - 1) | st.sampled_from([0, 1, 3, 1 << 255]),
+                max_size=9))
+def test_rank_masks_matches_span_size(rows):
+    # wide rows, as in the Betti ranks over 2^8 monomials, repeats and zeros
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    assert 1 << rank_masks(rows) == len(span)
+
+
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
 def test_rank_equals_rank_of_transpose(nr, nc, data):
     rows = tuple(data.draw(st.integers(0, (1 << nc) - 1)) for _ in range(nr))

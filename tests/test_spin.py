@@ -1,4 +1,10 @@
 """Spin/Spin^C detectors, the Clifford group, and the lift oracle."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +18,7 @@ from bottclass.spin import (
     PART_II,
     CliffordElement,
     NonOrientable,
+    _lattice_coords_mod2,
     clifford_inv,
     clifford_mul,
     has_spin,
@@ -272,3 +279,27 @@ def test_lift_matches_w2_all_oriented_n6():
         spin += w2_zero
     assert checked == 1024
     assert 0 < spin < checked
+
+
+def test_lattice_coords_outside_the_lattice_raise_under_python_O():
+    # A vector outside the lattice (a pivot that does not divide it, or an
+    # entry off the pivot columns) raises InvariantViolation, not assert, so
+    # the check survives `python -O`.
+    code = textwrap.dedent("""
+        from bottclass.gf2 import InvariantViolation
+        from bottclass.spin import _lattice_coords_mod2
+        assert not __debug__
+        for basis2, vec in [(((2, 0), (0, 2)), (1, 0)), (((2, 0),), (0, 2))]:
+            try:
+                _lattice_coords_mod2(basis2, vec)
+            except InvariantViolation as exc:
+                print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised: (1, 0) is not in the lattice",
+                                        "raised: (0, 2) is not in the lattice"]
+
