@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import gf2
@@ -21,7 +22,15 @@ class NotStrictlyUpper(ValueError):
 
 @dataclass(frozen=True)
 class AffineIso:
-    """Isometry x -> Dx + t with D = diag(signs) and t = trans2 / 2."""
+    """Isometry x -> Dx + t with D = diag(signs) and t = trans2 / 2.
+
+    The public constructor, `identity`, `parse_iso` and `conjugate_by_perm`
+    validate their fields (nonempty, equal lengths, signs +-1, integer
+    translations).  `compose` and `inverse` skip that check: a product or
+    inverse of valid elements has signs that are products of +-1 and
+    translations that are sums of products of ints, so it is valid by
+    construction.
+    """
 
     signs: tuple[int, ...]
     trans2: tuple[int, ...]
@@ -61,13 +70,38 @@ class AffineIso:
             raise gf2.DimensionMismatch(f"{self.n} != {other.n}")
         signs = tuple(a * b for a, b in zip(self.signs, other.signs))
         trans2 = tuple(s * t + u for s, t, u in zip(self.signs, other.trans2, self.trans2))
-        return AffineIso(signs, trans2)
+        return _trusted(signs, trans2)
 
     def inverse(self) -> "AffineIso":
-        return AffineIso(self.signs, tuple(-s * t for s, t in zip(self.signs, self.trans2)))
+        return _trusted(self.signs, tuple(-s * t for s, t in zip(self.signs, self.trans2)))
 
     def __str__(self) -> str:
         return format_iso(self)
+
+
+def _trusted(signs: tuple[int, ...], trans2: tuple[int, ...]) -> AffineIso:
+    """An AffineIso built without `__post_init__`, for results of the group
+    law on validated elements only (see the AffineIso docstring)."""
+    g = object.__new__(AffineIso)
+    object.__setattr__(g, "signs", signs)
+    object.__setattr__(g, "trans2", trans2)
+    return g
+
+
+def commutator_trans2(g: AffineIso, h: AffineIso) -> tuple[int, ...]:
+    """Doubled translation of the commutator [g, h] = g h g^-1 h^-1.
+
+    For diagonal D the commutator is (I, (I - D_h) t_g - (I - D_g) t_h).
+    Its linear part is always I, since diagonal +-1 matrices commute and
+    square to I, so unlike the product of four elements it needs no
+    translation check.
+    """
+    if g.n != h.n:
+        raise gf2.DimensionMismatch(f"{g.n} != {h.n}")
+    return tuple(
+        (1 - dh) * tg - (1 - dg) * th
+        for dg, tg, dh, th in zip(g.signs, g.trans2, h.signs, h.trans2)
+    )
 
 
 def compose(a: AffineIso, b: AffineIso) -> AffineIso:
@@ -210,6 +244,7 @@ class TransLattice:
     n: int
     basis2: tuple[tuple[int, ...], ...]
 
+    @cached_property
     def _lattice(self) -> IntLattice:
         lat = IntLattice(self.n)
         for row in self.basis2:
@@ -217,7 +252,29 @@ class TransLattice:
         return lat
 
     def contains2(self, trans2: Sequence[int]) -> bool:
-        return self._lattice().contains(trans2)
+        return self._lattice.contains(trans2)
+
+    @cached_property
+    def _pivots(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(pivot column, index, row) of each basis row, by pivot column."""
+        return sorted((next(j for j, x in enumerate(row) if x), idx, row)
+                      for idx, row in enumerate(self.basis2))
+
+    def coords_mod2(self, trans2: Sequence[int]) -> int:
+        """Coordinates (mod 2) of a lattice vector in basis2, as a mask with
+        bit i for row i; InvariantViolation if the vector is not in N."""
+        n = self.n
+        v = list(trans2)
+        mask = 0
+        for p, idx, row in self._pivots:
+            q = v[p] // row[p]  # a remainder stays in v and fails the check below
+            if q:
+                mask ^= (q & 1) << idx
+                for k in range(p, n):
+                    v[k] -= q * row[k]
+        if any(v):
+            raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
+        return mask
 
     @property
     def rank(self) -> int:
@@ -278,9 +335,7 @@ def lattice_of(gens: Sequence[AffineIso]) -> TransLattice:
             vectors.append(g.trans2)
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
-            c = g.compose(h).compose(g.inverse()).compose(h.inverse())
-            _require_translation(c, "commutator")
-            vectors.append(c.trans2)
+            vectors.append(commutator_trans2(g, h))
     mat = _exponent_matrix(n, gens)
     for kvec in gf2.kernel_basis(mat):
         prod = _ordered_product(gens, (i for i in range(len(gens)) if (kvec.mask >> i) & 1))
@@ -370,7 +425,9 @@ def _pivot_generators(p: GroupPresentation) -> list[int]:
     for i, g in enumerate(p.generators):
         r = g.exponent_mask
         for b in basis:
-            r = min(r, r ^ b)
+            x = r ^ b
+            if x < r:
+                r = x
         if r:
             basis.append(r)
             pivots.append(i)
@@ -379,13 +436,14 @@ def _pivot_generators(p: GroupPresentation) -> list[int]:
 
 def coset_reps(p: GroupPresentation) -> list[AffineIso]:
     """One representative per point-group element: ascending products over
-    subsets of the pivot generators, in binary counting order."""
-    pivots = _pivot_generators(p)
-    reps = []
-    for code in range(1 << len(pivots)):
-        subset = [pivots[i] for i in range(len(pivots)) if (code >> i) & 1]
-        reps.append(_ordered_product(p.generators, subset) if subset
-                    else AffineIso.identity(p.n))
+    subsets of the pivot generators, in binary counting order.  The product
+    for a subset is the one for the subset without its last generator,
+    times that generator."""
+    gens = [p.generators[i] for i in _pivot_generators(p)]
+    reps = [AffineIso.identity(p.n)]
+    for code in range(1, 1 << len(gens)):
+        top = code.bit_length() - 1
+        reps.append(reps[code ^ (1 << top)].compose(gens[top]))
     return reps
 
 

@@ -2,9 +2,11 @@
 
 Two independent routes are implemented: the matrix-level obstruction
 detectors (odd row overlap with a zero entry; disjoint rows of weight
-2 mod 4) together with the w_2 = 0 criterion, and a brute-force search
-for a lift of the holonomy through the sign-monomial subgroup of
-Spin(n), mirroring the group-theoretic definition.
+2 mod 4) together with the w_2 = 0 criterion, and a lift of the holonomy
+through the sign-monomial subgroup of Spin(n), mirroring the
+group-theoretic definition: one affine GF(2) solve over the generator
+signs and the lattice character gives the least solution, and Clifford
+arithmetic re-checks every relation of the lift it returns.
 """
 from __future__ import annotations
 
@@ -154,9 +156,12 @@ def disjoint_rows_witness(m: BottMatrix) -> Optional[ObstructionWitness]:
 
 
 def has_spin(m: BottMatrix) -> bool:
-    """Spin structure exists iff w_2 = 0 (oriented input required)."""
+    """Spin structure exists iff w_2 = 0 (oriented input required), read
+    from the rows of the strictly upper normalisation without a ring."""
     _require_orientable(m)
-    return cohomology.ring_of(m).stiefel_whitney(2).is_zero()
+    if not m.is_strictly_upper:
+        _, m = to_strict_upper(m)
+    return not cohomology.w2_of_rows(m.n, m.rows)
 
 
 def spinc_obstructed(m: BottMatrix) -> bool:
@@ -190,38 +195,23 @@ class SpinLift:
 
 def _lattice_coords_mod2(basis2: tuple[tuple[int, ...], ...], trans2: tuple[int, ...]) -> int:
     """Coordinates (mod 2) of a lattice vector in the HNF basis, as a mask."""
-    n = len(trans2)
-    v = list(trans2)
-    coeffs = [0] * len(basis2)
-    pivots = []
-    for idx, row in enumerate(basis2):
-        p = next(j for j in range(n) if row[j])
-        pivots.append((p, idx))
-    for p, idx in sorted(pivots):
-        row = basis2[idx]
-        q = v[p] // row[p]  # a remainder stays in v and fails the check below
-        coeffs[idx] = q
-        if q:
-            for k in range(p, n):
-                v[k] -= q * row[k]
-    if any(v):
-        raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
-    mask = 0
-    for idx, c in enumerate(coeffs):
-        if c & 1:
-            mask |= 1 << idx
-    return mask
+    return bieberbach.TransLattice(len(trans2), basis2).coords_mod2(trans2)
 
 
 def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
-    """Exhaustive search for a lift of the holonomy to Spin(n).
+    """Search for a lift of the holonomy to Spin(n), by one GF(2) solve.
 
     Each generator with support S (even, by orientability) must map to
-    +-e_{S}; translations must map through a +-1 character on N.  The
-    constraints are the squares, the commutators, the pure-translation
-    products over a kernel basis, and invariance of the character under
-    the holonomy action.  Character-only constraints are checked before
-    the sign loop.  Returns the first lift in counting order, or None.
+    +-e_{S}; translations must map through a +-1 character chi on N.  The
+    unknowns are the generator signs sigma and the values of chi on the
+    HNF basis, packed as x = (chi << |active|) | sigma.  The constraints
+    are affine over GF(2): the squares, the commutators, invariance of chi
+    under the holonomy action (chi only), and the pure-translation products
+    over a kernel basis of the exponent system (sigma and chi).  One
+    `gf2.solve` elimination solves them and gives the least solution x,
+    which is the first lift in chi-major counting order; the lift is
+    returned after an honest Clifford re-check of every relation, or None
+    when there is no solution.
     """
     _require_orientable(m)
     if not m.is_strictly_upper:
@@ -230,33 +220,28 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
-    nbasis = len(basis2)
-
-    def coords(t2: tuple[int, ...]) -> int:
-        return _lattice_coords_mod2(basis2, t2)
+    coords = pres.lattice.coords_mod2
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     supports = {i: gens[i].exponent_mask for i in active}
+    shift = len(active)
 
-    # chi-only constraints: pairs (coordinate mask, required sign bit)
-    chi_constraints: list[tuple[int, int]] = []
+    # affine rows (mask over x, required bit); duplicates dropped
+    constraints: dict[tuple[int, int], None] = {}
     for i in active:
         sq = gens[i].compose(gens[i])
         half = popcount(supports[i]) // 2
-        chi_constraints.append((coords(sq.trans2), half & 1))
+        constraints[coords(sq.trans2) << shift, half & 1] = None
     for ai, i in enumerate(active):
         for j in active[ai + 1:]:
-            comm = (
-                gens[i].compose(gens[j]).compose(gens[i].inverse()).compose(gens[j].inverse())
-            )
-            chi_constraints.append((coords(comm.trans2), popcount(supports[i] & supports[j]) & 1))
+            comm = bieberbach.commutator_trans2(gens[i], gens[j])
+            constraints[coords(comm) << shift, popcount(supports[i] & supports[j]) & 1] = None
     for row_idx, row in enumerate(basis2):
         for i in active:
             conj = tuple(s * t for s, t in zip(gens[i].signs, row))
-            chi_constraints.append((coords(conj) ^ (1 << row_idx), 0))
+            constraints[(coords(conj) ^ (1 << row_idx)) << shift, 0] = None
 
-    # mixed constraints from kernel products of the active generators:
-    # (sign-index mask, coordinate mask, required bit)
+    # kernel products of the active generators tie sigma to chi
     rows = []
     for coord in range(n):
         mask = 0
@@ -264,7 +249,6 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
             if (supports[i] >> coord) & 1:
                 mask |= 1 << pos
         rows.append(mask)
-    mixed: list[tuple[int, int, int]] = []
     if active:
         for kvec in gf2.kernel_basis(gf2.Gf2Mat(len(active), tuple(rows))):
             subset = [active[pos] for pos in range(len(active)) if (kvec.mask >> pos) & 1]
@@ -275,30 +259,34 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
                 cliff = clifford_mul(cliff, CliffordElement(n, 1, supports[i]))
             if cliff.support:
                 raise gf2.InvariantViolation("a kernel product of sign monomials must be +-1")
-            mixed.append((kvec.mask, coords(prod_group.trans2), 0 if cliff.sign == 1 else 1))
+            constraints[kvec.mask | coords(prod_group.trans2) << shift,
+                        0 if cliff.sign == 1 else 1] = None
 
-    for chi in range(1 << nbasis):
-        if any(parity(chi & cmask) != bit for cmask, bit in chi_constraints):
-            continue
-        for sigma in range(1 << len(active)):
-            if all(
-                (parity(sigma & smask) ^ parity(chi & cmask)) == bit
-                for smask, cmask, bit in mixed
-            ):
-                gen_signs: dict[int, int] = {}
-                for pos, i in enumerate(active):
-                    gen_signs[i] = -1 if (sigma >> pos) & 1 else 1
-                for i, g in enumerate(gens):
-                    if g.is_translation:
-                        gen_signs[i] = -1 if parity(chi & coords(g.trans2)) else 1
-                character = {
-                    row: (-1 if (chi >> idx) & 1 else 1) for idx, row in enumerate(basis2)
-                }
-                lift = SpinLift(gen_signs, character)
-                if not _verify_lift(m, pres, lift):
-                    raise gf2.InvariantViolation(f"lift found for {m.rows} fails the relation check")
-                return lift
-    return None
+    constraints.pop((0, 0), None)
+    x = 0
+    if constraints:
+        masks = tuple(mask for mask, _ in constraints)
+        rhs = sum(bit << k for k, (_, bit) in enumerate(constraints))
+        solved = gf2.solve(gf2.Gf2Mat(shift + len(basis2), masks), gf2.Gf2Vec(len(masks), rhs))
+        if solved is None:
+            return None
+        # Pivots are taken lowest column first, so each pivot variable is
+        # fixed by free variables in higher columns; with every free
+        # variable 0, the particular solution is the least one.
+        x = solved[0].mask
+    sigma, chi = x & ((1 << shift) - 1), x >> shift
+
+    gen_signs: dict[int, int] = {}
+    for pos, i in enumerate(active):
+        gen_signs[i] = -1 if (sigma >> pos) & 1 else 1
+    for i, g in enumerate(gens):
+        if g.is_translation:
+            gen_signs[i] = -1 if parity(chi & coords(g.trans2)) else 1
+    character = {row: (-1 if (chi >> idx) & 1 else 1) for idx, row in enumerate(basis2)}
+    lift = SpinLift(gen_signs, character)
+    if not _verify_lift(m, pres, lift):
+        raise gf2.InvariantViolation(f"lift found for {m.rows} fails the relation check")
+    return lift
 
 
 def _verify_lift(m: BottMatrix, pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
@@ -309,7 +297,7 @@ def _verify_lift(m: BottMatrix, pres: bieberbach.GroupPresentation, lift: SpinLi
     basis2 = pres.lattice.basis2
 
     def chi(t2: tuple[int, ...]) -> int:
-        mask = _lattice_coords_mod2(basis2, t2)
+        mask = pres.lattice.coords_mod2(t2)
         sign = 1
         for idx, row in enumerate(basis2):
             if (mask >> idx) & 1:

@@ -1,5 +1,11 @@
 """Bieberbach groups: generators, group law, lattices, torsion, conjugation."""
+import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +14,10 @@ from bottclass import catalog
 from bottclass.bieberbach import (
     AffineIso,
     NotStrictlyUpper,
+    commutator_trans2,
     compose,
     conjugate_by_perm,
+    coset_reps,
     format_iso,
     from_generators,
     generators_of,
@@ -26,6 +34,7 @@ from bottclass.bieberbach import (
     verify_tower_conjugation,
 )
 from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper
+from bottclass.gf2 import rank_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 
@@ -67,6 +76,61 @@ def test_compose_inverse_identity(n, data):
 def test_compose_associative(n, data):
     a, b, c = (random_iso(data, n) for _ in range(3))
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+@given(st.integers(1, 5), st.data())
+def test_products_and_inverses_pass_validation(n, data):
+    # compose and inverse skip __post_init__; their results must still be
+    # what the validating constructor builds from the same fields
+    a, b = random_iso(data, n), random_iso(data, n)
+    for p in (a.compose(b), a.inverse(), a.compose(b).inverse()):
+        q = AffineIso(p.signs, p.trans2)
+        assert q == p and hash(q) == hash(p)
+
+
+def test_public_constructors_validate_under_python_O():
+    code = textwrap.dedent("""
+        from bottclass.bieberbach import AffineIso, parse_iso
+        assert not __debug__
+        for make in (lambda: AffineIso((1, 2), (0, 0)),
+                     lambda: AffineIso((1, -1), (0, 0.5)),
+                     lambda: AffineIso((1, -1), (0,)),
+                     lambda: AffineIso((), ()),
+                     lambda: parse_iso("signs=++ ; t2=[0]")):
+            try:
+                make()
+            except ValueError:
+                print("raised")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised"] * 5
+
+
+def chain_commutator(g, h):
+    return g.compose(h).compose(g.inverse()).compose(h.inverse())
+
+
+def assert_commutator_matches_chain(g, h):
+    c = chain_commutator(g, h)
+    assert c.signs == (1,) * g.n
+    assert commutator_trans2(g, h) == c.trans2
+
+
+def test_commutator_helper_matches_compose_chain():
+    groups = [generators_of(m).generators for n in range(1, 6) for m in enumerate_strict_upper(n)]
+    groups += [gamma_n_generators(n).generators for n in range(2, 9)]
+    for gens in groups:
+        for g, h in itertools.permutations(gens, 2):
+            assert_commutator_matches_chain(g, h)
+
+
+@given(st.integers(1, 5), st.data())
+def test_commutator_helper_matches_compose_chain_random(n, data):
+    assert_commutator_matches_chain(random_iso(data, n), random_iso(data, n))
 
 
 def test_compose_translations_add():
@@ -249,6 +313,28 @@ def test_point_reflection_has_torsion():
     assert not is_torsion_free(pres)
 
 
+def subset_product_reps(p):
+    """Oracle for coset_reps: each representative built from the identity
+    as the ascending product over a subset of the pivot generators."""
+    masks = [g.exponent_mask for g in p.generators]
+    pivots = [i for i in range(len(masks)) if rank_masks(masks[:i + 1]) > rank_masks(masks[:i])]
+    reps = []
+    for code in range(1 << len(pivots)):
+        acc = AffineIso.identity(p.n)
+        for k, i in enumerate(pivots):
+            if (code >> k) & 1:
+                acc = acc.compose(p.generators[i])
+        reps.append(acc)
+    return reps
+
+
+def test_coset_reps_match_subset_products_n_le_5():
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            pres = generators_of(m)
+            assert coset_reps(pres) == subset_product_reps(pres), m.rows
+
+
 def test_holonomy_torus_trivial():
     pres = generators_of(BottMatrix(3, (0, 0, 0)))
     assert holonomy_rep(pres) == [(1, 1, 1)]
@@ -311,6 +397,8 @@ def test_iso_text_round_trip():
 def test_parse_iso_rejects_garbage():
     with pytest.raises(ValueError):
         parse_iso("signs=+x ; t2=[0]")
+    with pytest.raises(ValueError):
+        parse_iso("signs=++ ; t2=[0]")
 
 
 def test_module_level_compose_inverse():

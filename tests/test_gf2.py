@@ -121,7 +121,8 @@ def test_solve_returns_actual_solutions(nr, nc, data):
         assert m.mul_vec(k).mask == 0
     # kernel size matches rank-nullity
     assert len(kern) == nc - rank(m)
-
+    # the particular solution is the least one (spin_lift_search relies on it)
+    assert x.mask == min(y for y in range(1 << nc) if m.mul_vec(Gf2Vec(nc, y)) == b)
 
 def test_kernel_basis_of_identity_is_empty():
     assert kernel_basis(Gf2Mat.identity(5)) == []

@@ -1,5 +1,6 @@
 """Spin/Spin^C detectors, the Clifford group, and the lift oracle."""
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,13 +12,23 @@ from hypothesis import given, strategies as st
 from bottclass import catalog
 import itertools
 
-from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, is_orientable, op1, parse_matrix
+from bottclass.bieberbach import _ordered_product, _require_translation, generators_of
+from bottclass.bottmatrix import (
+    BottMatrix,
+    enumerate_strict_upper,
+    is_orientable,
+    op1,
+    parse_matrix,
+    to_strict_upper,
+)
 from bottclass.cohomology import h2_real_is_zero, ring_of
+from bottclass.gf2 import Gf2Mat, kernel_basis, parity
 from bottclass.spin import (
     PART_I,
     PART_II,
     CliffordElement,
     NonOrientable,
+    SpinLift,
     _lattice_coords_mod2,
     clifford_inv,
     clifford_mul,
@@ -279,6 +290,127 @@ def test_lift_matches_w2_all_oriented_n6():
         spin += w2_zero
     assert checked == 1024
     assert 0 < spin < checked
+
+
+# --- the chi-major double loop, kept as the oracle for the GF(2) solve -----------
+
+def brute_force_lift(m):
+    """First lift in chi-major counting order by trying every (chi, sigma),
+    with the constraints gathered through honest compose chains."""
+    if not m.is_strictly_upper:
+        _, m = to_strict_upper(m)
+    n = m.n
+    pres = generators_of(m)
+    gens = pres.generators
+    basis2 = pres.lattice.basis2
+
+    def coords(t2):
+        return _lattice_coords_mod2(basis2, t2)
+
+    active = [i for i, g in enumerate(gens) if not g.is_translation]
+    supports = {i: gens[i].exponent_mask for i in active}
+    chi_constraints = []
+    for i in active:
+        sq = gens[i].compose(gens[i])
+        chi_constraints.append((coords(sq.trans2), (bin(supports[i]).count("1") // 2) & 1))
+    for ai, i in enumerate(active):
+        for j in active[ai + 1:]:
+            comm = gens[i].compose(gens[j]).compose(gens[i].inverse()).compose(gens[j].inverse())
+            assert comm.is_translation
+            chi_constraints.append((coords(comm.trans2), parity(supports[i] & supports[j])))
+    for row_idx, row in enumerate(basis2):
+        for i in active:
+            conj = tuple(s * t for s, t in zip(gens[i].signs, row))
+            chi_constraints.append((coords(conj) ^ (1 << row_idx), 0))
+    rows = [sum(1 << pos for pos, i in enumerate(active) if (supports[i] >> c) & 1)
+            for c in range(n)]
+    mixed = []
+    if active:
+        for kvec in kernel_basis(Gf2Mat(len(active), tuple(rows))):
+            subset = [active[pos] for pos in range(len(active)) if (kvec.mask >> pos) & 1]
+            prod = _ordered_product(gens, subset)
+            _require_translation(prod, "kernel product")
+            cliff = CliffordElement.identity(n)
+            for i in subset:
+                cliff = clifford_mul(cliff, CliffordElement(n, 1, supports[i]))
+            assert cliff.support == 0
+            mixed.append((kvec.mask, coords(prod.trans2), 0 if cliff.sign == 1 else 1))
+    for chi in range(1 << len(basis2)):
+        if any(parity(chi & cmask) != bit for cmask, bit in chi_constraints):
+            continue
+        for sigma in range(1 << len(active)):
+            if all((parity(sigma & smask) ^ parity(chi & cmask)) == bit
+                   for smask, cmask, bit in mixed):
+                gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}
+                for i, g in enumerate(gens):
+                    if g.is_translation:
+                        gen_signs[i] = -1 if parity(chi & coords(g.trans2)) else 1
+                character = {row: -1 if (chi >> idx) & 1 else 1 for idx, row in enumerate(basis2)}
+                return SpinLift(gen_signs, character)
+    return None
+
+
+def random_oriented_strict_upper(rng, n):
+    """Uniform oriented strictly upper matrix: free entries left of the
+    last column, which fixes each row's parity."""
+    rows = []
+    for i in range(n):
+        r = 0
+        for j in range(i + 1, n - 1):
+            r |= rng.getrandbits(1) << j
+        if parity(r):
+            r |= 1 << (n - 1)
+        rows.append(r)
+    return BottMatrix(n, tuple(rows))
+
+
+def assert_same_lift(m):
+    got, want = spin_lift_search(m), brute_force_lift(m)
+    assert got == want, m.rows
+    if got is not None:
+        assert list(got.generator_signs) == list(want.generator_signs), m.rows
+        assert list(got.lattice_character) == list(want.lattice_character), m.rows
+
+
+def test_lift_solve_matches_brute_force_all_oriented_n6():
+    checked = 0
+    for m in enumerate_strict_upper(6):
+        if is_orientable(m):
+            assert_same_lift(m)
+            checked += 1
+    assert checked == 1024
+
+
+def test_lift_solve_matches_brute_force_permuted_n6_to_8():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(6, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert_same_lift(op1(random_oriented_strict_upper(rng, n), perm))
+
+
+def test_lift_matches_w2_sampled_oriented_n7():
+    # The full n = 7 check (all 32,768 oriented strictly upper matrices)
+    # is demos/05_lift_vs_w2.py; this seeded sample keeps tier-1 short.
+    rng = random.Random(7)
+    spin = 0
+    for _ in range(2000):
+        m = random_oriented_strict_upper(rng, 7)
+        w2_zero = ring_of(m).stiefel_whitney(2).is_zero()
+        assert (spin_lift_search(m) is not None) == w2_zero, m.rows
+        spin += w2_zero
+    assert 0 < spin < 2000
+
+
+def test_has_spin_matches_ring_under_relabelling_n_le_5():
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            if not is_orientable(m):
+                continue
+            for perm in itertools.permutations(range(n)):
+                q = op1(m, perm)
+                assert has_spin(q) == ring_of(q).stiefel_whitney(2).is_zero(), q.rows
 
 
 def test_lattice_coords_outside_the_lattice_raise_under_python_O():
