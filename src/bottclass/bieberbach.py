@@ -55,7 +55,7 @@ class AffineIso:
     def is_translation(self) -> bool:
         return all(s == 1 for s in self.signs)
 
-    @property
+    @cached_property
     def exponent_mask(self) -> int:
         """Bitmask of coordinates where the linear part is -1."""
         mask = 0
@@ -176,16 +176,14 @@ class IntLattice:
         for j in range(self.n):
             if v[j] == 0:
                 continue
-            try:
-                p = self.pivot_cols.index(j)
-            except ValueError:
+            if j not in self.pivot_cols:
                 if v[j] < 0:
                     v = [-x for x in v]
                 where = sum(1 for c in self.pivot_cols if c < j)
                 self.rows.insert(where, v)
                 self.pivot_cols.insert(where, j)
                 return
-            row = self.rows[p]
+            row = self.rows[self.pivot_cols.index(j)]
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
@@ -199,24 +197,32 @@ class IntLattice:
                     row[k] = x * rk + y * vk
                     v[k] = mbg * rk + ag * vk
 
-    def contains(self, vec: Sequence[int]) -> bool:
+    def quotients(self, vec: Sequence[int]) -> Optional[list[int]]:
+        """The integers q with vec = sum_i q[i] rows[i], or None when vec is
+        not in the lattice.  Column by column, a nonzero entry is divided by
+        the pivot of its column; the rows after that one are zero there, so
+        a remainder, or a nonzero entry off the pivot columns, means vec is
+        not in the lattice.  Zero entries cost one test each."""
         v = list(vec)
-        if len(v) != self.n:
-            raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{self.n}")
-        for j in range(self.n):
-            if v[j] == 0:
-                continue
-            try:
-                p = self.pivot_cols.index(j)
-            except ValueError:
-                return False
-            row = self.rows[p]
-            if v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            for k in range(j, self.n):
-                v[k] -= q * row[k]
-        return True
+        n = self.n
+        if len(v) != n:
+            raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{n}")
+        qs = [0] * len(self.rows)
+        for j in range(n):
+            if v[j]:
+                if j not in self.pivot_cols:
+                    return None
+                i = self.pivot_cols.index(j)
+                row = self.rows[i]
+                q = qs[i] = v[j] // row[j]
+                for k in range(j, n):
+                    v[k] -= q * row[k]
+                if v[j]:
+                    return None
+        return qs
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return self.quotients(vec) is not None
 
     def basis_hnf(self) -> tuple[tuple[int, ...], ...]:
         """Canonical Hermite form: positive pivots, entries above a pivot
@@ -238,42 +244,36 @@ class IntLattice:
 @dataclass(frozen=True)
 class TransLattice:
     """The translation subgroup N = Gamma ∩ R^n; rows of basis2, halved,
-    generate N.  For Gamma(A) and Gamma_n this contains Z^n and has full
-    rank; artificial generator lists may give a smaller lattice."""
+    generate N.  basis2 is an echelon basis with positive pivots, such as
+    the Hermite form `lattice_of` returns.  For Gamma(A) and Gamma_n this
+    contains Z^n and has full rank; artificial generator lists may give a
+    smaller lattice."""
 
     n: int
     basis2: tuple[tuple[int, ...], ...]
 
     @cached_property
     def _lattice(self) -> IntLattice:
+        """basis2 as an IntLattice, whose rows are then basis2 in order."""
         lat = IntLattice(self.n)
         for row in self.basis2:
             lat.add(row)
+        if [tuple(r) for r in lat.rows] != list(self.basis2):
+            raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
         return lat
 
     def contains2(self, trans2: Sequence[int]) -> bool:
         return self._lattice.contains(trans2)
 
-    @cached_property
-    def _pivots(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(pivot column, index, row) of each basis row, by pivot column."""
-        return sorted((next(j for j, x in enumerate(row) if x), idx, row)
-                      for idx, row in enumerate(self.basis2))
-
     def coords_mod2(self, trans2: Sequence[int]) -> int:
         """Coordinates (mod 2) of a lattice vector in basis2, as a mask with
         bit i for row i; InvariantViolation if the vector is not in N."""
-        n = self.n
-        v = list(trans2)
-        mask = 0
-        for p, idx, row in self._pivots:
-            q = v[p] // row[p]  # a remainder stays in v and fails the check below
-            if q:
-                mask ^= (q & 1) << idx
-                for k in range(p, n):
-                    v[k] -= q * row[k]
-        if any(v):
+        qs = self._lattice.quotients(trans2)
+        if qs is None:
             raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
+        mask = 0
+        for i, q in enumerate(qs):
+            mask |= (q & 1) << i
         return mask
 
     @property
@@ -291,14 +291,7 @@ class GroupPresentation:
 
 def _exponent_matrix(n: int, gens: Sequence[AffineIso]) -> gf2.Gf2Mat:
     """n x m matrix whose column i is the exponent vector of generator i."""
-    rows = []
-    for coord in range(n):
-        mask = 0
-        for i, g in enumerate(gens):
-            if g.signs[coord] == -1:
-                mask |= 1 << i
-        rows.append(mask)
-    return gf2.Gf2Mat(len(gens), tuple(rows))
+    return gf2.Gf2Mat(len(gens), tuple(gf2.transpose_masks(n, [g.exponent_mask for g in gens])))
 
 
 def _require_translation(g: AffineIso, what: str) -> None:
@@ -394,8 +387,7 @@ def gamma_n_generators(n: int) -> GroupPresentation:
         signs = tuple(-1 if j == i - 1 else 1 for j in range(n))
         trans2 = tuple(1 if j == i else 0 for j in range(n))
         gens.append(AffineIso(signs, trans2))
-    return GroupPresentation(n, tuple(gens), lattice_of(gens),
-                             gf2.rank_masks([g.exponent_mask for g in gens]))
+    return from_generators(gens)
 
 
 def member(g: AffineIso, p: GroupPresentation) -> bool:
@@ -419,19 +411,10 @@ def member(g: AffineIso, p: GroupPresentation) -> bool:
 
 
 def _pivot_generators(p: GroupPresentation) -> list[int]:
-    """Indices of generators whose exponent vectors form a point-group basis."""
-    pivots = []
-    basis: list[int] = []
-    for i, g in enumerate(p.generators):
-        r = g.exponent_mask
-        for b in basis:
-            x = r ^ b
-            if x < r:
-                r = x
-        if r:
-            basis.append(r)
-            pivots.append(i)
-    return pivots
+    """Indices of generators whose exponent vectors form a point-group
+    basis: each one independent of the generators before it."""
+    basis: dict[int, int] = {}
+    return [i for i, g in enumerate(p.generators) if gf2.reduce_into(basis, (g.exponent_mask,))]
 
 
 def coset_reps(p: GroupPresentation) -> list[AffineIso]:

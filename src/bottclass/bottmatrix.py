@@ -129,9 +129,6 @@ class BottMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def row_support(self, i: int) -> int:
-        return self.rows[i]
-
     def col_mask(self, j: int) -> int:
         return transpose_masks(self.n, self.rows)[j]
 
@@ -268,16 +265,14 @@ def to_strict_upper(m: BottMatrix) -> tuple[tuple[int, ...], BottMatrix]:
 # enumeration and invariants
 # ---------------------------------------------------------------------------
 
-def enumerate_strict_upper(
-    n: int, bound: int = STRICT_UPPER_ENUM_BOUND
-) -> Iterator[BottMatrix]:
-    """All 2^(n(n-1)/2) strictly upper triangular binary matrices."""
+def enumerate_strict_upper(n: int) -> Iterator[BottMatrix]:
+    """All 2^(n(n-1)/2) strictly upper triangular binary matrices, for n up
+    to STRICT_UPPER_ENUM_BOUND."""
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(
-            f"enumerate_strict_upper(n={n}) exceeds the configured bound {bound}"
-        )
+    if n > STRICT_UPPER_ENUM_BOUND:
+        raise BoundExceeded(f"enumerate_strict_upper(n={n}) exceeds the configured bound "
+                            f"{STRICT_UPPER_ENUM_BOUND}")
     for rows in _iter_strict_upper_raw(n):
         yield BottMatrix(n, rows)
 
@@ -411,7 +406,7 @@ class _ClassTable(tuple):
 
 
 @lru_cache(maxsize=None)
-def diffeo_classes(n: int, bound: int = CLASSIFY_BOUND) -> tuple[DiffeoClass, ...]:
+def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     """Partition all strictly upper matrices of size n into diffeomorphism
     classes (orbits of Op1/Op2/Op3), each with its canonical representative
     and invariant fingerprint.
@@ -429,8 +424,8 @@ def diffeo_classes(n: int, bound: int = CLASSIFY_BOUND) -> tuple[DiffeoClass, ..
     """
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {bound}")
+    if n > CLASSIFY_BOUND:
+        raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {CLASSIFY_BOUND}")
     by_code: list[Optional[DiffeoClass]] = [None] * (1 << (n * (n - 1) // 2))
     classes: list[DiffeoClass] = []
     for seed in _iter_strict_upper_raw(n):

@@ -207,36 +207,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--orientable", action="store_true", help="only even-weight rows")
     p.add_argument("--ghw", action="store_true", help="only rank n-1 matrices")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("classify", help="diffeomorphism classes for one dimension")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table", help="class counts per dimension")
     p.add_argument("--max-dim", type=int, default=6)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("invariants", help="orientability, rank, GHW flag, w1, w2")
     p.add_argument("--matrix", required=True, help="matrix file (text or JSON), '-' for stdin")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("spin", help="Spin/Spin^C report with obstruction witnesses")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("prop1", help="verify the Gamma_n / Gamma(A) conjugation")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rigidity", help="ring-isomorphism vs diffeomorphism partition")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sample", type=int, default=10, help="inter-class pairs at n = 5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -23,6 +23,7 @@ with one bit per square-free pair x_a x_b (a < b), at bit `pair_bit(a, b)`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import xor
 from typing import FrozenSet, Iterable, Iterator, Sequence
@@ -33,7 +34,6 @@ from .gf2 import InvariantViolation, UsageError, popcount, rank_masks, transpose
 Terms = FrozenSet[int]
 
 ZERO: Terms = frozenset()
-ONE: Terms = frozenset({0})
 
 
 class PolyParseError(ValueError):
@@ -146,9 +146,8 @@ class CohomRing:
         # square rewriting terminate (see _tables).
         self.cols: tuple[int, ...] = tuple(transpose_masks(self.n, self.matrix.rows))
         self._mul: list[list[int]] | None = None
-        self._free: list[int] = []  # _free[i]: the monomials s without x_i
         self._betti: list[int] | None = None
-        self._sigma: list[Gf2Poly] | None = None
+        self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
         self._prod: list[list[int]] | None = None
 
     # -- normal form ------------------------------------------------------
@@ -171,18 +170,26 @@ class CohomRing:
                 bit = 1 << i
                 mul.append([square[s] if s & bit else 1 << (s | bit) for s in range(full)])
             self._mul = mul
-            # over the 2^n bits s, runs of 2^i ones (bit i of s clear) and
-            # 2^i zeros: the all-ones word over blocks of 2^(i+1) bits, times
-            # the low run
-            self._free = [((1 << full) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
-                          for i in range(self.n)]
         return self._mul
 
-    def _times_var(self, i: int, forms: Iterable[int]) -> list[int]:
-        """Packed normal forms of x_i times each packed normal form in forms."""
-        row = (self._mul or self._tables())[i]
+    @cached_property
+    def _free(self) -> list[int]:
+        """_free[i]: the monomials s without x_i.  Over the 2^n bits s, runs
+        of 2^i ones (bit i of s clear) and 2^i zeros: the all-ones word over
+        blocks of 2^(i+1) bits, times the low run."""
+        full = 1 << self.n
+        return [((1 << full) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
+                for i in range(self.n)]
+
+    def _times_var(self, i: int, forms: Sequence[int]) -> list[int]:
+        """Packed normal forms of x_i times each packed normal form in forms.
+        The tables are built only once a monomial holding x_i is met."""
         keep = self._free[i]
         shift = 1 << i
+        mul = self._mul
+        if mul is None and any(p & ~keep for p in forms):
+            mul = self._tables()
+        row = mul[i] if mul else None
         out = []
         for p in forms:
             # the monomials s without x_i go to s + 2^i: one shift by 2^i
@@ -267,24 +274,16 @@ class CohomRing:
             raise UsageError(f"degree {k} is negative")
         if k > self.n:
             return Gf2Poly()
-        if k == 0:
-            return Gf2Poly(ONE)
-        if k == 1 and self._sigma is None:
-            # sigma_1 = sum_j y_j needs no products; skip the tables
-            w1 = 0
+        if k >= len(self._sigma):
+            # sigma_0..sigma_k of y_1..y_j, one y_j at a time: sigma_d gains
+            # y_j sigma_{d-1}, each x_l of y_j times all of sigma_0..sigma_{k-1}
+            # in one call.  For k = 1 that is x_l * 1, which needs no tables.
+            sigma = [1] + [0] * k
             for col in self.cols:
-                w1 ^= col
-            return Gf2Poly(linear_terms(w1))
-        if self._sigma is None:
-            sigma = [1] + [0] * self.n
-            for j, col in enumerate(self.cols):
-                if not col:
-                    continue
-                # descending k: sigma[k - 1] is still the value before y_j
-                for k_ in range(min(j + 1, self.n), 0, -1):
-                    if sigma[k_ - 1]:
-                        for l in _bits(col):
-                            sigma[k_] ^= self._times_var(l, [sigma[k_ - 1]])[0]
+                lower = sigma[:k]
+                for l in _bits(col):
+                    for d, p in enumerate(self._times_var(l, lower), 1):
+                        sigma[d] ^= p
             self._sigma = [Gf2Poly(_unpack(s)) for s in sigma]
         return self._sigma[k]
 

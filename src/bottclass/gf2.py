@@ -141,14 +141,8 @@ class Gf2Mat:
     def row(self, i: int) -> Gf2Vec:
         return Gf2Vec(self.ncols, self.rows[i])
 
-    def col(self, j: int) -> Gf2Vec:
-        mask = 0
-        for i, r in enumerate(self.rows):
-            mask |= ((r >> j) & 1) << i
-        return Gf2Vec(self.nrows, mask)
-
     def transpose(self) -> "Gf2Mat":
-        return Gf2Mat(self.nrows, tuple(self.col(j).mask for j in range(self.ncols)))
+        return Gf2Mat(self.nrows, tuple(transpose_masks(self.ncols, self.rows)))
 
     def mul_vec(self, v: Gf2Vec) -> Gf2Vec:
         if v.n != self.ncols:
@@ -161,7 +155,7 @@ class Gf2Mat:
     def mul_mat(self, other: "Gf2Mat") -> "Gf2Mat":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
-        cols = [other.col(j).mask for j in range(other.ncols)]
+        cols = transpose_masks(other.ncols, other.rows)
         rows = []
         for r in self.rows:
             out = 0
@@ -174,23 +168,30 @@ class Gf2Mat:
         return "\n".join(str(self.row(i)) for i in range(self.nrows))
 
 
-def rank_masks(rows: Iterable[int]) -> int:
-    """Rank of a set of int-mask rows over GF(2).
+def reduce_into(pivots: dict[int, int], rows: Iterable[int]) -> int:
+    """Reduce each row against the basis `pivots` and keep what is left of
+    it, if nonzero; returns the number of rows kept.
 
-    Each row is reduced against the kept rows by its top set bit, looked
-    up in a dict of kept rows keyed by their top bit (their bit length):
-    one lookup per step instead of a pass over the whole basis.
+    The basis maps each kept row's top set bit (its bit length) to the row,
+    so a reduction step is one dict lookup, not a pass over the basis.
+    Rows are kept in insertion order, so `pivots.popitem()` undoes the last.
     """
-    pivots: dict[int, int] = {}
+    kept = 0
     for r in rows:
         while r:
             top = r.bit_length()
             pivot = pivots.get(top)
             if pivot is None:
                 pivots[top] = r
+                kept += 1
                 break
             r ^= pivot
-    return len(pivots)
+    return kept
+
+
+def rank_masks(rows: Iterable[int]) -> int:
+    """Rank of a set of int-mask rows over GF(2)."""
+    return reduce_into({}, rows)
 
 
 def rank(m: Gf2Mat) -> int:
@@ -264,39 +265,32 @@ def invertible_count(n: int) -> int:
     return total
 
 
-def enumerate_invertible(n: int, bound: int = INVERTIBLE_ENUM_BOUND) -> Iterator[Gf2Mat]:
+def enumerate_invertible(n: int) -> Iterator[Gf2Mat]:
     """Yield every element of GL(n,2) exactly once.
 
     Rows are chosen depth-first in ascending bitmask order, skipping rows
     dependent on the ones already placed, so the stream order is the
-    lexicographic order on row tuples.  Refuses n above `bound`.
+    lexicographic order on row tuples.  Refuses n above
+    INVERTIBLE_ENUM_BOUND.
     """
     if n < 1:
         raise Gf2Error(f"dimension must be >= 1, got {n}")
-    if n > bound:
+    if n > INVERTIBLE_ENUM_BOUND:
         raise BoundExceeded(
-            f"enumerate_invertible(n={n}) exceeds the configured bound {bound}"
+            f"enumerate_invertible(n={n}) exceeds the configured bound {INVERTIBLE_ENUM_BOUND}"
         )
-    full = 1 << n
     rows: list[int] = []
-    basis: list[int] = []
+    pivots: dict[int, int] = {}
 
     def rec() -> Iterator[Gf2Mat]:
         if len(rows) == n:
             yield Gf2Mat(n, tuple(rows))
             return
-        for v in range(1, full):
-            r = v
-            for b in basis:
-                x = r ^ b
-                if x < r:
-                    r = x
-            if r == 0:
-                continue
-            rows.append(v)
-            basis.append(r)
-            yield from rec()
-            rows.pop()
-            basis.pop()
+        for v in range(1, 1 << n):
+            if reduce_into(pivots, (v,)):
+                rows.append(v)
+                yield from rec()
+                rows.pop()
+                pivots.popitem()
 
     yield from rec()

@@ -11,6 +11,7 @@ arithmetic re-checks every relation of the lift it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import bieberbach, cohomology, gf2
@@ -193,11 +194,6 @@ class SpinLift:
         )
 
 
-def _lattice_coords_mod2(basis2: tuple[tuple[int, ...], ...], trans2: tuple[int, ...]) -> int:
-    """Coordinates (mod 2) of a lattice vector in the HNF basis, as a mask."""
-    return bieberbach.TransLattice(len(trans2), basis2).coords_mod2(trans2)
-
-
 def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     """Search for a lift of the holonomy to Spin(n), by one GF(2) solve.
 
@@ -220,7 +216,8 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
-    coords = pres.lattice.coords_mod2
+    # the holonomy images of the basis rows repeat across generators
+    coords = lru_cache(maxsize=None)(pres.lattice.coords_mod2)
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     supports = {i: gens[i].exponent_mask for i in active}
@@ -242,15 +239,9 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
             constraints[(coords(conj) ^ (1 << row_idx)) << shift, 0] = None
 
     # kernel products of the active generators tie sigma to chi
-    rows = []
-    for coord in range(n):
-        mask = 0
-        for pos, i in enumerate(active):
-            if (supports[i] >> coord) & 1:
-                mask |= 1 << pos
-        rows.append(mask)
     if active:
-        for kvec in gf2.kernel_basis(gf2.Gf2Mat(len(active), tuple(rows))):
+        exponents = bieberbach._exponent_matrix(n, [gens[i] for i in active])
+        for kvec in gf2.kernel_basis(exponents):
             subset = [active[pos] for pos in range(len(active)) if (kvec.mask >> pos) & 1]
             prod_group = bieberbach._ordered_product(gens, subset)
             bieberbach._require_translation(prod_group, "kernel product")
@@ -296,6 +287,7 @@ def _verify_lift(m: BottMatrix, pres: bieberbach.GroupPresentation, lift: SpinLi
     gens = pres.generators
     basis2 = pres.lattice.basis2
 
+    @lru_cache(maxsize=None)  # the same translations recur across relations
     def chi(t2: tuple[int, ...]) -> int:
         mask = pres.lattice.coords_mod2(t2)
         sign = 1

@@ -14,6 +14,9 @@ from bottclass import catalog
 from bottclass.bieberbach import (
     AffineIso,
     NotStrictlyUpper,
+    TransLattice,
+    _exponent_matrix,
+    _pivot_generators,
     commutator_trans2,
     compose,
     conjugate_by_perm,
@@ -34,7 +37,7 @@ from bottclass.bieberbach import (
     verify_tower_conjugation,
 )
 from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper
-from bottclass.gf2 import rank_masks
+from bottclass.gf2 import InvariantViolation, rank_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 
@@ -313,11 +316,17 @@ def test_point_reflection_has_torsion():
     assert not is_torsion_free(pres)
 
 
+def rank_prefix_pivots(p):
+    """Oracle for _pivot_generators: the generators that raise the rank of
+    the exponent vectors before them."""
+    masks = [g.exponent_mask for g in p.generators]
+    return [i for i in range(len(masks)) if rank_masks(masks[:i + 1]) > rank_masks(masks[:i])]
+
+
 def subset_product_reps(p):
     """Oracle for coset_reps: each representative built from the identity
     as the ascending product over a subset of the pivot generators."""
-    masks = [g.exponent_mask for g in p.generators]
-    pivots = [i for i in range(len(masks)) if rank_masks(masks[:i + 1]) > rank_masks(masks[:i])]
+    pivots = rank_prefix_pivots(p)
     reps = []
     for code in range(1 << len(pivots)):
         acc = AffineIso.identity(p.n)
@@ -333,6 +342,75 @@ def test_coset_reps_match_subset_products_n_le_5():
         for m in enumerate_strict_upper(n):
             pres = generators_of(m)
             assert coset_reps(pres) == subset_product_reps(pres), m.rows
+
+
+def random_generators(rng, n, count):
+    """Generator lists with repeated and dependent exponent vectors."""
+    signs = [tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    return [AffineIso(rng.choice(signs + [(1,) * n]), (0,) * n) for _ in range(count)]
+
+
+def test_pivot_generators_match_rank_prefix_oracle():
+    presentations = [generators_of(m) for n in range(1, 6) for m in enumerate_strict_upper(n)]
+    presentations += [gamma_n_generators(n) for n in range(2, 9)]
+    rng = random.Random(11)
+    presentations += [from_generators(random_generators(rng, rng.randint(1, 6), rng.randint(1, 7)))
+                      for _ in range(200)]
+    for p in presentations:
+        assert _pivot_generators(p) == rank_prefix_pivots(p), p.generators
+
+
+def test_exponent_matrix_matches_per_coordinate_loop():
+    rng = random.Random(12)
+    lists = [generators_of(m).generators for m in enumerate_strict_upper(4)]
+    lists += [random_generators(rng, rng.randint(1, 7), rng.randint(1, 8)) for _ in range(200)]
+    for gens in lists:
+        n = gens[0].n
+        rows = tuple(sum(1 << i for i, g in enumerate(gens) if g.signs[coord] == -1)
+                     for coord in range(n))
+        mat = _exponent_matrix(n, gens)
+        assert (mat.ncols, mat.rows) == (len(gens), rows)
+
+
+def test_coords_mod2_agree_with_contains_n_le_5():
+    # The doubled lattice of Gamma(A) lies between 2Z^n and Z^n, so v is in
+    # it iff v mod 2 is in the GF(2) span of the basis rows mod 2: a
+    # membership oracle that shares no code with the HNF reduction.
+    rng = random.Random(13)
+    inside = outside = 0
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            lat = generators_of(m).lattice
+            basis2 = lat.basis2
+            mod2 = [sum((x & 1) << k for k, x in enumerate(row)) for row in basis2]
+            for _ in range(4):
+                coeffs = [rng.randint(-3, 3) for _ in basis2]
+                v = tuple(sum(c * row[k] for c, row in zip(coeffs, basis2)) for k in range(n))
+                assert lat.contains2(v)
+                assert lat._lattice.quotients(v) == coeffs
+                assert lat.coords_mod2(v) == sum((c & 1) << i for i, c in enumerate(coeffs))
+                inside += 1
+                w = tuple(rng.randint(-4, 4) for _ in range(n))
+                w_mod2 = sum((x & 1) << k for k, x in enumerate(w))
+                expected = rank_masks(mod2 + [w_mod2]) == rank_masks(mod2)
+                assert lat.contains2(w) == expected, (m.rows, w)
+                qs = lat._lattice.quotients(w)
+                if expected:
+                    assert tuple(sum(q * row[k] for q, row in zip(qs, basis2))
+                                 for k in range(n)) == w
+                    assert lat.coords_mod2(w) == sum((q & 1) << i for i, q in enumerate(qs))
+                else:
+                    assert qs is None
+                    with pytest.raises(InvariantViolation):
+                        lat.coords_mod2(w)
+                    outside += 1
+    assert inside > 1000 and outside > 1000
+
+
+def test_trans_lattice_refuses_a_basis_out_of_echelon_form():
+    lat = TransLattice(2, ((0, 2), (2, 0)))
+    with pytest.raises(InvariantViolation, match="echelon"):
+        lat.contains2((2, 2))
 
 
 def test_holonomy_torus_trivial():

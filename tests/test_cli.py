@@ -78,6 +78,38 @@ def test_table_csv(capsys):
     assert lines[3] == "3,4,2,1,1"
 
 
+def test_table_csv_output_is_unchanged(capsys):
+    code, out, _ = run(capsys, "table", "--max-dim", "6", "--csv")
+    assert code == 0
+    assert out == (
+        "dim,rbm_classes,oriented_classes,ghw_rbm_classes,ghw_rbm_formula\n"
+        "1,1,1,0,\n"
+        "2,2,1,1,1\n"
+        "3,4,2,1,1\n"
+        "4,12,3,2,2\n"
+        "5,54,8,8,8\n"
+        "6,472,29,64,64\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--dim", "3"),
+    ("classify", "--dim", "3"),
+    ("table", "--max-dim", "3"),
+    ("invariants", "--matrix", str(FIXTURES / "a4.txt")),
+    ("spin", "--matrix", str(FIXTURES / "a4.txt")),
+    ("prop1", "--dim", "3"),
+    ("rigidity", "--dim", "3"),
+])
+def test_json_flag_is_a_usage_error(capsys, argv):
+    # JSON is the only report format (table also has --csv): no --json flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --json" in captured.err and not captured.out
+
+
 def test_invariants_a4(capsys):
     code, out, _ = run(capsys, "invariants", "--matrix", str(FIXTURES / "a4.txt"))
     assert code == 0

@@ -412,6 +412,16 @@ def test_linear_products_and_squares_do_not_build_the_tables():
     assert ring._mul is None
 
 
+def test_stiefel_whitney_builds_sigma_up_to_k_only():
+    ring = ring_of(A4)
+    assert str(ring.stiefel_whitney(2)) == "x1*x2 + x1*x3"
+    assert len(ring._sigma) == 3
+    ring.stiefel_whitney(1)
+    assert len(ring._sigma) == 3  # served from the sigmas already built
+    ring.stiefel_whitney(4)
+    assert len(ring._sigma) == 5
+
+
 def _ideal_side_dims(m, max_degree):
     """dim S_k - rank I_k for k = 0..max_degree, with S = Z2[x_1..x_n] over
     exponent vectors and I the ideal of the x_j^2 + x_j y_j; uses neither

@@ -14,6 +14,7 @@ from bottclass.gf2 import (
     kernel_basis,
     rank,
     rank_masks,
+    reduce_into,
     solve,
     transpose_masks,
 )
@@ -140,6 +141,31 @@ def test_enumerate_invertible_counts(n):
     assert len(mats) == invertible_count(n)
     assert len({m.rows for m in mats}) == len(mats)
     assert all(rank(m) == n for m in mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_invertible_stream_is_lexicographic(n):
+    # every row tuple in lexicographic order, kept when its span has 2^n
+    # elements: the oracle uses neither reduce_into nor rank_masks
+    def span_size(rows):
+        span = {0}
+        for r in rows:
+            span |= {x ^ r for x in span}
+        return len(span)
+
+    expected = [rows for rows in itertools.product(range(1, 1 << n), repeat=n)
+                if span_size(rows) == 1 << n]
+    assert [m.rows for m in enumerate_invertible(n)] == expected
+
+
+def test_reduce_into_counts_kept_rows_and_pops_the_last():
+    pivots = {}
+    assert reduce_into(pivots, [0b011, 0b110, 0b101, 0]) == 2  # 101 = 011 ^ 110
+    assert reduce_into(pivots, [0b001]) == 1
+    pivots.popitem()
+    assert reduce_into(pivots, [0b101]) == 0
+    assert reduce_into(pivots, [0b100]) == 1
+    assert len(pivots) == 3
 
 
 def test_enumerate_invertible_bound_refusal():

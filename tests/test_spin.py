@@ -29,7 +29,6 @@ from bottclass.spin import (
     CliffordElement,
     NonOrientable,
     SpinLift,
-    _lattice_coords_mod2,
     clifford_inv,
     clifford_mul,
     has_spin,
@@ -303,9 +302,7 @@ def brute_force_lift(m):
     pres = generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
-
-    def coords(t2):
-        return _lattice_coords_mod2(basis2, t2)
+    coords = pres.lattice.coords_mod2
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     supports = {i: gens[i].exponent_mask for i in active}
@@ -419,11 +416,11 @@ def test_lattice_coords_outside_the_lattice_raise_under_python_O():
     # the check survives `python -O`.
     code = textwrap.dedent("""
         from bottclass.gf2 import InvariantViolation
-        from bottclass.spin import _lattice_coords_mod2
+        from bottclass.bieberbach import TransLattice
         assert not __debug__
         for basis2, vec in [(((2, 0), (0, 2)), (1, 0)), (((2, 0),), (0, 2))]:
             try:
-                _lattice_coords_mod2(basis2, vec)
+                TransLattice(len(vec), basis2).coords_mod2(vec)
             except InvariantViolation as exc:
                 print("raised:", exc)
     """)
