@@ -394,7 +394,7 @@ def _fingerprint_raw(n: int, rows: tuple[int, ...]) -> ClassFingerprint:
         orientable=all(parity(r) == 0 for r in rows),
         holonomy_rank=rk,
         ghw=n >= 2 and rk == n - 1,
-        w2_zero=cohomology.w2_of_rows(n, rows) == frozenset(),
+        w2_zero=not cohomology.w2_of_rows(n, rows),
     )
 
 

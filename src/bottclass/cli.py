@@ -254,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (MatrixParseError, NotBottMatrix, BoundExceeded, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvariantViolation, AssertionError) as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_USAGE

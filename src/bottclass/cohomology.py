@@ -3,22 +3,26 @@
 The ring of an n x n Bott matrix A is Z2[x_1..x_n] modulo the relations
 x_j^2 = x_j * y_j with y_j = sum_i a_{i,j} x_i.  Monomials in normal form
 are square free and stored as int bitmasks over the variable indices
-(0-based).  At the public boundary (`Gf2Poly.terms`) a polynomial is a
-frozenset of such masks (symmetric-difference addition).
+(0-based).  Below the public `Gf2Poly` (`w2_of_rows`, every ring product,
+the witness checks of `rigidity`) a polynomial is packed: one int with bit
+s set for each square-free monomial s < 2^n, so addition is XOR.  Only
+`Gf2Poly.terms` is a sparse frozenset of monomial masks, so that
+`parse_poly("x40")` does not allocate a 2^39-bit int; `multiply`, `y` and
+`stiefel_whitney` convert at that boundary through `_pack`/`_unpack`.
 
-Inside `CohomRing` a polynomial is packed: one int with bit s set for each
-square-free monomial s < 2^n, so addition is XOR.  The ring keeps, built
-once on first use, the multiply-by-x_i tables mul[i][s], the packed normal
-form of x_i times the monomial s: 2^(s | 1<<i) when x_i is not in s, and
-the XOR of mul[l][s] over the l in y_i when it is (x_i^2 = x_i y_i).  For
-strictly upper A every such l is below i, so the rows are built in order
-of i.  Multiplying a packed polynomial by x_i shifts its monomials without
-x_i by 2^i and reads the table for the others.  Betti ranks, Stiefel-
-Whitney classes and general products are built from these tables.
+The ring keeps, built once on first use, the multiply-by-x_i tables
+mul[i][s], the packed normal form of x_i times the monomial s: 2^(s | 1<<i)
+when x_i is not in s, and the XOR of mul[l][s] over the l in y_i when it is
+(x_i^2 = x_i y_i).  For strictly upper A every such l is below i, so the
+rows are built in order of i.  Multiplying a packed polynomial by x_i
+shifts its monomials without x_i by 2^i and reads the table for the
+others.  Betti ranks, Stiefel-Whitney classes and products use them.
 
-Products of degree-1 classes have a second packed form, read straight
-from the columns (`CohomRing.linear_products`): a degree-2 class is an int
-with one bit per square-free pair x_a x_b (a < b), at bit `pair_bit(a, b)`.
+Products of degree-1 classes have a denser form, read straight from the
+columns (`CohomRing.linear_products`): one bit per square-free pair x_a x_b
+(a < b), at bit `pair_bit(a, b)`.  The isomorphism search and invariants
+read 2^n x 2^n such products; C(n, 2) pair bits build them faster than
+2^n monomial bits would.
 """
 from __future__ import annotations
 
@@ -46,9 +50,9 @@ def pair_bit(a: int, b: int) -> int:
     return b * (b - 1) // 2 + a
 
 
-def linear_terms(mask: int) -> Terms:
-    """The degree-1 class sum_{i in mask} x_i as a set of monomials."""
-    return frozenset(1 << i for i in _bits(mask))
+def linear(mask: int) -> int:
+    """The degree-1 class sum_{i in mask} x_i, packed."""
+    return _pack(1 << i for i in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -212,36 +216,23 @@ class CohomRing:
                 forms = self._times_var(i, forms)
         return _unpack(forms[0])
 
-    def multiply_terms(self, p: Terms, q: Terms) -> Terms:
-        """Normal form of p * q: p times each monomial of q, one variable at
-        a time."""
-        packed = [sum(1 << t for t in p)]  # bit t per monomial t
+    def multiply_packed(self, p: int, q: int) -> int:
+        """Packed normal form of p * q: p times each monomial of q, one
+        variable at a time."""
         acc = 0
-        for v in q:
-            forms = packed
+        for v in _bits(q):
+            forms = [p]
             for i in _bits(v):
                 forms = self._times_var(i, forms)
             acc ^= forms[0]
-        return _unpack(acc)
+        return acc
 
     def multiply(self, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
         """Square-free normal form of p * q."""
         for t in p.terms | q.terms:
             if t >> self.n:
                 raise ValueError("polynomial uses variables beyond the ring")
-        return Gf2Poly(self.multiply_terms(p.terms, q.terms))
-
-    def square_of_var(self, j: int) -> Terms:
-        """Normal form of x_j^2, i.e. x_j * y_j: square free, as y_j only
-        holds variables below j.  Read from the column, not the tables."""
-        return frozenset((1 << l) | (1 << j) for l in _bits(self.cols[j]))
-
-    def square_of_linear(self, mask: int) -> Terms:
-        """Normal form of (sum_{i in mask} x_i)^2; squaring is linear over Z2."""
-        acc: set[int] = set()
-        for i in _bits(mask):
-            acc ^= self.square_of_var(i)
-        return frozenset(acc)
+        return Gf2Poly(_unpack(self.multiply_packed(_pack(p.terms), _pack(q.terms))))
 
     def linear_products(self) -> list[list[int]]:
         """Table of the products of degree-1 classes: prod[u][v] is u * v
@@ -264,7 +255,7 @@ class CohomRing:
 
     def y(self, j: int) -> Gf2Poly:
         """Degree-1 class of the j-th line bundle: y_j = sum_i a_{i,j} x_i."""
-        return Gf2Poly(linear_terms(self.cols[j]))
+        return Gf2Poly(_unpack(linear(self.cols[j])))
 
     # -- characteristic classes -------------------------------------------
 
@@ -339,6 +330,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _pack(terms: Iterable[int]) -> int:
+    """Packed form of a set of monomial masks: bit t per monomial t."""
+    return sum(1 << t for t in terms)
+
+
 def _unpack(p: int) -> Terms:
     return frozenset(_bits(p))
 
@@ -356,8 +352,8 @@ def ring_of(m: BottMatrix) -> CohomRing:
     return CohomRing(m)
 
 
-def w2_of_rows(n: int, rows: Sequence[int]) -> Terms:
-    """Normal form of w_2 = sum_{i<j} y_i y_j straight from the row masks.
+def w2_of_rows(n: int, rows: Sequence[int]) -> int:
+    """Packed normal form of w_2 = sum_{i<j} y_i y_j straight from the row masks.
 
     No ring context is built (this runs on every orbit member during
     classification).  With R_a = row a, so that x_a occurs in y_j for j in
@@ -374,7 +370,7 @@ def w2_of_rows(n: int, rows: Sequence[int]) -> Terms:
         w = r.bit_count()
         odd |= (w & 1) << a
         squares |= ((w >> 1) & 1) << a  # C(w, 2) odd
-    acc = []
+    acc = 0
     for a, r in enumerate(rows):
         coeffs = r & squares
         if (odd >> a) & 1:
@@ -389,10 +385,10 @@ def w2_of_rows(n: int, rows: Sequence[int]) -> Terms:
         b = a + 1
         while coeffs:
             if coeffs & 1:
-                acc.append((1 << a) | (1 << b))
+                acc |= 1 << ((1 << a) | (1 << b))
             coeffs >>= 1
             b += 1
-    return frozenset(acc)
+    return acc
 
 
 def h2_real_is_zero(m: BottMatrix) -> bool:

@@ -89,11 +89,6 @@ class Gf2Vec:
             raise DimensionMismatch(f"{self.n} != {other.n}")
         return Gf2Vec(self.n, self.mask ^ other.mask)
 
-    def dot(self, other: "Gf2Vec") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return parity(self.mask & other.mask)
-
     def weight(self) -> int:
         return popcount(self.mask)
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .bottmatrix import BottMatrix, diffeo_classes
-from .cohomology import CohomRing, linear_terms
+from .cohomology import CohomRing, linear
 from .gf2 import (
     BoundExceeded,
     DimensionMismatch,
@@ -48,10 +48,9 @@ class RingIsoWitness:
 
 
 def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
-    """Does the image of x_j^2 + x_j y_j reduce to zero in the target?
-    Computed on normal forms, not from the product table."""
-    product = ring_b.multiply_terms(linear_terms(image_j), linear_terms(image_yj))
-    return not (ring_b.square_of_linear(image_j) ^ product)
+    """Does the image of x_j^2 + x_j y_j = x_j (x_j + y_j) reduce to zero in
+    the target?  Computed on normal forms, not from the product table."""
+    return not ring_b.multiply_packed(linear(image_j), linear(image_j ^ image_yj))
 
 
 @lru_cache(maxsize=None)

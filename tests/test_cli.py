@@ -213,6 +213,20 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
         main(["classify", "--dim", "3"])
 
 
+def test_assertion_error_propagates(monkeypatch, capsys):
+    # the package raises InvariantViolation, never assert; an AssertionError
+    # is a bug like any other exception and is not mapped to an exit code
+    from bottclass import cli
+
+    def broken(dim):
+        raise AssertionError("stray assert")
+
+    monkeypatch.setattr(cli, "diffeo_classes", broken)
+    with pytest.raises(AssertionError, match="stray assert"):
+        main(["classify", "--dim", "3"])
+    assert capsys.readouterr().err == ""
+
+
 def test_invariant_violation_exits_3(monkeypatch, capsys):
     from bottclass import cli
     from bottclass.gf2 import InvariantViolation

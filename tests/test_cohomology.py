@@ -13,7 +13,7 @@ from bottclass.cohomology import (
     PolyParseError,
     format_poly,
     h2_real_is_zero,
-    linear_terms,
+    linear,
     parse_poly,
     poly_from_vars,
     ring_of,
@@ -30,24 +30,35 @@ A48 = catalog.DIM5_ORIENTED["A48"]
 A49 = catalog.DIM5_ORIENTED["A49"]
 
 
+def _pack(terms):
+    """Bit t per monomial t, the packed form of the ring's products."""
+    return sum(1 << t for t in terms)
+
+
+def _square_of_var(ring, j):
+    """x_j^2 (0-based j) in normal form, through the ring's product."""
+    x = poly_from_vars([j + 1])
+    return ring.multiply(x, x).terms
+
+
 def test_torus_ring_squares_vanish():
     ring = ring_of(BottMatrix(4, (0, 0, 0, 0)))
     for j in range(4):
-        assert ring.square_of_var(j) == frozenset()
+        assert _square_of_var(ring, j) == frozenset()
 
 
 def test_a4_relations_from_columns():
     # x2^2 = x1 x2, x4^2 = (x1+x3) x4, x5^2 = (x2+x3) x5 (columns of A4)
     ring = ring_of(A4)
-    assert ring.square_of_var(1) == poly_from_vars([1, 2]).terms
-    assert ring.square_of_var(3) == poly_from_vars([1, 4], [3, 4]).terms
-    assert ring.square_of_var(4) == poly_from_vars([2, 5], [3, 5]).terms
+    assert _square_of_var(ring, 1) == poly_from_vars([1, 2]).terms
+    assert _square_of_var(ring, 3) == poly_from_vars([1, 4], [3, 4]).terms
+    assert _square_of_var(ring, 4) == poly_from_vars([2, 5], [3, 5]).terms
 
 
 def test_superdiagonal3_relations():
     ring = ring_of(BottMatrix(3, (0b010, 0b100, 0)))
-    assert ring.square_of_var(1) == poly_from_vars([1, 2]).terms
-    assert ring.square_of_var(2) == poly_from_vars([2, 3]).terms
+    assert _square_of_var(ring, 1) == poly_from_vars([1, 2]).terms
+    assert _square_of_var(ring, 2) == poly_from_vars([2, 3]).terms
 
 
 def test_multiply_unit():
@@ -138,7 +149,7 @@ def test_w1_zero_iff_orientable_exhaustive_n4():
 def test_w2_fast_path_matches_ring():
     for n in range(1, 6):
         for m in enumerate_strict_upper(n):
-            assert w2_of_rows(m.n, m.rows) == ring_of(m).stiefel_whitney(2).terms
+            assert w2_of_rows(m.n, m.rows) == _pack(ring_of(m).stiefel_whitney(2).terms)
 
 
 def test_w2_fast_path_follows_relabelling():
@@ -153,20 +164,22 @@ def test_w2_fast_path_follows_relabelling():
     for n in range(1, 5):
         for m in enumerate_strict_upper(n):
             w2 = w2_of_rows(n, m.rows)
+            monomials = [t for t in range(w2.bit_length()) if (w2 >> t) & 1]
             for perm in itertools.permutations(range(n)):
-                expected = frozenset(rename(t, perm) for t in w2)
+                expected = _pack(rename(t, perm) for t in monomials)
                 assert w2_of_rows(n, op1(m, perm).rows) == expected
 
 
-def test_sigma1_fast_path_matches_table():
-    # stiefel_whitney(1) has a product-free fast path; the full symmetric
-    # function table built for k >= 2 must agree with it
-    for m in [A4, A40, catalog.CLASSIC_NO_SPIN_5]:
-        ring = ring_of(m)
-        w1_fast = ring.stiefel_whitney(1)
-        ring.stiefel_whitney(2)  # forces the table
-        assert ring._sigma is not None
-        assert ring._sigma[1] == w1_fast
+def test_sigma1_of_degree1_build_equals_degree2_build():
+    # sigma_1 built alone (x_l * 1, no tables) equals the sigma_1 that the
+    # build up to sigma_2 keeps; n = 1 has no degree-2 build
+    for n in range(2, 5):
+        for m in enumerate_strict_upper(n):
+            w1 = ring_of(m).stiefel_whitney(1)
+            ring = ring_of(m)
+            ring.stiefel_whitney(2)
+            assert len(ring._sigma) == 3
+            assert ring.stiefel_whitney(1) == w1, m.rows
 
 
 def test_stiefel_whitney_degree_bounds():
@@ -255,11 +268,12 @@ def test_parse_poly_errors():
         parse_poly("y2")
 
 
-def _packed(n, terms):
-    """Degree-2 terms packed as documented: x_a x_b (a < b) at bit b(b-1)/2 + a."""
+def _pair_packed(n, p):
+    """A degree-2 class packed by monomial (bit t per monomial t) repacked
+    as documented: x_a x_b (a < b) at bit b(b-1)/2 + a."""
     index = {(1 << a) | (1 << b): b * (b - 1) // 2 + a
              for b in range(n) for a in range(b)}
-    return sum(1 << index[t] for t in terms)
+    return sum(1 << index[t] for t in range(p.bit_length()) if (p >> t) & 1)
 
 
 def _check_linear_products(m):
@@ -269,8 +283,8 @@ def _check_linear_products(m):
     assert len(prod) == full and all(len(row) == full for row in prod)
     for u in range(full):
         for v in range(full):
-            expected = ring.multiply_terms(linear_terms(u), linear_terms(v))
-            assert prod[u][v] == _packed(m.n, expected), (m.rows, u, v)
+            expected = ring.multiply_packed(linear(u), linear(v))
+            assert prod[u][v] == _pair_packed(m.n, expected), (m.rows, u, v)
     assert ring.linear_products() is prod  # built once per ring
 
 
@@ -287,9 +301,9 @@ def test_linear_products_match_normal_forms_n6_seeded():
         _check_linear_products(BottMatrix(6, rows))
 
 
-def test_linear_terms():
-    assert linear_terms(0) == frozenset()
-    assert linear_terms(0b1011) == frozenset({1, 2, 8})
+def test_linear_packs_one_monomial_per_variable():
+    assert linear(0) == 0
+    assert linear(0b1011) == (1 << 1) | (1 << 2) | (1 << 8)
 
 
 # --- the packed engine against independent oracles ---------------------------
@@ -339,7 +353,7 @@ class _RecursiveReducer:
         """sigma_0..sigma_n of y_1..y_n, one y_j at a time."""
         sigma = [frozenset({0})] + [frozenset()] * self.n
         for col in self.cols:
-            yj = linear_terms(col)
+            yj = frozenset(1 << i for i in range(self.n) if (col >> i) & 1)
             sigma = [sigma[0]] + [sigma[k] ^ self.multiply(sigma[k - 1], yj)
                                   for k in range(1, self.n + 1)]
         return sigma
@@ -368,7 +382,7 @@ def _check_against_recursive_oracle(m, max_degree):
         assert ring.stiefel_whitney(k).terms == sigma[k], (m.rows, k)
     for j in range(m.n):
         square = tuple(2 if i == j else 0 for i in range(m.n))
-        assert ring.square_of_var(j) == oracle.reduce(square), (m.rows, j)
+        assert _square_of_var(ring, j) == oracle.reduce(square), (m.rows, j)
 
 
 def test_packed_engine_matches_recursive_oracle_n_le_4():
@@ -385,7 +399,7 @@ def test_packed_engine_matches_recursive_oracle_seeded(n):
         _check_against_recursive_oracle(_random_strict_upper(rng, n), n + 1)
 
 
-def test_multiply_terms_matches_recursive_oracle():
+def test_multiply_matches_recursive_oracle():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(2, 7)
@@ -393,7 +407,9 @@ def test_multiply_terms_matches_recursive_oracle():
         ring, oracle = CohomRing(m), _RecursiveReducer(m)
         p = frozenset(rng.getrandbits(n) for _ in range(rng.randint(1, 5)))
         q = frozenset(rng.getrandbits(n) for _ in range(rng.randint(1, 5)))
-        assert ring.multiply_terms(p, q) == oracle.multiply(p, q), (m.rows, p, q)
+        expected = oracle.multiply(p, q)
+        assert ring.multiply_packed(_pack(p), _pack(q)) == _pack(expected), (m.rows, p, q)
+        assert ring.multiply(Gf2Poly(p), Gf2Poly(q)).terms == expected, (m.rows, p, q)
 
 
 def test_tables_refuse_a_non_decreasing_rewrite():
@@ -407,7 +423,6 @@ def test_tables_refuse_a_non_decreasing_rewrite():
 def test_linear_products_and_squares_do_not_build_the_tables():
     ring = ring_of(A4)
     ring.linear_products()
-    ring.square_of_linear(0b11111)
     ring.stiefel_whitney(1)
     assert ring._mul is None
 
