@@ -19,10 +19,13 @@ shifts its monomials without x_i by 2^i and reads the table for the
 others.  Betti ranks, Stiefel-Whitney classes and products use them.
 
 Products of degree-1 classes have a denser form, read straight from the
-columns (`CohomRing.linear_products`): one bit per square-free pair x_a x_b
-(a < b), at bit `pair_bit(a, b)`.  The isomorphism search and invariants
-read 2^n x 2^n such products; C(n, 2) pair bits build them faster than
-2^n monomial bits would.
+columns (`CohomRing.product_rows`): one bit per square-free pair x_a x_b
+(a < b), at bit `pair_bit(a, b)`, in n per-variable rows x_a * w over the
+2^n degree-1 masks w.  Squaring is additive (Frobenius), so for fixed y,
+v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v: the isomorphism
+search reads the v with v^2 = v y as a kernel of the rows, and no 2^n x 2^n
+table is built.  C(n, 2) pair bits build the rows faster than 2^n monomial
+bits would.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from operator import xor
 from typing import FrozenSet, Iterable, Iterator, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper
-from .gf2 import InvariantViolation, UsageError, popcount, rank_masks, transpose_masks
+from .gf2 import InvariantViolation, UsageError, popcount, rank_masks, subset_sums, transpose_masks
 
 Terms = FrozenSet[int]
 
@@ -152,7 +155,7 @@ class CohomRing:
         self._mul: list[list[int]] | None = None
         self._betti: list[int] | None = None
         self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
-        self._prod: list[list[int]] | None = None
+        self._rows: list[list[int]] | None = None
 
     # -- normal form ------------------------------------------------------
 
@@ -231,27 +234,23 @@ class CohomRing:
         """Square-free normal form of p * q."""
         for t in p.terms | q.terms:
             if t >> self.n:
-                raise ValueError("polynomial uses variables beyond the ring")
+                raise UsageError("polynomial uses variables beyond the ring")
         return Gf2Poly(_unpack(self.multiply_packed(_pack(p.terms), _pack(q.terms))))
 
-    def linear_products(self) -> list[list[int]]:
-        """Table of the products of degree-1 classes: prod[u][v] is u * v
-        packed over the square-free pairs (see `pair_bit`), for the masks
-        u, v < 2^n of sums of x_i.  Built once per ring by bilinearity from
-        the n^2 products x_a x_b, read from the columns: x_a x_b is a
-        square-free monomial for a != b, and x_a^2 = sum_{l in y_a} x_l x_a."""
-        if self._prod is None:
-            prod = [[0] * (1 << self.n)]
+    def product_rows(self) -> list[list[int]]:
+        """rows[a][w]: x_a * w packed over the square-free pairs (see
+        `pair_bit`) for the degree-1 masks w < 2^n, so that u * w is the XOR
+        of rows[a][w] over the a in u.  Built once per ring, row a as the
+        subset sums of the products x_a x_b read from the columns: x_a x_b is
+        a square-free monomial for a != b, and x_a^2 = sum_{l in y_a} x_l x_a."""
+        if self._rows is None:
+            rows = []
             for a, col in enumerate(self.cols):
-                square = 0
-                for l in _bits(col):
-                    square |= 1 << pair_bit(l, a)
-                by_var = [square if b == a else 1 << pair_bit(min(a, b), max(a, b))
-                          for b in range(self.n)]  # by_var[b]: x_a x_b packed
-                unit = _subset_sums(by_var)  # unit[v] = x_a * v
-                prod += [[p ^ q for p, q in zip(row, unit)] for row in prod]
-            self._prod = prod
-        return self._prod
+                square = sum(1 << pair_bit(l, a) for l in _bits(col))
+                rows.append(subset_sums([square if b == a else 1 << pair_bit(min(a, b), max(a, b))
+                                         for b in range(self.n)]))
+            self._rows = rows
+        return self._rows
 
     def y(self, j: int) -> Gf2Poly:
         """Degree-1 class of the j-th line bundle: y_j = sum_i a_{i,j} x_i."""
@@ -337,14 +336,6 @@ def _pack(terms: Iterable[int]) -> int:
 
 def _unpack(p: int) -> Terms:
     return frozenset(_bits(p))
-
-
-def _subset_sums(gens: Sequence[int]) -> list[int]:
-    """XOR of every subset of `gens`, indexed by the subset's bitmask."""
-    sums = [0]
-    for g in gens:
-        sums += [s ^ g for s in sums]
-    return sums
 
 
 def ring_of(m: BottMatrix) -> CohomRing:

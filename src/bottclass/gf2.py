@@ -58,6 +58,15 @@ def transpose_masks(n: int, rows: Sequence[int]) -> list[int]:
     return cols
 
 
+def subset_sums(gens: Sequence[int]) -> list[int]:
+    """XOR of every subset of `gens`, indexed by the subset's bitmask: the
+    image of every mask under the GF(2)-linear map with these generators."""
+    sums = [0]
+    for g in gens:
+        sums += [s ^ g for s in sums]
+    return sums
+
+
 @dataclass(frozen=True)
 class Gf2Vec:
     """Fixed-length vector over GF(2), packed into an int."""

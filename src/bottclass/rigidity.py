@@ -7,15 +7,16 @@ bitmask order; the relation for x_j only involves rows up to j (source
 matrices are normalized to strictly upper), so each level is filtered
 exactly as soon as its row is chosen.
 
-The filter reads the target's degree-1 product table
-(`CohomRing.linear_products`): row v satisfies the relation for x_j with
-y_j mapped to y iff v^2 + v y = v (v + y) = 0, one lookup.  The rows that
-pass are listed per y once per search (`admissible[y]`, ascending), and
-the span of the rows already chosen is kept as a 2^n-bit set, so the
-independence test is one bit test.  Neither changes the order in which
-candidates are met, so the first witness is the same as that of a plain
-ascending walk.  The witness found is re-checked on normal forms, apart
-from the table.
+The filter reads the target's per-variable product rows
+(`CohomRing.product_rows`, rows[a][w] = x_a w): row v passes for x_j with
+y_j mapped to y iff v (v + y) = 0.  Squaring is additive over GF(2)
+(Frobenius), so v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v, with
+images rows[a][(1 << a) ^ y]; the rows that pass are its nonzero kernel,
+listed ascending for each y the search meets (`_admissible`).  The span of
+the rows already chosen is kept as a 2^n-bit set, so the independence test
+is one bit test.  Neither changes the order in which candidates are met, so
+the first witness is that of a plain ascending walk.  The witness found is
+re-checked on normal forms, apart from the rows.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .gf2 import (
     InvariantViolation,
     rank_masks,
     solve,
+    subset_sums,
 )
 
 EXHAUSTIVE_BOUND = 5
@@ -49,21 +51,28 @@ class RingIsoWitness:
 
 def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
     """Does the image of x_j^2 + x_j y_j = x_j (x_j + y_j) reduce to zero in
-    the target?  Computed on normal forms, not from the product table."""
+    the target?  Computed on normal forms, not from the product rows."""
     return not ring_b.multiply_packed(linear(image_j), linear(image_j ^ image_yj))
+
+
+def _admissible(rows: list[list[int]], y: int) -> list[int]:
+    """The nonzero v, ascending, with v (v + y) = sum_{a in v} x_a (x_a + y)
+    = 0 in the ring whose `CohomRing.product_rows` are `rows`."""
+    images = subset_sums([row[(1 << a) ^ y] for a, row in enumerate(rows)])
+    return [v for v in range(1, len(images)) if not images[v]]
 
 
 @lru_cache(maxsize=None)
 def ring_invariants(m: BottMatrix) -> tuple:
     """Isomorphism invariants used for pruning: the dimension of the
     degree-1 classes with zero square, and the sorted multiset of
-    annihilator dimensions dim{v : v w = 0} over all nonzero w."""
-    ring = CohomRing(m)
-    n = ring.n
-    prod = ring.linear_products()
-    units = [1 << i for i in range(n)]
-    sq_ker_dim = n - rank_masks([prod[u][u] for u in units])
-    ann_dims = sorted(n - rank_masks([prod[u][w] for u in units]) for w in range(1, 1 << n))
+    annihilator dimensions dim{v : v w = 0} over all nonzero w: kernels of
+    maps linear in v (squaring is additive), which send x_a to
+    rows[a][1 << a] and rows[a][w] (`CohomRing.product_rows`)."""
+    rows = CohomRing(m).product_rows()
+    n = m.n
+    sq_ker_dim = n - rank_masks([row[1 << a] for a, row in enumerate(rows)])
+    ann_dims = sorted(n - rank_masks([row[w] for row in rows]) for w in range(1, 1 << n))
     return (sq_ker_dim, tuple(ann_dims))
 
 
@@ -74,8 +83,8 @@ def ring_isomorphic(
     enumeration order of GL(n,2), or None.
 
     Rows are tried in ascending order at each level, restricted to the
-    rows `admissible` for the image of y_j (read from the target's
-    product table) and independent of the rows before them.  Pruning
+    rows `_admissible` for the image of y_j (a kernel of the target's
+    product rows) and independent of the rows before them.  Pruning
     discards candidate pairs only via proven invariants and never changes
     the verdict.  Exhaustive search is allowed up to n = 5; n = 6
     requires pruning.  The witness is re-checked on normal forms and an
@@ -89,26 +98,24 @@ def ring_isomorphic(
             f"ring_isomorphic at n={n} needs pruning enabled (bound {EXHAUSTIVE_BOUND} "
             f"exhaustive, {PRUNED_BOUND} with pruning)"
         )
-    ring_a = CohomRing(a)
-    ring_b = CohomRing(b)
+    ring_a, ring_b = CohomRing(a), CohomRing(b)
     if prune and ring_invariants(ring_a.matrix) != ring_invariants(ring_b.matrix):
         return None
     cols_a = ring_a.cols
-    full = 1 << n
-    prod = ring_b.linear_products()
-    admissible = [[v for v in range(1, full) if not prod[v][v ^ y]] for y in range(full)]
+    rows_b = ring_b.product_rows()
+    admissible: list[Optional[list[int]]] = [None] * (1 << n)  # listed per y met
     chosen = [0] * n
 
     def rec(level: int, span: int, elems: list[int]) -> Optional[tuple[int, ...]]:
-        # span: bit s set for every s in the span of chosen[:level]; elems lists them
+        # span: bit s set for every s in the span of chosen[:level]; elems
+        # lists them, elems[mask] = XOR of chosen[i] over i in mask
         if level == n:
             return tuple(chosen)
-        image_y = 0
-        col = cols_a[level]
-        for i in range(level):
-            if (col >> i) & 1:
-                image_y ^= chosen[i]
-        for v in admissible[image_y]:
+        image_y = elems[cols_a[level]]  # cols_a[level] < 2^level: strictly upper
+        candidates = admissible[image_y]
+        if candidates is None:
+            candidates = admissible[image_y] = _admissible(rows_b, image_y)
+        for v in candidates:
             if (span >> v) & 1:
                 continue
             chosen[level] = v
@@ -133,17 +140,10 @@ def ring_isomorphic(
 
 def _is_witness(ring_a: CohomRing, ring_b: CohomRing, rows: tuple[int, ...]) -> bool:
     """Full check: rows invertible and every source relation maps to zero."""
-    n = ring_a.n
-    if rank_masks(rows) != n:
+    if rank_masks(rows) != ring_a.n:
         return False
-    for j in range(n):
-        image_y = 0
-        for i in range(n):
-            if (ring_a.cols[j] >> i) & 1:
-                image_y ^= rows[i]
-        if not _relation_holds(ring_b, rows[j], image_y):
-            return False
-    return True
+    images = subset_sums(rows)  # images[mask]: the image of sum_{i in mask} x_i
+    return all(_relation_holds(ring_b, rows[j], images[col]) for j, col in enumerate(ring_a.cols))
 
 
 def witness_inverse(witness: RingIsoWitness) -> Gf2Mat:

@@ -19,7 +19,7 @@ from bottclass.cohomology import (
     ring_of,
     w2_of_rows,
 )
-from bottclass.gf2 import InvariantViolation
+from bottclass.gf2 import InvariantViolation, UsageError
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 A23 = catalog.DIM5_ORIENTED["A23"]
@@ -190,6 +190,15 @@ def test_stiefel_whitney_degree_bounds():
         ring.stiefel_whitney(-1)
 
 
+def test_multiply_beyond_the_ring_is_a_usage_error():
+    ring = ring_of(A4)  # n = 5
+    x1, x6 = poly_from_vars([1]), poly_from_vars([6])
+    for p, q in [(x6, x1), (x1, x6)]:
+        with pytest.raises(UsageError):
+            ring.multiply(p, q)
+    assert ring.multiply(x1, poly_from_vars([5])) == poly_from_vars([1, 5])  # in range
+
+
 def test_top_class_vanishes():
     # sigma_n includes the factor y_1 = 0
     for m in [A4, A29, A40]:
@@ -276,29 +285,39 @@ def _pair_packed(n, p):
     return sum(1 << index[t] for t in range(p.bit_length()) if (p >> t) & 1)
 
 
-def _check_linear_products(m):
+def _check_product_rows(m):
     ring = CohomRing(m)
-    prod = ring.linear_products()
-    full = 1 << m.n
-    assert len(prod) == full and all(len(row) == full for row in prod)
+    rows = ring.product_rows()
+    n, full = m.n, 1 << m.n
+    assert len(rows) == n and all(len(row) == full for row in rows)
+    for a in range(n):
+        for w in range(full):
+            expected = ring.multiply_packed(linear(1 << a), linear(w))
+            assert rows[a][w] == _pair_packed(n, expected), (m.rows, a, w)
+    # every product u * v of degree-1 classes, rebuilt from the rows by
+    # bilinearity, against its normal form
     for u in range(full):
         for v in range(full):
+            by_rows = 0
+            for a in range(n):
+                if (u >> a) & 1:
+                    by_rows ^= rows[a][v]
             expected = ring.multiply_packed(linear(u), linear(v))
-            assert prod[u][v] == _pair_packed(m.n, expected), (m.rows, u, v)
-    assert ring.linear_products() is prod  # built once per ring
+            assert by_rows == _pair_packed(n, expected), (m.rows, u, v)
+    assert ring.product_rows() is rows  # built once per ring
 
 
-def test_linear_products_match_normal_forms_n_le_4():
+def test_product_rows_match_normal_forms_n_le_4():
     for n in range(1, 5):
         for m in enumerate_strict_upper(n):
-            _check_linear_products(m)
+            _check_product_rows(m)
 
 
-def test_linear_products_match_normal_forms_n6_seeded():
+def test_product_rows_match_normal_forms_n6_seeded():
     rng = random.Random(6)
     for _ in range(20):
         rows = tuple(rng.getrandbits(6) & -(2 << i) & 0b111111 for i in range(6))
-        _check_linear_products(BottMatrix(6, rows))
+        _check_product_rows(BottMatrix(6, rows))
 
 
 def test_linear_packs_one_monomial_per_variable():
@@ -420,9 +439,9 @@ def test_tables_refuse_a_non_decreasing_rewrite():
         ring.betti_z2(2)
 
 
-def test_linear_products_and_squares_do_not_build_the_tables():
+def test_product_rows_and_squares_do_not_build_the_tables():
     ring = ring_of(A4)
-    ring.linear_products()
+    ring.product_rows()
     ring.stiefel_whitney(1)
     assert ring._mul is None
 

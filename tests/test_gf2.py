@@ -16,6 +16,7 @@ from bottclass.gf2 import (
     rank_masks,
     reduce_into,
     solve,
+    subset_sums,
     transpose_masks,
 )
 
@@ -67,6 +68,18 @@ def test_transpose_masks_entrywise(nr, nc, data):
     for i in range(nr):
         for j in range(nc):
             assert (cols[j] >> i) & 1 == (rows[i] >> j) & 1
+
+
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=7))
+def test_subset_sums_xor_the_generators_in_each_mask(gens):
+    sums = subset_sums(gens)
+    assert len(sums) == 1 << len(gens)
+    for mask, total in enumerate(sums):
+        expected = 0
+        for i, g in enumerate(gens):
+            if (mask >> i) & 1:
+                expected ^= g
+        assert total == expected
 
 
 @given(st.lists(st.integers(0, (1 << 256) - 1) | st.sampled_from([0, 1, 3, 1 << 255]),

@@ -16,10 +16,11 @@ from bottclass.bottmatrix import (
     diffeo_classes,
     enumerate_strict_upper,
 )
-from bottclass.cohomology import CohomRing
+from bottclass.cohomology import CohomRing, linear
 from bottclass.gf2 import BoundExceeded, Gf2Mat, enumerate_invertible
 from bottclass.rigidity import (
     RingIsoWitness,
+    _admissible,
     _is_witness,
     _relation_holds,
     rigidity_experiment,
@@ -253,18 +254,45 @@ def test_witness_inverse_is_two_sided():
             assert inv.mul_mat(w.map) == Gf2Mat.identity(4)
 
 
+def _check_admissible_is_the_normal_form_kernel(m):
+    ring = CohomRing(m)
+    rows = ring.product_rows()
+    full = 1 << m.n
+    for y in range(full):
+        listed = _admissible(rows, y)
+        assert listed == [v for v in range(1, full)
+                          if not ring.multiply_packed(linear(v), linear(v ^ y))], (m.rows, y)
+        kernel = set(listed) | {0}
+        assert all(u ^ v in kernel for u in kernel for v in kernel), (m.rows, y)
+
+
+def test_admissible_rows_are_the_normal_form_kernel_n_le_4():
+    # v (v + y) is linear in v (squaring is additive over GF(2)), so the
+    # rows the search reads for y are a subspace minus 0, listed ascending
+    for n in range(1, 5):
+        for m in enumerate_strict_upper(n):
+            _check_admissible_is_the_normal_form_kernel(m)
+
+
+def test_admissible_rows_are_the_normal_form_kernel_n6_seeded():
+    rng = random.Random(66)
+    for _ in range(20):
+        rows = tuple(rng.getrandbits(6) & -(2 << i) & 0b111111 for i in range(6))
+        _check_admissible_is_the_normal_form_kernel(BottMatrix(6, rows))
+
+
 def test_corrupted_product_table_raises_under_python_O():
     # The final witness check raises InvariantViolation, not assert, so it
-    # survives `python -O`.  With an all-zero product table every row is
+    # survives `python -O`.  With all-zero product rows every row is
     # admissible and the search returns the identity, which is no ring
     # isomorphism between these two rings.
     code = textwrap.dedent("""
         from bottclass.bottmatrix import BottMatrix
-        from bottclass.cohomology import CohomRing
+        from bottclass.cohomology import CohomRing, linear
         from bottclass.gf2 import InvariantViolation
         from bottclass.rigidity import ring_isomorphic
         assert not __debug__
-        CohomRing.linear_products = lambda self: [[0] * (1 << self.n)] * (1 << self.n)
+        CohomRing.product_rows = lambda self: [[0] * (1 << self.n)] * self.n
         torus, sup = BottMatrix(3, (0, 0, 0)), BottMatrix(3, (0b010, 0b100, 0))
         try:
             ring_isomorphic(torus, sup, prune=False)
