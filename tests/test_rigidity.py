@@ -288,7 +288,7 @@ def test_corrupted_product_table_raises_under_python_O():
     # isomorphism between these two rings.
     code = textwrap.dedent("""
         from bottclass.bottmatrix import BottMatrix
-        from bottclass.cohomology import CohomRing, linear
+        from bottclass.cohomology import CohomRing
         from bottclass.gf2 import InvariantViolation
         from bottclass.rigidity import ring_isomorphic
         assert not __debug__
