@@ -7,10 +7,12 @@ stored as tuples of int row masks (bit j of row i is a[i][j], 0-based).
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .gf2 import (
     BoundExceeded,
@@ -311,10 +313,48 @@ class ClassFingerprint:
     w2_zero: bool
 
 
+class ClassMembers(AbstractSet):
+    """Read-only set view of the members of one class, stored as their
+    `_code`s in code order.  `in` is one read of the dimension's class-id
+    table; iteration decodes each member to a `BottMatrix` and keeps none."""
+
+    __slots__ = ("_n", "_codes", "_ids", "_cid")
+
+    def __init__(self, n: int, codes: array, ids: array, cid: int) -> None:
+        self._n, self._codes, self._ids, self._cid = n, codes, ids, cid
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __iter__(self) -> Iterator[BottMatrix]:
+        n = self._n
+        for code in self._codes:
+            yield BottMatrix(n, _decode(n, code))
+
+    def __contains__(self, m: object) -> bool:
+        return (isinstance(m, BottMatrix) and m.n == self._n and m.is_strictly_upper
+                and self._ids[_code(m.n, m.rows)] == self._cid)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ClassMembers):
+            return self._n == other._n and self._codes == other._codes
+        return AbstractSet.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} members, n = {self._n}>"
+
+
 @dataclass(frozen=True)
 class DiffeoClass:
     canonical: BottMatrix
-    members: frozenset[BottMatrix]
+    members: ClassMembers
     fingerprint: ClassFingerprint
 
     @property
@@ -338,13 +378,48 @@ def _code(n: int, rows: Sequence[int]) -> int:
     return code
 
 
+def _decode(n: int, code: int) -> tuple[int, ...]:
+    """The strictly upper rows with this `_code`."""
+    rev = _reversed_bits(n)
+    rows = [0] * n
+    for i in reversed(range(n - 1)):
+        width = n - 1 - i
+        rows[i] = rev[code & ((1 << width) - 1)]
+        code >>= width
+    return tuple(rows)
+
+
 def _renorm_raw(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return _conjugate_raw(n, rows, _strict_upper_perm(n, rows))
 
 
-def _neighbors_raw(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """One move away from a strictly upper matrix, renormalized to strictly
-    upper form (see `diffeo_classes` for why this generator set suffices)."""
+def _op3_upper_raw(rows: tuple[int, ...], l: int, m_idx: int) -> tuple[int, ...]:
+    """Op3 (row l added to row m_idx, columns l and m_idx equal) on strictly
+    upper rows, relabelled to strictly upper form.
+
+    Only l < m_idx with bits of row l below m_idx leaves the form.  Then
+    x_m_idx moves to position l + 1 and x_l+1 .. x_m_idx-1 shift up by one,
+    a rotation of bits l + 1 .. m_idx in every row and of the rows alike.
+    This is a topological order: the predecessors of m_idx (column m_idx
+    equals column l) are all below l, its new successors (bits of row l)
+    are all above l, and a[l][m_idx] = 0.
+    """
+    moved = list(rows)
+    moved[m_idx] ^= rows[l]
+    if not rows[l] & ((1 << m_idx) - 1):
+        return tuple(moved)
+    mid = ((1 << m_idx) - 1) ^ ((2 << l) - 1)  # bits l + 1 .. m_idx - 1
+    keep = ~(mid | (1 << m_idx))
+    head = [(r & keep) | ((r & mid) << 1) | (((r >> m_idx) & 1) << (l + 1))
+            for r in moved[:m_idx + 1]]
+    head.insert(l + 1, head.pop())
+    return tuple(head + moved[m_idx + 1:])
+
+
+def _neighbors_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> list[tuple[int, ...]]:
+    """One move away from a strictly upper matrix with these column masks,
+    in strictly upper form (see `diffeo_classes` for why this generator set
+    suffices)."""
     out = []
     # Op1: the adjacent transposition (i i+1) where a[i][i+1] = 0.  Rows i
     # and i+1 trade places; only rows above them hold bits i and i+1.
@@ -355,38 +430,32 @@ def _neighbors_raw(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
             out.append(head + (rows[i + 1], rows[i]) + rows[i + 2:])
     # Op2 keeps strict upper triangularity; it is the identity unless both
     # row k and column k are nonzero.
-    cols = transpose_masks(n, rows)
     for k in range(n):
         if rows[k] and cols[k]:
             out.append(_op2_raw(rows, k))
-    # Op3 on every ordered pair with equal columns, renormalized.
+    # Op3 on every ordered pair with equal columns.
     for l in range(n):
         for m_idx in range(n):
-            if l == m_idx or cols[l] != cols[m_idx]:
-                continue
-            moved = list(rows)
-            moved[m_idx] ^= rows[l]
-            lower = rows[l] & ((1 << m_idx) - 1)  # only row m_idx can turn lower
-            out.append(_renorm_raw(n, moved) if lower else tuple(moved))
+            if l != m_idx and cols[l] == cols[m_idx]:
+                out.append(_op3_upper_raw(rows, l, m_idx))
     return out
 
 
-def orbit_raw(n: int, rows: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Closure of one strictly-upper matrix under the three operations."""
-    seen = {rows}
-    frontier = [rows]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for nb in _neighbors_raw(n, state):
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
+def orbit_raw(n: int, rows: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+    """Closure of one strictly-upper matrix under the three operations:
+    each member, in the order the walk reaches it, mapped to its column
+    masks."""
+    seen = {rows: transpose_masks(n, rows)}
+    todo = [rows]
+    for state in todo:  # grows while it is walked
+        for nb in _neighbors_raw(n, state, seen[state]):
+            if nb not in seen:
+                seen[nb] = transpose_masks(n, nb)
+                todo.append(nb)
     return seen
 
 
-def _fingerprint_raw(n: int, rows: tuple[int, ...]) -> ClassFingerprint:
+def _fingerprint_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> ClassFingerprint:
     from . import cohomology  # local import: cohomology depends on this module
 
     rk = rank_masks(rows)
@@ -394,15 +463,16 @@ def _fingerprint_raw(n: int, rows: tuple[int, ...]) -> ClassFingerprint:
         orientable=all(parity(r) == 0 for r in rows),
         holonomy_rank=rk,
         ghw=n >= 2 and rk == n - 1,
-        w2_zero=not cohomology.w2_of_rows(n, rows),
+        w2_zero=not cohomology.w2_of_rows_cols(n, rows, cols),
     )
 
 
 class _ClassTable(tuple):
-    """The classes of one dimension, carrying the code -> class index of
-    `diffeo_class_of`, so the index is memoised, and dropped, with them."""
+    """The classes of one dimension, carrying the class-id table that
+    `diffeo_class_of` and `ClassMembers` read (the index of the class of
+    each `_code`), so the table is memoised, and dropped, with them."""
 
-    by_code: list[Optional[DiffeoClass]]
+    class_ids: array
 
 
 @lru_cache(maxsize=None)
@@ -412,58 +482,65 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     and invariant fingerprint.
 
     The orbit walk stays on strictly upper matrices.  Op2 keeps that form
-    and Op3 results are relabelled to it.  Op1 contributes only the
-    adjacent transpositions (i i+1) with a[i][i+1] = 0, which keep it too.
-    These reach every strictly upper conjugate, i.e. every linear extension
-    of the edge order: to reach a target order, move its first vertex down
-    past the vertices before it (none is a predecessor, so no edge joins
-    two swapped neighbours), then repeat on the rest.
+    and Op3 results are relabelled to it by one bit rotation
+    (`_op3_upper_raw`).  Op1 contributes only the adjacent transpositions
+    (i i+1) with a[i][i+1] = 0, which keep it too.  These reach every
+    strictly upper conjugate, i.e. every linear extension of the edge
+    order: to reach a target order, move its first vertex down past the
+    vertices before it (none is a predecessor, so no edge joins two swapped
+    neighbours), then repeat on the rest.  So any strictly upper relabelling
+    of an Op3 result gives the same orbit.
+
+    Seeds are read in `_code` order from a class-id table indexed by
+    `_code`: the first code not yet assigned is the least member of its
+    orbit, so it is the canonical and the classes come out in canonical
+    order.  Each class keeps its members as codes (`ClassMembers`).
 
     Orbit invariance of the fingerprint is checked for every member and
-    raises InvariantViolation when it fails.
+    raises InvariantViolation when it fails, as does a member reached from
+    two seeds or class sizes that do not sum to 2^(n(n-1)/2).
     """
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
     if n > CLASSIFY_BOUND:
         raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {CLASSIFY_BOUND}")
-    by_code: list[Optional[DiffeoClass]] = [None] * (1 << (n * (n - 1) // 2))
+    total = 1 << (n * (n - 1) // 2)
+    ids = array("i", [-1]) * total
     classes: list[DiffeoClass] = []
-    for seed in _iter_strict_upper_raw(n):
-        if by_code[_code(n, seed)] is not None:
+    for code in range(total):
+        if ids[code] != -1:
             continue
-        members = orbit_raw(n, seed)
-        fp = _fingerprint_raw(n, seed)
-        for other in members:
-            if _fingerprint_raw(n, other) != fp:
-                raise InvariantViolation(f"fingerprint not constant on orbit of {seed}: {other}")
-        canonical = min(members, key=lambda r: _code(n, r))
-        cls = DiffeoClass(
-            canonical=BottMatrix(n, canonical),
-            members=frozenset(BottMatrix(n, r) for r in members),
-            fingerprint=fp,
-        )
-        classes.append(cls)
-        for r in members:
-            slot = _code(n, r)
-            if by_code[slot] is not None:
-                raise InvariantViolation(f"{r} is in two orbits")
-            by_code[slot] = cls
-    total = sum(c.size for c in classes)
-    if total != 1 << (n * (n - 1) // 2):
-        raise InvariantViolation(f"class sizes sum to {total}, not 2^{n * (n - 1) // 2}")
-    classes.sort(key=lambda c: _code(n, c.canonical.rows))
+        seed, cid = _decode(n, code), len(classes)
+        orbit = orbit_raw(n, seed)
+        fp = _fingerprint_raw(n, seed, orbit[seed])
+        codes = []
+        for rows, cols in orbit.items():
+            slot = _code(n, rows)
+            if ids[slot] != -1:
+                raise InvariantViolation(f"{rows} is in two orbits")
+            ids[slot] = cid
+            codes.append(slot)
+            if rows != seed and _fingerprint_raw(n, rows, cols) != fp:
+                raise InvariantViolation(f"fingerprint not constant on orbit of {seed}: {rows}")
+        codes.sort()
+        members = ClassMembers(n, array("I", codes), ids, cid)
+        classes.append(DiffeoClass(BottMatrix(n, seed), members, fp))
+    covered = sum(c.size for c in classes)
+    if covered != total:
+        raise InvariantViolation(f"class sizes sum to {covered}, not 2^{n * (n - 1) // 2}")
     table = _ClassTable(classes)
-    table.by_code = by_code
+    table.class_ids = ids
     return table
 
 
 def diffeo_class_of(m: BottMatrix) -> DiffeoClass:
     """The class of one matrix (normalized to strictly upper first)."""
     rows = _renorm_raw(m.n, m.rows)
-    found = diffeo_classes(m.n).by_code[_code(m.n, rows)]
-    if found is None:
+    classes = diffeo_classes(m.n)
+    cid = classes.class_ids[_code(m.n, rows)]
+    if cid == -1:
         raise InvariantViolation(f"classification did not cover {rows}")
-    return found
+    return classes[cid]
 
 
 def count_ghw_rbm_classes(n: int) -> int:

@@ -344,18 +344,22 @@ def ring_of(m: BottMatrix) -> CohomRing:
 
 
 def w2_of_rows(n: int, rows: Sequence[int]) -> int:
-    """Packed normal form of w_2 = sum_{i<j} y_i y_j straight from the row masks.
+    """Packed normal form of w_2 = sum_{i<j} y_i y_j straight from the row masks."""
+    return w2_of_rows_cols(n, rows, transpose_masks(n, rows))
+
+
+def w2_of_rows_cols(n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """`w2_of_rows` given the column masks too (`transpose_masks(n, rows)`).
 
     No ring context is built (this runs on every orbit member during
-    classification).  With R_a = row a, so that x_a occurs in y_j for j in
-    R_a, the coefficient of x_a x_b (a < b) is |R_a||R_b| - |R_a & R_b|
+    classification, which already holds the columns).  With R_a = row a,
+    so that x_a occurs in y_j for j in R_a, the coefficient of x_a x_b (a < b) is |R_a||R_b| - |R_a & R_b|
     (from x_a x_b with a, b taken from distinct y_i, y_j), plus one for each
     end c of {a, b} whose square x_c^2 = x_c y_c arises an odd number
     C(|R_c|, 2) of times and whose y_c holds the other end.  For fixed a the
     coefficients over all b form one bitmask: the overlap parities
     |R_a & R_b| mod 2 are the XOR of the columns j in R_a.
     """
-    cols = transpose_masks(n, rows)
     odd = squares = 0
     for a, r in enumerate(rows):
         w = r.bit_count()

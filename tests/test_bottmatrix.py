@@ -1,6 +1,7 @@
 """Bott matrices: validation, the three moves, enumeration, classification."""
 import itertools
 import json
+from array import array
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog
+from bottclass import bottmatrix, catalog
 from bottclass.bottmatrix import (
     BottMatrix,
     ColumnMismatch,
@@ -31,7 +32,7 @@ from bottclass.bottmatrix import (
     to_strict_upper,
     validate,
 )
-from bottclass.gf2 import BoundExceeded, InvariantViolation
+from bottclass.gf2 import BoundExceeded, InvariantViolation, transpose_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 A23 = catalog.DIM5_ORIENTED["A23"]
@@ -397,14 +398,16 @@ def test_broken_fingerprint_raises_under_python_O():
     # The orbit checks raise InvariantViolation, not assert, so they
     # survive `python -O`.
     code = textwrap.dedent("""
-        import dataclasses, itertools
+        import dataclasses
         from bottclass import bottmatrix
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
-        real, calls = bottmatrix._fingerprint_raw, itertools.count()
-        def broken(n, rows):  # flips w2_zero on every other call
-            fp = real(n, rows)
-            return dataclasses.replace(fp, w2_zero=not fp.w2_zero) if next(calls) % 2 else fp
+        canonicals = {c.canonical.rows for c in bottmatrix.diffeo_classes(3)}
+        bottmatrix.diffeo_classes.cache_clear()
+        real = bottmatrix._fingerprint_raw
+        def broken(n, rows, cols):  # right on the seeds, wrong on every other member
+            fp = real(n, rows, cols)
+            return fp if rows in canonicals else dataclasses.replace(fp, w2_zero=not fp.w2_zero)
         bottmatrix._fingerprint_raw = broken
         try:
             bottmatrix.diffeo_classes(3)
@@ -421,13 +424,85 @@ def test_broken_fingerprint_raises_under_python_O():
 
 def test_diffeo_class_of_uncovered_matrix_raises():
     classes = diffeo_classes(3)
-    saved = classes.by_code[:]
-    classes.by_code[:] = [None] * len(saved)
+    saved = classes.class_ids[:]
+    classes.class_ids[:] = array("i", [-1]) * len(saved)
     try:
         with pytest.raises(InvariantViolation):
             diffeo_class_of(BottMatrix(3, (0, 0, 0)))
     finally:
-        classes.by_code[:] = saved
+        classes.class_ids[:] = saved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_members_view_contract(n):
+    # iteration against `_closure_oracle`: test_orbits_match_independent_closure
+    classes = diffeo_classes(n)
+    for cls in classes:
+        members = cls.members
+        listed = list(members)
+        assert len(listed) == len(set(listed)) == len(members) == cls.size
+        assert all(m in members for m in listed)
+        assert frozenset(listed) == members and members == frozenset(listed)
+        assert hash(members) == hash(frozenset(listed))
+        for other in classes:
+            if other is not cls:
+                assert not any(m in members for m in other.members)
+        assert "not a matrix" not in members and cls.canonical.rows not in members
+        assert BottMatrix(n + 1, (0,) * (n + 1)) not in members
+        # reversing the labels makes every nonzero member strictly lower
+        lower = [op1(m, range(n)[::-1]) for m in listed if any(m.rows)]
+        assert not any(m.is_strictly_upper or m in members for m in lower)
+
+
+def test_members_view_set_algebra_and_rebuild():
+    classes = diffeo_classes(4)
+    frozen = [frozenset(c.members) for c in classes]
+    seen = set()
+    for c, f in zip(classes, frozen):
+        assert not (seen & c.members) and not (c.members & seen)
+        assert (c.members & f) == f and (c.members | f) == f
+        seen |= c.members
+    assert seen == frozenset().union(*frozen) and len(seen) == 64
+    diffeo_classes.cache_clear()
+    rebuilt = diffeo_classes(4)
+    assert rebuilt is not classes and rebuilt == classes
+    assert [c.members for c in rebuilt] == frozen
+    assert all(a == b and hash(a) == hash(b) for a, b in zip(rebuilt, classes))
+    assert all(a.members != b.members for a, b in zip(rebuilt, rebuilt[1:]))
+
+
+def _rotation_perm(n, l, m_idx):
+    """x_m_idx to position l + 1, x_l+1 .. x_m_idx-1 one up, the rest fixed."""
+    perm = list(range(n))
+    perm[m_idx] = l + 1
+    for v in range(l + 1, m_idx):
+        perm[v] = v + 1
+    return perm
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_op3_relabelling_is_the_rotation(n):
+    pairs = 0
+    for m in enumerate_strict_upper(n):
+        rows, cols = m.rows, transpose_masks(n, m.rows)
+        neighbors = bottmatrix._neighbors_raw(n, rows, cols)
+        assert all(BottMatrix(n, nb).is_strictly_upper for nb in neighbors)
+        for l in range(n):
+            for m_idx in range(n):
+                if l == m_idx or cols[l] != cols[m_idx]:
+                    continue
+                moved = list(rows)
+                moved[m_idx] ^= rows[l]
+                if l < m_idx and rows[l] & ((1 << m_idx) - 1):
+                    pairs += 1
+                    expected = bottmatrix._conjugate_raw(n, moved, _rotation_perm(n, l, m_idx))
+                else:
+                    expected = tuple(moved)
+                assert bottmatrix._op3_upper_raw(rows, l, m_idx) == expected
+                assert expected in neighbors
+                assert BottMatrix(n, expected).is_strictly_upper
+                assert BottMatrix(n, expected) in diffeo_class_of(op3(m, l, m_idx)).members
+    assert pairs > 0 or n == 2
 
 
 # --- interchange formats ------------------------------------------------------
