@@ -1,12 +1,12 @@
 """Bott matrices: validation, the three moves, enumeration, classification."""
 import itertools
 import json
-from array import array
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from array import array
 from pathlib import Path
 
 import pytest
