@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import gf2
 from .bottmatrix import BottMatrix
@@ -245,7 +245,7 @@ class IntLattice:
 class TransLattice:
     """The translation subgroup N = Gamma ∩ R^n; rows of basis2, halved,
     generate N.  basis2 is an echelon basis with positive pivots, such as
-    the Hermite form `lattice_of` returns.  For Gamma(A) and Gamma_n this
+    the Hermite form `from_generators` builds.  For Gamma(A) and Gamma_n this
     contains Z^n and has full rank; artificial generator lists may give a
     smaller lattice."""
 
@@ -281,12 +281,24 @@ class TransLattice:
         return len(self.basis2)
 
 
+class Relator(NamedTuple):
+    """A word in the generators that is a translation.  Letter i >= 0 is
+    generator i and ~i its inverse; trans2 is the doubled translation."""
+
+    word: tuple[int, ...]
+    trans2: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
+    """Generators, their relators (`relators`, built once), the lattice N
+    those relators span under the holonomy, and the point-group rank."""
+
     n: int
     generators: tuple[AffineIso, ...]
     lattice: TransLattice
     point_rank: int
+    relators: tuple[Relator, ...]
 
 
 def _exponent_matrix(n: int, gens: Sequence[AffineIso]) -> gf2.Gf2Mat:
@@ -308,55 +320,49 @@ def _ordered_product(gens: Sequence[AffineIso], subset: Iterable[int]) -> Affine
     return acc
 
 
-def lattice_of(gens: Sequence[AffineIso]) -> TransLattice:
-    """Translation lattice N of the group generated by `gens`.
-
-    Certified members of N are collected: generator squares, generators
-    that are already translations, commutators, and the pure-translation
-    products over a kernel basis of the exponent system; the result is
-    closed under the holonomy action and returned as a doubled HNF basis.
-    Tests validate this against brute-force word closure.
-    """
-    n = gens[0].n
-    lat = IntLattice(n)
-    vectors: list[tuple[int, ...]] = []
-    for g in gens:
-        sq = g.compose(g)
-        _require_translation(sq, "generator square")
-        vectors.append(sq.trans2)
-        if g.is_translation:
-            vectors.append(g.trans2)
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            vectors.append(commutator_trans2(g, h))
-    mat = _exponent_matrix(n, gens)
-    for kvec in gf2.kernel_basis(mat):
-        prod = _ordered_product(gens, (i for i in range(len(gens)) if (kvec.mask >> i) & 1))
+def relators(gens: Sequence[AffineIso]) -> tuple[Relator, ...]:
+    """The relations of the group generated by `gens`, as words that are
+    translations: the squares (i, i) and commutators (i, j, ~i, ~j) of the
+    non-translation generators, then the ascending product over each kernel
+    basis vector of the exponent system (a translation generator is a word
+    on its own).  The squares and commutators of translation generators are
+    left out: their translations 2t and D t - t lie in the holonomy closure
+    of t."""
+    active = [i for i, g in enumerate(gens) if not g.is_translation]
+    out = [Relator((i, i), gens[i].compose(gens[i]).trans2) for i in active]
+    for k, i in enumerate(active):
+        for j in active[k + 1:]:
+            out.append(Relator((i, j, ~i, ~j), commutator_trans2(gens[i], gens[j])))
+    for kvec in gf2.kernel_basis(_exponent_matrix(gens[0].n, gens)):
+        word = tuple(i for i in range(len(gens)) if (kvec.mask >> i) & 1)
+        prod = _ordered_product(gens, word)
         _require_translation(prod, "kernel product")
-        vectors.append(prod.trans2)
-    for v in vectors:
-        lat.add(v)
-    # close under the holonomy action (D.v - v lands in the lattice for the
-    # Bott families, but not necessarily for arbitrary generator lists)
-    sign_vectors = {g.signs for g in gens}
-    changed = True
-    while changed:
-        changed = False
-        for signs in sign_vectors:
-            for row in [list(r) for r in lat.rows]:
-                conj = [s * t for s, t in zip(signs, row)]
-                if not lat.contains(conj):
-                    lat.add(conj)
-                    changed = True
-    return TransLattice(n, lat.basis_hnf())
+        out.append(Relator(word, prod.trans2))
+    return tuple(out)
+
+
+def lattice_of(gens: Sequence[AffineIso]) -> TransLattice:
+    """Translation lattice N of the group generated by `gens`."""
+    return from_generators(gens).lattice
 
 
 def from_generators(gens: Sequence[AffineIso]) -> GroupPresentation:
+    """The presentation of the group generated by `gens`: N is the span of
+    the relators' translations closed under the holonomy action, as a
+    doubled HNF basis (tests check it against brute-force word closure)."""
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise gf2.DimensionMismatch("generators of mixed dimension")
+    rels = relators(gens)
+    lat = IntLattice(n)
+    sign_vectors = {g.signs for g in gens}
+    todo = [rel.trans2 for rel in rels]
+    for v in todo:  # grows while it is walked: the holonomy images of each new vector
+        if not lat.contains(v):
+            lat.add(v)
+            todo += [tuple(s * t for s, t in zip(signs, v)) for signs in sign_vectors]
     point_rank = gf2.rank_masks([g.exponent_mask for g in gens])
-    return GroupPresentation(n, tuple(gens), lattice_of(gens), point_rank)
+    return GroupPresentation(n, tuple(gens), TransLattice(n, lat.basis_hnf()), point_rank, rels)
 
 
 def generators_of(m: BottMatrix) -> GroupPresentation:

@@ -455,15 +455,45 @@ def orbit_raw(n: int, rows: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]
     return seen
 
 
-def _fingerprint_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> ClassFingerprint:
-    from . import cohomology  # local import: cohomology depends on this module
+def w2_masks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[int]:
+    """The coefficients of w_2 = sum_{i<j} y_i y_j, one mask per a: bit b
+    (b > a) is the coefficient of x_a x_b in the normal form.  Read lazily
+    from the row and column masks (`transpose_masks(n, rows)`), with no
+    ring, so a zero test stops at the first nonzero mask.
 
+    With R_a = row a, so that x_a occurs in y_j for j in R_a, the
+    coefficient of x_a x_b is |R_a||R_b| - |R_a & R_b| (from x_a x_b with a,
+    b taken from distinct y_i, y_j), plus one for each end c of {a, b} whose
+    square x_c^2 = x_c y_c arises an odd number C(|R_c|, 2) of times and
+    whose y_c holds the other end.  For fixed a the coefficients over all b
+    form one bitmask: the overlap parities |R_a & R_b| mod 2 are the XOR of
+    the columns j in R_a.
+    """
+    odd = squares = 0
+    for a, r in enumerate(rows):
+        w = r.bit_count()
+        odd |= (w & 1) << a
+        squares |= ((w >> 1) & 1) << a  # C(w, 2) odd
+    for a, r in enumerate(rows):
+        coeffs = r & squares
+        if (odd >> a) & 1:
+            coeffs ^= odd
+        if (squares >> a) & 1:
+            coeffs ^= cols[a]
+        while r:
+            low = r & -r
+            coeffs ^= cols[low.bit_length() - 1]
+            r ^= low
+        yield coeffs >> (a + 1) << (a + 1)
+
+
+def _fingerprint_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> ClassFingerprint:
     rk = rank_masks(rows)
     return ClassFingerprint(
         orientable=all(parity(r) == 0 for r in rows),
         holonomy_rank=rk,
         ghw=n >= 2 and rk == n - 1,
-        w2_zero=not cohomology.w2_of_rows_cols(n, rows, cols),
+        w2_zero=not any(w2_masks(rows, cols)),
     )
 
 

@@ -35,7 +35,7 @@ from math import comb
 from operator import xor
 from typing import FrozenSet, Iterable, Iterator, Sequence
 
-from .bottmatrix import BottMatrix, to_strict_upper
+from .bottmatrix import BottMatrix, to_strict_upper, w2_masks
 from .gf2 import InvariantViolation, UsageError, popcount, rank_masks, subset_sums, transpose_masks
 
 Terms = FrozenSet[int]
@@ -344,45 +344,12 @@ def ring_of(m: BottMatrix) -> CohomRing:
 
 
 def w2_of_rows(n: int, rows: Sequence[int]) -> int:
-    """Packed normal form of w_2 = sum_{i<j} y_i y_j straight from the row masks."""
-    return w2_of_rows_cols(n, rows, transpose_masks(n, rows))
-
-
-def w2_of_rows_cols(n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
-    """`w2_of_rows` given the column masks too (`transpose_masks(n, rows)`).
-
-    No ring context is built (this runs on every orbit member during
-    classification, which already holds the columns).  With R_a = row a,
-    so that x_a occurs in y_j for j in R_a, the coefficient of x_a x_b (a < b) is |R_a||R_b| - |R_a & R_b|
-    (from x_a x_b with a, b taken from distinct y_i, y_j), plus one for each
-    end c of {a, b} whose square x_c^2 = x_c y_c arises an odd number
-    C(|R_c|, 2) of times and whose y_c holds the other end.  For fixed a the
-    coefficients over all b form one bitmask: the overlap parities
-    |R_a & R_b| mod 2 are the XOR of the columns j in R_a.
-    """
-    odd = squares = 0
-    for a, r in enumerate(rows):
-        w = r.bit_count()
-        odd |= (w & 1) << a
-        squares |= ((w >> 1) & 1) << a  # C(w, 2) odd
+    """Packed normal form of w_2 = sum_{i<j} y_i y_j straight from the row
+    masks, with no ring (`bottmatrix.w2_masks`)."""
     acc = 0
-    for a, r in enumerate(rows):
-        coeffs = r & squares
-        if (odd >> a) & 1:
-            coeffs ^= odd
-        if (squares >> a) & 1:
-            coeffs ^= cols[a]
-        while r:
-            low = r & -r
-            coeffs ^= cols[low.bit_length() - 1]
-            r ^= low
-        coeffs >>= a + 1
-        b = a + 1
-        while coeffs:
-            if coeffs & 1:
-                acc |= 1 << ((1 << a) | (1 << b))
-            coeffs >>= 1
-            b += 1
+    for a, coeffs in enumerate(w2_masks(rows, transpose_masks(n, rows))):
+        for b in _bits(coeffs):
+            acc |= 1 << ((1 << a) | (1 << b))
     return acc
 
 

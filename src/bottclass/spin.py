@@ -4,14 +4,18 @@ Two independent routes are implemented: the matrix-level obstruction
 detectors (odd row overlap with a zero entry; disjoint rows of weight
 2 mod 4) together with the w_2 = 0 criterion, and a lift of the holonomy
 through the sign-monomial subgroup of Spin(n), mirroring the
-group-theoretic definition: one affine GF(2) solve over the generator
-signs and the lattice character gives the least solution, and Clifford
-arithmetic re-checks every relation of the lift it returns.
+group-theoretic definition.  Its relations are the relators of
+`bieberbach.generators_of(m)`, the one list of the relations of Gamma(A),
+plus invariance of the lattice character under the holonomy: one affine
+GF(2) solve over the generator signs and the lattice character gives the
+least solution, and group and Clifford arithmetic re-evaluate every
+relator word on the lift it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Optional
 
 from . import bieberbach, cohomology, gf2
@@ -55,21 +59,23 @@ class CliffordElement:
         return cls(n, 1, 0)
 
 
-def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Product in the sign-monomial group.
+def _mul_sign(a: int, b: int) -> int:
+    """1 when e_a e_b = -e_{a ^ b} for sign monomials with supports a, b:
+    one -1 per transposition needed to interleave the sorted supports and
+    one -1 per common generator (from e_i^2 = -1)."""
+    swaps = popcount(a & b)
+    while b:
+        low = b & -b
+        swaps += popcount(a >> low.bit_length())
+        b ^= low
+    return swaps & 1
 
-    The sign picks up one -1 per transposition needed to interleave the
-    sorted supports and one -1 per common generator (from e_i^2 = -1).
-    """
+
+def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
+    """Product in the sign-monomial group, signed by `_mul_sign`."""
     if a.n != b.n:
         raise ValueError(f"ambient dimensions differ: {a.n} != {b.n}")
-    swaps = 0
-    for i in range(b.n):
-        if (b.support >> i) & 1:
-            swaps += popcount(a.support >> (i + 1))
-    sign = a.sign * b.sign
-    if (swaps + popcount(a.support & b.support)) & 1:
-        sign = -sign
+    sign = -a.sign * b.sign if _mul_sign(a.support, b.support) else a.sign * b.sign
     return CliffordElement(a.n, sign, a.support ^ b.support)
 
 
@@ -201,18 +207,17 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     +-e_{S}; translations must map through a +-1 character chi on N.  The
     unknowns are the generator signs sigma and the values of chi on the
     HNF basis, packed as x = (chi << |active|) | sigma.  The constraints
-    are affine over GF(2): the squares, the commutators, invariance of chi
-    under the holonomy action (chi only), and the pure-translation products
-    over a kernel basis of the exponent system (sigma and chi).  One
-    `gf2.solve` elimination solves them and gives the least solution x,
-    which is the first lift in chi-major counting order; the lift is
-    returned after an honest Clifford re-check of every relation, or None
-    when there is no solution.
+    are affine over GF(2): one row per relator of `generators_of(m)` (the
+    parity of sigma over its active letters, chi of its translation and of
+    any translation letter, and the word's Clifford sign by `_mul_sign`),
+    and invariance of chi under the holonomy action (chi only).  One
+    `gf2.solve` elimination gives the least solution x, the first lift in
+    chi-major counting order, which is returned after `_verify_lift`
+    re-checks it, or None when there is no solution.
     """
     _require_orientable(m)
     if not m.is_strictly_upper:
         _, m = to_strict_upper(m)
-    n = m.n
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
@@ -220,38 +225,32 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     coords = lru_cache(maxsize=None)(pres.lattice.coords_mod2)
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
-    supports = {i: gens[i].exponent_mask for i in active}
+    position = {i: pos for pos, i in enumerate(active)}
     shift = len(active)
 
     # affine rows (mask over x, required bit); duplicates dropped
     constraints: dict[tuple[int, int], None] = {}
-    for i in active:
-        sq = gens[i].compose(gens[i])
-        half = popcount(supports[i]) // 2
-        constraints[coords(sq.trans2) << shift, half & 1] = None
-    for ai, i in enumerate(active):
-        for j in active[ai + 1:]:
-            comm = bieberbach.commutator_trans2(gens[i], gens[j])
-            constraints[coords(comm) << shift, popcount(supports[i] & supports[j]) & 1] = None
+    for rel in pres.relators:
+        sigma = support = sign = 0
+        chi = coords(rel.trans2)
+        for letter in rel.word:
+            i = letter if letter >= 0 else ~letter
+            if gens[i].is_translation:
+                chi ^= coords(gens[i].trans2)
+                continue
+            s = gens[i].exponent_mask
+            sigma ^= 1 << position[i]
+            if letter < 0:  # e_S^-1 = (e_S e_S) e_S
+                sign ^= _mul_sign(s, s)
+            sign ^= _mul_sign(support, s)
+            support ^= s
+        if support:
+            raise gf2.InvariantViolation(f"relator {rel.word} of sign monomials is not +-1")
+        constraints[sigma | chi << shift, sign] = None
     for row_idx, row in enumerate(basis2):
         for i in active:
             conj = tuple(s * t for s, t in zip(gens[i].signs, row))
             constraints[(coords(conj) ^ (1 << row_idx)) << shift, 0] = None
-
-    # kernel products of the active generators tie sigma to chi
-    if active:
-        exponents = bieberbach._exponent_matrix(n, [gens[i] for i in active])
-        for kvec in gf2.kernel_basis(exponents):
-            subset = [active[pos] for pos in range(len(active)) if (kvec.mask >> pos) & 1]
-            prod_group = bieberbach._ordered_product(gens, subset)
-            bieberbach._require_translation(prod_group, "kernel product")
-            cliff = CliffordElement.identity(n)
-            for i in subset:
-                cliff = clifford_mul(cliff, CliffordElement(n, 1, supports[i]))
-            if cliff.support:
-                raise gf2.InvariantViolation("a kernel product of sign monomials must be +-1")
-            constraints[kvec.mask | coords(prod_group.trans2) << shift,
-                        0 if cliff.sign == 1 else 1] = None
 
     constraints.pop((0, 0), None)
     x = 0
@@ -267,52 +266,49 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         x = solved[0].mask
     sigma, chi = x & ((1 << shift) - 1), x >> shift
 
-    gen_signs: dict[int, int] = {}
-    for pos, i in enumerate(active):
-        gen_signs[i] = -1 if (sigma >> pos) & 1 else 1
-    for i, g in enumerate(gens):
-        if g.is_translation:
-            gen_signs[i] = -1 if parity(chi & coords(g.trans2)) else 1
+    gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}
+    gen_signs.update((i, -1 if parity(chi & coords(g.trans2)) else 1)
+                     for i, g in enumerate(gens) if g.is_translation)
     character = {row: (-1 if (chi >> idx) & 1 else 1) for idx, row in enumerate(basis2)}
     lift = SpinLift(gen_signs, character)
-    if not _verify_lift(m, pres, lift):
+    if not _verify_lift(pres, lift):
         raise gf2.InvariantViolation(f"lift found for {m.rows} fails the relation check")
     return lift
 
 
-def _verify_lift(m: BottMatrix, pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
+def _verify_lift(pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
     """Re-check every relation of the found lift with honest Clifford and
-    group arithmetic (soundness net under the packed search)."""
-    n = m.n
+    group arithmetic (soundness net under the packed search).
+
+    Every relator word of `pres` is evaluated again letter by letter, with
+    `compose`/`inverse` in the group and `clifford_mul`/`clifford_inv` on
+    the images sigma_i e_{S_i}, never read from the stored translation: it
+    must be a translation t whose image is the scalar chi(t).  Then chi
+    must be invariant under the holonomy.  The squares and commutators of
+    translation generators, which `relators` leaves out, follow from that
+    invariance: their translations 2t and D t - t have chi = 1.
+    """
+    n = pres.n
     gens = pres.generators
     basis2 = pres.lattice.basis2
 
     @lru_cache(maxsize=None)  # the same translations recur across relations
     def chi(t2: tuple[int, ...]) -> int:
         mask = pres.lattice.coords_mod2(t2)
-        sign = 1
-        for idx, row in enumerate(basis2):
-            if (mask >> idx) & 1:
-                sign *= lift.lattice_character[row]
-        return sign
+        return prod(lift.lattice_character[row] for idx, row in enumerate(basis2) if (mask >> idx) & 1)
 
-    def eps(i: int) -> CliffordElement:
-        g = gens[i]
-        if g.is_translation:
-            return CliffordElement(n, chi(g.trans2), 0)
-        return CliffordElement(n, lift.generator_signs[i], g.exponent_mask)
-
-    for i, g in enumerate(gens):
-        sq = g.compose(g)
-        if clifford_mul(eps(i), eps(i)).sign != chi(sq.trans2):
+    for rel in pres.relators:
+        g = bieberbach.AffineIso.identity(n)
+        cliff = CliffordElement.identity(n)
+        for letter in rel.word:
+            i = letter if letter >= 0 else ~letter
+            eps = CliffordElement(n, lift.generator_signs[i], gens[i].exponent_mask)
+            if letter >= 0:
+                g, cliff = g.compose(gens[i]), clifford_mul(cliff, eps)
+            else:
+                g, cliff = g.compose(gens[i].inverse()), clifford_mul(cliff, clifford_inv(eps))
+        if not g.is_translation or cliff.support or cliff.sign != chi(g.trans2):
             return False
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            comm = gens[i].compose(gens[j]).compose(gens[i].inverse()).compose(gens[j].inverse())
-            ei, ej = eps(i), eps(j)
-            cliff_comm = clifford_mul(clifford_mul(ei, ej), clifford_mul(clifford_inv(ei), clifford_inv(ej)))
-            if cliff_comm.support != 0 or cliff_comm.sign != chi(comm.trans2):
-                return False
     for row in basis2:
         for g in gens:
             conj = tuple(s * t for s, t in zip(g.signs, row))

@@ -31,6 +31,7 @@ from bottclass.bieberbach import (
     gamma_n_generators,
     member,
     parse_iso,
+    relators,
     tower_conjugation_report,
     squares_lattice_rank,
     superdiagonal_matrix,
@@ -350,14 +351,51 @@ def random_generators(rng, n, count):
     return [AffineIso(rng.choice(signs + [(1,) * n]), (0,) * n) for _ in range(count)]
 
 
-def test_pivot_generators_match_rank_prefix_oracle():
+def oracle_presentations():
+    """Gamma(A) for every strictly upper n <= 5, Gamma_n for n = 2..8, and
+    200 seeded random generator lists."""
     presentations = [generators_of(m) for n in range(1, 6) for m in enumerate_strict_upper(n)]
     presentations += [gamma_n_generators(n) for n in range(2, 9)]
     rng = random.Random(11)
     presentations += [from_generators(random_generators(rng, rng.randint(1, 6), rng.randint(1, 7)))
                       for _ in range(200)]
-    for p in presentations:
+    return presentations
+
+
+def test_pivot_generators_match_rank_prefix_oracle():
+    for p in oracle_presentations():
         assert _pivot_generators(p) == rank_prefix_pivots(p), p.generators
+
+
+def evaluate_word(gens, word):
+    """Oracle: the word as an honest compose chain, inverse letters through
+    inverse()."""
+    acc = AffineIso.identity(gens[0].n)
+    for letter in word:
+        acc = compose(acc, gens[letter] if letter >= 0 else inverse(gens[~letter]))
+    return acc
+
+
+def test_relators_evaluate_to_their_stored_translations():
+    for p in oracle_presentations():
+        assert p.relators == relators(p.generators)
+        for rel in p.relators:
+            w = evaluate_word(p.generators, rel.word)
+            assert w.is_translation and w.trans2 == rel.trans2, (p.generators, rel)
+
+
+def test_relators_listed_in_order():
+    # A4: generators 0..2 flip signs with independent exponent vectors, so
+    # the kernel words are the translation generators 3 and 4 alone
+    words = [rel.word for rel in generators_of(A4).relators]
+    assert words == [(0, 0), (1, 1), (2, 2), (0, 1, ~0, ~1), (0, 2, ~0, ~2), (1, 2, ~1, ~2),
+                     (3,), (4,)]
+    # rows 0011, 0011: generators 0 and 1 share a sign pattern, so their
+    # product is a kernel word, a translation by (1/2, 1/2, 0, 0)
+    pres = generators_of(BottMatrix(4, (0b1100, 0b1100, 0, 0)))
+    assert pres.relators == (((0, 0), (2, 0, 0, 0)), ((1, 1), (0, 2, 0, 0)),
+                             ((0, 1, ~0, ~1), (0, 0, 0, 0)), ((0, 1), (1, 1, 0, 0)),
+                             ((2,), (0, 0, 1, 0)), ((3,), (0, 0, 0, 2)))
 
 
 def test_exponent_matrix_matches_per_coordinate_loop():

@@ -6,22 +6,36 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bottclass"
 
 
+def package_trees():
+    return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def imports_package(node):
+    """Is node an import of the package or of one of its modules?"""
+    if isinstance(node, ast.ImportFrom):
+        return bool(node.level) or (node.module or "").partition(".")[0] == "bottclass"
+    return isinstance(node, ast.Import) and any(
+        alias.name.partition(".")[0] == "bottclass" for alias in node.names)
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so every invariant check must raise
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 9
-    found = [f"{path.name}:{node.lineno}" for path in modules
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+    trees = package_trees()
+    assert len(trees) >= 9
+    found = [f"{path.name}:{node.lineno}" for path, tree in trees
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
 
 
 def test_package_imports_only_the_standard_library():
     # dependency-free: every import is relative or names a stdlib module
-    modules = sorted(PACKAGE.glob("*.py"))
     found = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -31,3 +45,33 @@ def test_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno}:{name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # one home per idiom: a helper another module needs is public
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path, tree in package_trees():
+        bound = set()  # local names of package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and imports_package(node):
+                for alias in node.names:
+                    if node.module in (None, "bottclass") and alias.name in modules:
+                        bound.add(alias.asname or alias.name)
+                    elif is_private(alias.name):
+                        found.append(f"{path.name}:{node.lineno}:{alias.name}")
+        found += [f"{path.name}:{node.lineno}:{node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and is_private(node.attr)]
+    assert found == []
+
+
+def test_no_function_imports_a_package_module():
+    # a local import of a package module hides an import cycle and runs on
+    # every call; standard-library imports inside functions are allowed
+    found = {f"{path.name}:{node.lineno}"
+             for path, tree in package_trees()
+             for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if imports_package(node)}
+    assert found == set()

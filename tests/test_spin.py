@@ -29,6 +29,7 @@ from bottclass.spin import (
     CliffordElement,
     NonOrientable,
     SpinLift,
+    _verify_lift,
     clifford_inv,
     clifford_mul,
     has_spin,
@@ -385,6 +386,59 @@ def test_lift_solve_matches_brute_force_permuted_n6_to_8():
         perm = list(range(n))
         rng.shuffle(perm)
         assert_same_lift(op1(random_oriented_strict_upper(rng, n), perm))
+
+
+def kernel_words(pres):
+    """The kernel relators with an active letter: ascending words of
+    distinct generators.  Squares repeat a letter, commutators hold inverse
+    letters, and a translation generator alone has no active letter."""
+    gens = pres.generators
+    return [rel.word for rel in pres.relators
+            if all(letter >= 0 for letter in rel.word) and len(set(rel.word)) == len(rel.word)
+            and any(not gens[letter].is_translation for letter in rel.word)]
+
+
+def test_verify_lift_rejects_a_sign_flipped_inside_a_kernel_relator_n_le_6():
+    # Squares and commutators hold each sign twice, so only a kernel
+    # relator sees a single flipped generator sign.
+    flipped = {}
+    for n in range(1, 7):
+        for m in enumerate_strict_upper(n):
+            lift = spin_lift_search(m) if is_orientable(m) else None
+            if lift is None:
+                continue
+            pres = generators_of(m)
+            words = kernel_words(pres)
+            if not words:
+                continue
+            assert _verify_lift(pres, lift), m.rows
+            i = words[0][0]
+            signs = {k: (-v if k == i else v) for k, v in lift.generator_signs.items()}
+            assert not _verify_lift(pres, SpinLift(signs, lift.lattice_character)), m.rows
+            flipped[m.rows] = (i, lift.generator_signs[i])
+    assert len(flipped) == 62
+    smallest = parse_matrix("4\n0011\n0011\n0000\n0000").rows
+    assert flipped[smallest] == (0, -1)
+
+
+def test_failed_lift_recheck_raises_under_python_O():
+    code = textwrap.dedent("""
+        from bottclass import spin
+        from bottclass.bottmatrix import BottMatrix
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        spin._verify_lift = lambda pres, lift: False
+        try:
+            spin.spin_lift_search(BottMatrix(4, (0, 0, 0, 0)))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "raised:" in proc.stdout and "relation check" in proc.stdout
 
 
 def test_lift_matches_w2_sampled_oriented_n7():
