@@ -36,7 +36,15 @@ from operator import xor
 from typing import FrozenSet, Iterable, Iterator, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper, w2_masks
-from .gf2 import InvariantViolation, UsageError, popcount, rank_masks, subset_sums, transpose_masks
+from .gf2 import (
+    InvariantViolation,
+    UsageError,
+    bit_lanes,
+    popcount,
+    rank_masks,
+    subset_sums,
+    transpose_masks,
+)
 
 Terms = FrozenSet[int]
 
@@ -181,12 +189,10 @@ class CohomRing:
 
     @cached_property
     def _free(self) -> list[int]:
-        """_free[i]: the monomials s without x_i.  Over the 2^n bits s, runs
-        of 2^i ones (bit i of s clear) and 2^i zeros: the all-ones word over
-        blocks of 2^(i+1) bits, times the low run."""
-        full = 1 << self.n
-        return [((1 << full) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
-                for i in range(self.n)]
+        """_free[i]: the monomials s without x_i, the complement of
+        `bit_lanes` over the 2^n bits s."""
+        ones = (1 << (1 << self.n)) - 1
+        return [ones ^ bit_lanes(self.n, i) for i in range(self.n)]
 
     def _times_var(self, i: int, forms: Sequence[int]) -> list[int]:
         """Packed normal forms of x_i times each packed normal form in forms.

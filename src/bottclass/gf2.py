@@ -58,6 +58,13 @@ def transpose_masks(n: int, rows: Sequence[int]) -> list[int]:
     return cols
 
 
+def bit_lanes(n: int, i: int) -> int:
+    """The s < 2^n holding bit i, as one int with bit s set for each such
+    s (one lane per s).  Over the 2^n bits: runs of 2^i zeros and 2^i
+    ones, the all-ones word over blocks of 2^(i+1) bits times the high run."""
+    return ((1 << (1 << n)) - 1) // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+
+
 def subset_sums(gens: Sequence[int]) -> list[int]:
     """XOR of every subset of `gens`, indexed by the subset's bitmask: the
     image of every mask under the GF(2)-linear map with these generators."""

@@ -17,6 +17,12 @@ the rows already chosen is kept as a 2^n-bit set, so the independence test
 is one bit test.  Neither changes the order in which candidates are met, so
 the first witness is that of a plain ascending walk.  The witness found is
 re-checked on normal forms, apart from the rows.
+
+Pairs are first pruned by `ring_invariants`, which builds no ring: no
+annihilator of a nonzero degree-1 class has dimension above 1, and which
+ones have dimension 1, like the square kernel, is read in closed form from
+the columns, for all 2^n classes at once as bit lanes of one int.  The
+rings, and the target's product rows, are built only for pairs that pass.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .bottmatrix import BottMatrix, diffeo_classes
+from .bottmatrix import BottMatrix, diffeo_classes, to_strict_upper
 from .cohomology import CohomRing, linear
 from .gf2 import (
     BoundExceeded,
@@ -33,9 +39,11 @@ from .gf2 import (
     Gf2Mat,
     Gf2Vec,
     InvariantViolation,
+    bit_lanes,
     rank_masks,
     solve,
     subset_sums,
+    transpose_masks,
 )
 
 EXHAUSTIVE_BOUND = 5
@@ -66,14 +74,46 @@ def _admissible(rows: list[list[int]], y: int) -> list[int]:
 def ring_invariants(m: BottMatrix) -> tuple:
     """Isomorphism invariants used for pruning: the dimension of the
     degree-1 classes with zero square, and the sorted multiset of
-    annihilator dimensions dim{v : v w = 0} over all nonzero w: kernels of
-    maps linear in v (squaring is additive), which send x_a to
-    rows[a][1 << a] and rows[a][w] (`CohomRing.product_rows`)."""
-    rows = CohomRing(m).product_rows()
+    annihilator dimensions dim{v : v w = 0} over all nonzero w, each 0 or 1.
+
+    Both are read in closed form from the columns y_b of the strictly upper
+    form, with no ring and no rank.  For a < b the coefficient of x_a x_b
+    in v w is v_a w_b + v_b w_a + v_b w_b [a in y_b], since x_b^2 = x_b y_b
+    and every variable of y_b is below b.  Let t be the top variable of w.
+    The pairs (a, t) with a < t force v_a = v_t (w_a + [a in y_t]), and the
+    pairs (t, b) with b > t force v_b = 0.  So ann(w) is contained in
+    {0, v*} with v* = x_t + the part of w + y_t below t, and its dimension
+    is 1 exactly when v* w = 0.  Squares are additive and the x_b^2 = x_b y_b
+    have disjoint supports, so the square kernel is spanned by the x_b with
+    y_b = 0: its dimension is the number of zero columns.
+
+    All 2^n masks w are handled at once as the bit lanes of one int, lane w
+    for the mask w: lanes[a] (`bit_lanes`) holds the w with w_a = 1, and
+    v[a] the w whose v* holds x_a.  v*_a is w_a when the top variable t of
+    w is at most a (0 below a, 1 at a), and w_a + [a in y_t] above, so v[a]
+    is lanes[a] XOR the lanes [2^t, 2^(t+1)) of every t with a in y_t.  A
+    lane is set in the coefficient of some x_a x_b of v* w exactly when
+    ann(w) = 0.
+    """
+    if not m.is_strictly_upper:
+        m = to_strict_upper(m)[1]
     n = m.n
-    sq_ker_dim = n - rank_masks([row[1 << a] for a, row in enumerate(rows)])
-    ann_dims = sorted(n - rank_masks([row[w] for row in rows]) for w in range(1, 1 << n))
-    return (sq_ker_dim, tuple(ann_dims))
+    cols = transpose_masks(n, m.rows)
+    lanes = [bit_lanes(n, a) for a in range(n)]
+    v = lanes[:]
+    for t, col in enumerate(cols):
+        top = (1 << (2 << t)) - (1 << (1 << t))  # the w with top variable t
+        for a in range(t):
+            if (col >> a) & 1:
+                v[a] ^= top
+    faithful = 0  # the lanes w with v* w != 0
+    for b, col in enumerate(cols):
+        vb, wb = v[b], lanes[b]
+        for a in range(b):
+            # v*_a w_b + v*_b (w_a + w_b [a in y_b])
+            faithful |= v[a] & wb ^ vb & (lanes[a] ^ wb if (col >> a) & 1 else lanes[a])
+    zero_ann = faithful.bit_count()
+    return (cols.count(0), (0,) * zero_ann + (1,) * ((1 << n) - 1 - zero_ann))
 
 
 def ring_isomorphic(
@@ -98,9 +138,9 @@ def ring_isomorphic(
             f"ring_isomorphic at n={n} needs pruning enabled (bound {EXHAUSTIVE_BOUND} "
             f"exhaustive, {PRUNED_BOUND} with pruning)"
         )
-    ring_a, ring_b = CohomRing(a), CohomRing(b)
-    if prune and ring_invariants(ring_a.matrix) != ring_invariants(ring_b.matrix):
+    if prune and ring_invariants(a) != ring_invariants(b):
         return None
+    ring_a, ring_b = CohomRing(a), CohomRing(b)
     cols_a = ring_a.cols
     rows_b = ring_b.product_rows()
     admissible: list[Optional[list[int]]] = [None] * (1 << n)  # listed per y met

@@ -9,6 +9,7 @@ from bottclass.gf2 import (
     DimensionMismatch,
     Gf2Mat,
     Gf2Vec,
+    bit_lanes,
     enumerate_invertible,
     invertible_count,
     kernel_basis,
@@ -68,6 +69,12 @@ def test_transpose_masks_entrywise(nr, nc, data):
     for i in range(nr):
         for j in range(nc):
             assert (cols[j] >> i) & 1 == (rows[i] >> j) & 1
+
+
+def test_bit_lanes_hold_the_masks_with_the_bit():
+    for n in range(1, 8):
+        for i in range(n):
+            assert bit_lanes(n, i) == sum(1 << s for s in range(1 << n) if (s >> i) & 1), (n, i)
 
 
 @given(st.lists(st.integers(0, (1 << 12) - 1), max_size=7))

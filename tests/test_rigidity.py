@@ -15,9 +15,10 @@ from bottclass.bottmatrix import (
     diffeo_class_of,
     diffeo_classes,
     enumerate_strict_upper,
+    op1,
 )
 from bottclass.cohomology import CohomRing, linear
-from bottclass.gf2 import BoundExceeded, Gf2Mat, enumerate_invertible
+from bottclass.gf2 import BoundExceeded, Gf2Mat, enumerate_invertible, rank_masks
 from bottclass.rigidity import (
     RingIsoWitness,
     _admissible,
@@ -76,6 +77,21 @@ def ascending_search(a, b):
         return None
 
     return rec(0)
+
+
+def rank_ring_invariants(m):
+    """Oracle: the square kernel and every annihilator ranked from the
+    product rows, one `rank_masks` call each, as computed before the
+    closed form."""
+    rows = CohomRing(m).product_rows()
+    n = m.n
+    sq_ker_dim = n - rank_masks([row[1 << a] for a, row in enumerate(rows)])
+    ann_dims = sorted(n - rank_masks([row[w] for row in rows]) for w in range(1, 1 << n))
+    return (sq_ker_dim, tuple(ann_dims))
+
+
+def random_strict_upper(rng, n):
+    return BottMatrix(n, tuple(rng.getrandbits(n) & -(2 << i) & ((1 << n) - 1) for i in range(n)))
 
 
 def matrix(*rows):
@@ -243,6 +259,87 @@ def test_square_kernel_4_bucket_cross_pairs_not_isomorphic():
     assert len({id(diffeo_class_of(m)) for m in SQUARE_KERNEL_4_BUCKET}) == 3
     for a, b in itertools.permutations(SQUARE_KERNEL_4_BUCKET, 2):
         assert ring_isomorphic(a, b) is None
+
+
+def test_ring_invariants_match_rank_oracle_all_strict_upper_n_le_5():
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            assert ring_invariants(m) == rank_ring_invariants(m), m.rows
+
+
+def test_ring_invariants_match_rank_oracle_n6_canonicals_and_partition():
+    buckets, oracle_buckets = {}, {}
+    for cls in diffeo_classes(6):
+        m = cls.canonical
+        key, oracle_key = ring_invariants(m), rank_ring_invariants(m)
+        assert key == oracle_key, m.rows
+        buckets.setdefault(key, set()).add(m.rows)
+        oracle_buckets.setdefault(oracle_key, set()).add(m.rows)
+    assert set(map(frozenset, buckets.values())) == set(map(frozenset, oracle_buckets.values()))
+    assert len(buckets) == 19
+
+
+def test_ring_invariants_match_rank_oracle_n6_seeded():
+    rng = random.Random(2000)
+    for _ in range(2000):
+        m = random_strict_upper(rng, 6)
+        assert ring_invariants(m) == rank_ring_invariants(m), m.rows
+
+
+def test_ring_invariants_match_rank_oracle_relabelled_inputs():
+    rng = random.Random(300)
+    relabelled = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        perm = rng.sample(range(n), n)
+        m = op1(random_strict_upper(rng, n), perm)
+        relabelled += not m.is_strictly_upper
+        assert ring_invariants(m) == rank_ring_invariants(m), (m.rows, perm)
+    assert relabelled >= 150
+
+
+def test_annihilators_are_zero_or_the_top_variable_candidate_n_le_4():
+    # On normal forms, apart from the product rows and the lanes: ann(w) is
+    # {0} or {0, v*}, v* = x_t + the part of w + y_t below the top variable
+    # t of w, and the square kernel is spanned by the x_b with y_b = 0.
+    for n in range(1, 5):
+        for m in enumerate_strict_upper(n):
+            ring = CohomRing(m)
+            ann_dims = []
+            for w in range(1, 1 << n):
+                t = w.bit_length() - 1
+                v_star = (1 << t) | ((w ^ ring.cols[t]) & ((1 << t) - 1))
+                ann = {v for v in range(1 << n)
+                       if not ring.multiply_packed(linear(v), linear(w))}
+                assert ann in ({0}, {0, v_star}), (m.rows, w, ann)
+                ann_dims.append(len(ann) - 1)
+            sq_ker = [v for v in range(1 << n) if not ring.multiply_packed(linear(v), linear(v))]
+            assert sq_ker == [v for v in range(1 << n)
+                              if all(ring.cols[b] == 0 for b in range(n) if (v >> b) & 1)]
+            assert ring_invariants(m) == (len(sq_ker).bit_length() - 1, tuple(sorted(ann_dims)))
+
+
+def test_ring_invariants_constant_on_classes_n_le_5():
+    for n in range(1, 6):
+        for cls in diffeo_classes(n):
+            assert {ring_invariants(m) for m in cls.members} == {ring_invariants(cls.canonical)}
+
+
+def test_pruned_pairs_build_no_ring(monkeypatch):
+    built = []
+    original = CohomRing.__init__
+
+    def counting_init(self, matrix):
+        built.append(matrix)
+        original(self, matrix)
+
+    monkeypatch.setattr(CohomRing, "__init__", counting_init)
+    a, b = SQUARE_KERNEL_4_BUCKET[0], BottMatrix(6, (0,) * 6)
+    assert ring_invariants(a) != ring_invariants(b)
+    assert ring_isomorphic(a, b) is None
+    assert built == []
+    assert ring_isomorphic(a, a) is not None
+    assert built == [a, a]
 
 
 def test_witness_inverse_is_two_sided():
