@@ -18,6 +18,7 @@ from .gf2 import (
     BoundExceeded,
     InvariantViolation,
     UsageError,
+    bits,
     parity,
     rank_masks,
     transpose_masks,
@@ -224,16 +225,19 @@ def op1(m: BottMatrix, perm: Sequence[int]) -> BottMatrix:
     return BottMatrix(m.n, _conjugate_raw(m.n, m.rows, perm))
 
 
-def _op2_raw(rows: Sequence[int], k: int) -> tuple[int, ...]:
-    rk = rows[k]
-    return tuple(r ^ rk if (r >> k) & 1 else r for r in rows)
+def _op2_raw(rows: Sequence[int], k: int, col: int) -> tuple[int, ...]:
+    """Op2 at k: row k added to the rows i of column k (a[i][k] = 1)."""
+    moved = list(rows)
+    for i in bits(col):
+        moved[i] ^= rows[k]
+    return tuple(moved)
 
 
 def op2(m: BottMatrix, k: int) -> BottMatrix:
     """Add column k into every column j with a[k][j] = 1 (an involution)."""
     if not 0 <= k < m.n:
         raise UsageError(f"index {k} out of range")
-    return BottMatrix(m.n, _op2_raw(m.rows, k))
+    return BottMatrix(m.n, _op2_raw(m.rows, k, m.col_mask(k)))
 
 
 def op3(m: BottMatrix, l: int, m_idx: int) -> BottMatrix:
@@ -393,29 +397,6 @@ def _renorm_raw(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return _conjugate_raw(n, rows, _strict_upper_perm(n, rows))
 
 
-def _op3_upper_raw(rows: tuple[int, ...], l: int, m_idx: int) -> tuple[int, ...]:
-    """Op3 (row l added to row m_idx, columns l and m_idx equal) on strictly
-    upper rows, relabelled to strictly upper form.
-
-    Only l < m_idx with bits of row l below m_idx leaves the form.  Then
-    x_m_idx moves to position l + 1 and x_l+1 .. x_m_idx-1 shift up by one,
-    a rotation of bits l + 1 .. m_idx in every row and of the rows alike.
-    This is a topological order: the predecessors of m_idx (column m_idx
-    equals column l) are all below l, its new successors (bits of row l)
-    are all above l, and a[l][m_idx] = 0.
-    """
-    moved = list(rows)
-    moved[m_idx] ^= rows[l]
-    if not rows[l] & ((1 << m_idx) - 1):
-        return tuple(moved)
-    mid = ((1 << m_idx) - 1) ^ ((2 << l) - 1)  # bits l + 1 .. m_idx - 1
-    keep = ~(mid | (1 << m_idx))
-    head = [(r & keep) | ((r & mid) << 1) | (((r >> m_idx) & 1) << (l + 1))
-            for r in moved[:m_idx + 1]]
-    head.insert(l + 1, head.pop())
-    return tuple(head + moved[m_idx + 1:])
-
-
 def _neighbors_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> list[tuple[int, ...]]:
     """One move away from a strictly upper matrix with these column masks,
     in strictly upper form (see `diffeo_classes` for why this generator set
@@ -432,12 +413,15 @@ def _neighbors_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> list[t
     # row k and column k are nonzero.
     for k in range(n):
         if rows[k] and cols[k]:
-            out.append(_op2_raw(rows, k))
-    # Op3 on every ordered pair with equal columns.
-    for l in range(n):
-        for m_idx in range(n):
-            if l != m_idx and cols[l] == cols[m_idx]:
-                out.append(_op3_upper_raw(rows, l, m_idx))
+            out.append(_op2_raw(rows, k, cols[k]))
+    # Op3 adding row l to a row m_idx < l with an equal column: row l holds
+    # only bits above l, so the result is strictly upper.
+    for l in range(1, n):
+        for m_idx in range(l):
+            if cols[l] == cols[m_idx]:
+                moved = list(rows)
+                moved[m_idx] ^= rows[l]
+                out.append(tuple(moved))
     return out
 
 
@@ -487,14 +471,10 @@ def w2_masks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[int]:
         yield coeffs >> (a + 1) << (a + 1)
 
 
-def _fingerprint_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> ClassFingerprint:
-    rk = rank_masks(rows)
-    return ClassFingerprint(
-        orientable=all(parity(r) == 0 for r in rows),
-        holonomy_rank=rk,
-        ghw=n >= 2 and rk == n - 1,
-        w2_zero=not any(w2_masks(rows, cols)),
-    )
+def _fingerprint_raw(rows: tuple[int, ...], cols: Sequence[int]) -> tuple[int, bool, bool]:
+    """What `ClassFingerprint` records, checked on every orbit member: the
+    rank, whether some row is odd (w1 != 0), and whether w2 != 0."""
+    return rank_masks(rows), any(r.bit_count() & 1 for r in rows), any(w2_masks(rows, cols))
 
 
 class _ClassTable(tuple):
@@ -511,15 +491,19 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     classes (orbits of Op1/Op2/Op3), each with its canonical representative
     and invariant fingerprint.
 
-    The orbit walk stays on strictly upper matrices.  Op2 keeps that form
-    and Op3 results are relabelled to it by one bit rotation
-    (`_op3_upper_raw`).  Op1 contributes only the adjacent transpositions
-    (i i+1) with a[i][i+1] = 0, which keep it too.  These reach every
-    strictly upper conjugate, i.e. every linear extension of the edge
-    order: to reach a target order, move its first vertex down past the
-    vertices before it (none is a predecessor, so no edge joins two swapped
-    neighbours), then repeat on the rest.  So any strictly upper relabelling
-    of an Op3 result gives the same orbit.
+    The orbit walk stays on strictly upper matrices.  Op1 contributes only
+    the adjacent transpositions (i i+1) with a[i][i+1] = 0, which keep that
+    form.  These reach every strictly upper conjugate, i.e. every linear
+    extension of the edge order: to reach a target order, move its first
+    vertex down past the vertices before it (none is a predecessor, so no
+    edge joins two swapped neighbours), then repeat on the rest.  Op2 keeps
+    the form, and so does Op3 in the one direction the walk takes: row l
+    added to row m with m < l.  The other direction, m > l, reaches no
+    other member.  Equal columns l and m give x_l and x_m the same
+    predecessors, so neither reaches the other (a path l -> ... -> j -> m
+    would give j -> l and close a cycle).  So some linear extension puts m
+    before l; the adjacent swaps reach it, and in that labelling the move
+    is one the walk takes, with a conjugate of the same result.
 
     Seeds are read in `_code` order from a class-id table indexed by
     `_code`: the first code not yet assigned is the least member of its
@@ -542,7 +526,7 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
             continue
         seed, cid = _decode(n, code), len(classes)
         orbit = orbit_raw(n, seed)
-        fp = _fingerprint_raw(n, seed, orbit[seed])
+        fp = _fingerprint_raw(seed, orbit[seed])
         codes = []
         for rows, cols in orbit.items():
             slot = _code(n, rows)
@@ -550,11 +534,14 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
                 raise InvariantViolation(f"{rows} is in two orbits")
             ids[slot] = cid
             codes.append(slot)
-            if rows != seed and _fingerprint_raw(n, rows, cols) != fp:
+            if _fingerprint_raw(rows, cols) != fp:
                 raise InvariantViolation(f"fingerprint not constant on orbit of {seed}: {rows}")
         codes.sort()
         members = ClassMembers(n, array("I", codes), ids, cid)
-        classes.append(DiffeoClass(BottMatrix(n, seed), members, fp))
+        rk, odd, w2 = fp
+        fingerprint = ClassFingerprint(orientable=not odd, holonomy_rank=rk,
+                                       ghw=n >= 2 and rk == n - 1, w2_zero=not w2)
+        classes.append(DiffeoClass(BottMatrix(n, seed), members, fingerprint))
     covered = sum(c.size for c in classes)
     if covered != total:
         raise InvariantViolation(f"class sizes sum to {covered}, not 2^{n * (n - 1) // 2}")

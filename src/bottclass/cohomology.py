@@ -30,16 +30,17 @@ bits would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
 from operator import xor
-from typing import FrozenSet, Iterable, Iterator, Sequence
+from typing import FrozenSet, Iterable, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper, w2_masks
 from .gf2 import (
     InvariantViolation,
     UsageError,
     bit_lanes,
+    bits,
     popcount,
     rank_masks,
     subset_sums,
@@ -63,7 +64,7 @@ def pair_bit(a: int, b: int) -> int:
 
 def linear(mask: int) -> int:
     """The degree-1 class sum_{i in mask} x_i, packed."""
-    return _pack(1 << i for i in _bits(mask))
+    return _pack(1 << i for i in bits(mask))
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ class CohomRing:
                 if col >> i:
                     raise InvariantViolation("rewrite must only introduce smaller indices")
                 square = [0] * full  # y_i m_s, the entry for s holding i
-                for l in _bits(col):
+                for l in bits(col):
                     square = list(map(xor, square, mul[l]))
                 bit = 1 << i
                 mul.append([square[s] if s & bit else 1 << (s | bit) for s in range(full)])
@@ -229,9 +230,9 @@ class CohomRing:
         """Packed normal form of p * q: p times each monomial of q, one
         variable at a time."""
         acc = 0
-        for v in _bits(q):
+        for v in bits(q):
             forms = [p]
-            for i in _bits(v):
+            for i in bits(v):
                 forms = self._times_var(i, forms)
             acc ^= forms[0]
         return acc
@@ -252,7 +253,7 @@ class CohomRing:
         if self._rows is None:
             rows = []
             for a, col in enumerate(self.cols):
-                square = sum(1 << pair_bit(l, a) for l in _bits(col))
+                square = sum(1 << pair_bit(l, a) for l in bits(col))
                 rows.append(subset_sums([square if b == a else 1 << pair_bit(min(a, b), max(a, b))
                                          for b in range(self.n)]))
             self._rows = rows
@@ -270,14 +271,17 @@ class CohomRing:
             raise UsageError(f"degree {k} is negative")
         if k > self.n:
             return Gf2Poly()
+        if k == 1:
+            # sigma_1 = y_1 + ... + y_n is linear: the XOR of the columns
+            return Gf2Poly(_unpack(linear(reduce(xor, self.cols, 0))))
         if k >= len(self._sigma):
             # sigma_0..sigma_k of y_1..y_j, one y_j at a time: sigma_d gains
             # y_j sigma_{d-1}, each x_l of y_j times all of sigma_0..sigma_{k-1}
-            # in one call.  For k = 1 that is x_l * 1, which needs no tables.
+            # in one call.
             sigma = [1] + [0] * k
             for col in self.cols:
                 lower = sigma[:k]
-                for l in _bits(col):
+                for l in bits(col):
                     for d, p in enumerate(self._times_var(l, lower), 1):
                         sigma[d] ^= p
             self._sigma = [Gf2Poly(_unpack(s)) for s in sigma]
@@ -327,21 +331,13 @@ class CohomRing:
         return self._betti[k]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _pack(terms: Iterable[int]) -> int:
     """Packed form of a set of monomial masks: bit t per monomial t."""
     return sum(1 << t for t in terms)
 
 
 def _unpack(p: int) -> Terms:
-    return frozenset(_bits(p))
+    return frozenset(bits(p))
 
 
 def ring_of(m: BottMatrix) -> CohomRing:
@@ -354,7 +350,7 @@ def w2_of_rows(n: int, rows: Sequence[int]) -> int:
     masks, with no ring (`bottmatrix.w2_masks`)."""
     acc = 0
     for a, coeffs in enumerate(w2_masks(rows, transpose_masks(n, rows))):
-        for b in _bits(coeffs):
+        for b in bits(coeffs):
             acc |= 1 << ((1 << a) | (1 << b))
     return acc
 

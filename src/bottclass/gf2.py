@@ -45,6 +45,14 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def transpose_masks(n: int, rows: Sequence[int]) -> list[int]:
     """Column masks of a matrix given by row masks: bit i of column j is
     bit j of row i, for the n columns 0..n-1."""

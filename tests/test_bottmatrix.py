@@ -398,16 +398,15 @@ def test_broken_fingerprint_raises_under_python_O():
     # The orbit checks raise InvariantViolation, not assert, so they
     # survive `python -O`.
     code = textwrap.dedent("""
-        import dataclasses
         from bottclass import bottmatrix
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
         canonicals = {c.canonical.rows for c in bottmatrix.diffeo_classes(3)}
         bottmatrix.diffeo_classes.cache_clear()
         real = bottmatrix._fingerprint_raw
-        def broken(n, rows, cols):  # right on the seeds, wrong on every other member
-            fp = real(n, rows, cols)
-            return fp if rows in canonicals else dataclasses.replace(fp, w2_zero=not fp.w2_zero)
+        def broken(rows, cols):  # right on the seeds, wrong on every other member
+            rank, odd, w2 = real(rows, cols)
+            return rank, odd, w2 if rows in canonicals else not w2
         bottmatrix._fingerprint_raw = broken
         try:
             bottmatrix.diffeo_classes(3)
@@ -471,38 +470,39 @@ def test_members_view_set_algebra_and_rebuild():
     assert all(a.members != b.members for a, b in zip(rebuilt, rebuilt[1:]))
 
 
-def _rotation_perm(n, l, m_idx):
-    """x_m_idx to position l + 1, x_l+1 .. x_m_idx-1 one up, the rest fixed."""
-    perm = list(range(n))
-    perm[m_idx] = l + 1
-    for v in range(l + 1, m_idx):
-        perm[v] = v + 1
-    return perm
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_op3_relabelling_is_the_rotation(n):
-    pairs = 0
+def test_neighbors_are_the_strictly_upper_moves(n):
+    # the walk's edges, rebuilt from the list oracles: the adjacent swaps
+    # (i i+1) with a[i][i+1] = 0, Op2 at every k, and Op3 adding row l to a
+    # row m_idx < l with an equal column (the matrix itself aside)
     for m in enumerate_strict_upper(n):
-        rows, cols = m.rows, transpose_masks(n, m.rows)
-        neighbors = bottmatrix._neighbors_raw(n, rows, cols)
+        mat = lists(m)
+        neighbors = bottmatrix._neighbors_raw(n, m.rows, transpose_masks(n, m.rows))
         assert all(BottMatrix(n, nb).is_strictly_upper for nb in neighbors)
-        for l in range(n):
-            for m_idx in range(n):
-                if l == m_idx or cols[l] != cols[m_idx]:
-                    continue
-                moved = list(rows)
-                moved[m_idx] ^= rows[l]
-                if l < m_idx and rows[l] & ((1 << m_idx) - 1):
-                    pairs += 1
-                    expected = bottmatrix._conjugate_raw(n, moved, _rotation_perm(n, l, m_idx))
-                else:
-                    expected = tuple(moved)
-                assert bottmatrix._op3_upper_raw(rows, l, m_idx) == expected
-                assert expected in neighbors
-                assert BottMatrix(n, expected).is_strictly_upper
-                assert BottMatrix(n, expected) in diffeo_class_of(op3(m, l, m_idx)).members
-    assert pairs > 0 or n == 2
+        expected = [op2_oracle(mat, k) for k in range(n)]
+        for i in range(n - 1):
+            if not mat[i][i + 1]:
+                swap = list(range(n))
+                swap[i], swap[i + 1] = i + 1, i
+                expected.append(op1_oracle(mat, swap))
+        expected += [op3_oracle(mat, l, m_idx) for l in range(n) for m_idx in range(l)
+                     if all(mat[i][l] == mat[i][m_idx] for i in range(n))]
+        assert set(neighbors) | {m.rows} == {BottMatrix.from_rows(e).rows for e in expected} | {m.rows}
+
+
+def test_dropped_op3_direction_stays_in_class_n6():
+    # the walk never adds row l to a row m_idx > l; every such move, on every
+    # strictly upper n = 6 matrix, still lands in the matrix's own class
+    n, edges = 6, 0
+    for m in enumerate_strict_upper(n):
+        home = diffeo_class_of(m)
+        cols = transpose_masks(n, m.rows)
+        for m_idx in range(n):
+            for l in range(m_idx):
+                if cols[l] == cols[m_idx]:
+                    edges += 1
+                    assert diffeo_class_of(op3(m, l, m_idx)) is home, (m.rows, l, m_idx)
+    assert edges == 58_368
 
 
 # --- interchange formats ------------------------------------------------------

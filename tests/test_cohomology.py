@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from bottclass import catalog
-from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, is_orientable
+from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, is_orientable, op1
 from bottclass.cohomology import (
     CohomRing,
     Gf2Poly,
@@ -154,10 +154,6 @@ def test_w2_fast_path_matches_ring():
 
 def test_w2_fast_path_follows_relabelling():
     # on P A P^-1 every variable x_i is renamed x_perm[i]
-    import itertools
-
-    from bottclass.bottmatrix import op1
-
     def rename(mask, perm):
         return sum(1 << perm[i] for i in range(len(perm)) if (mask >> i) & 1)
 
@@ -171,15 +167,18 @@ def test_w2_fast_path_follows_relabelling():
 
 
 def test_sigma1_of_degree1_build_equals_degree2_build():
-    # sigma_1 built alone (x_l * 1, no tables) equals the sigma_1 that the
-    # build up to sigma_2 keeps; n = 1 has no degree-2 build
-    for n in range(2, 5):
-        for m in enumerate_strict_upper(n):
-            w1 = ring_of(m).stiefel_whitney(1)
-            ring = ring_of(m)
-            ring.stiefel_whitney(2)
-            assert len(ring._sigma) == 3
-            assert ring.stiefel_whitney(1) == w1, m.rows
+    # sigma_1 in closed form (the XOR of the columns, no pass) equals the
+    # sigma_1 that the pass up to sigma_2 keeps; n = 1 has no degree-2 pass
+    rng = random.Random(11)
+    permuted = [op1(_random_strict_upper(rng, n), rng.sample(range(n), n))
+                for n in (6, 7, 8) for _ in range(40)]
+    for m in itertools.chain(*(enumerate_strict_upper(n) for n in range(2, 6)), permuted):
+        ring = ring_of(m)
+        w1 = ring.stiefel_whitney(1)
+        assert not ring._sigma and ring._mul is None  # no pass
+        ring.stiefel_whitney(2)
+        assert len(ring._sigma) == 3
+        assert ring._sigma[1] == w1, m.rows
 
 
 def test_stiefel_whitney_degree_bounds():
