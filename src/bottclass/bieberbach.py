@@ -254,12 +254,17 @@ class TransLattice:
 
     @cached_property
     def _lattice(self) -> IntLattice:
-        """basis2 as an IntLattice, whose rows are then basis2 in order."""
+        """basis2 as an IntLattice, after checking that each row's first
+        nonzero entry (its pivot) is positive and right of the one before."""
         lat = IntLattice(self.n)
         for row in self.basis2:
-            lat.add(row)
-        if [tuple(r) for r in lat.rows] != list(self.basis2):
-            raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
+            if len(row) != self.n:
+                raise gf2.DimensionMismatch(f"vector of length {len(row)} in Z^{self.n}")
+            j = next((c for c, x in enumerate(row) if x), self.n)
+            if j == self.n or row[j] < 0 or lat.pivot_cols and j <= lat.pivot_cols[-1]:
+                raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
+            lat.rows.append(list(row))
+            lat.pivot_cols.append(j)
         return lat
 
     def contains2(self, trans2: Sequence[int]) -> bool:

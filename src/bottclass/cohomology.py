@@ -16,7 +16,9 @@ when x_i is not in s, and the XOR of mul[l][s] over the l in y_i when it is
 (x_i^2 = x_i y_i).  For strictly upper A every such l is below i, so the
 rows are built in order of i.  Multiplying a packed polynomial by x_i
 shifts its monomials without x_i by 2^i and reads the table for the
-others.  Betti ranks, Stiefel-Whitney classes and products use them.
+others.  Stiefel-Whitney classes and products multiply through them;
+`betti_z2` reads them once, to check that every square entry keeps its
+degree.
 
 Products of degree-1 classes have a denser form, read straight from the
 columns (`CohomRing.product_rows`): one bit per square-free pair x_a x_b
@@ -42,7 +44,6 @@ from .gf2 import (
     bit_lanes,
     bits,
     popcount,
-    rank_masks,
     subset_sums,
     transpose_masks,
 )
@@ -162,7 +163,7 @@ class CohomRing:
         # square rewriting terminate (see _tables).
         self.cols: tuple[int, ...] = tuple(transpose_masks(self.n, self.matrix.rows))
         self._mul: list[list[int]] | None = None
-        self._betti: list[int] | None = None
+        self._degrees_checked = False
         self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
         self._rows: list[list[int]] | None = None
 
@@ -288,47 +289,38 @@ class CohomRing:
         return self._sigma[k]
 
     def betti_z2(self, k: int) -> int:
-        """GF(2) dimension of the degree-k part: the rank of the span of the
-        normal forms of every degree-k monomial.
+        """GF(2) dimension of the degree-k part: C(n, k), once the multiply
+        tables are checked, once per ring, to keep degree.
 
-        All degrees are computed in one pass and kept on the ring: the
-        monomials of degree k are x_i times a degree-(k-1) monomial whose
-        variables are all <= i, so each normal form is one table
-        application.  Raises InvariantViolation if a normal form leaves
-        degree k or the rank is not C(n, k).  The rank is a consistency
-        check of the reducer, not an independent count: the leading terms
-        x_j^2 are pairwise coprime, so the square-free monomials are a
-        basis and the check can only fail through degree loss (the tests
-        count the quotient from the ideal side instead).
+        - Degree.  `_times_var` shifts the monomials without x_i by 2^i and
+          reads the square entries mul[i][s] (i in s) for the rest, so by
+          induction every normal form keeps its degree iff every square
+          entry is homogeneous of degree |s| + 1.  All n 2^(n-1) are read,
+          also those with max(s) > i that products and `stiefel_whitney`
+          meet but the normal forms of the monomials, built in order of
+          their largest variable, do not.
+        - Rank.  The leading terms x_j^2 are pairwise coprime, so the
+          square-free monomials are a basis (the tests count the quotient
+          from the ideal side).  With degree kept, the C(n, k) of degree k
+          are their own normal forms and span degree k: no elimination.
+
+        Raises InvariantViolation if a square entry leaves its degree.
         """
         if not 0 <= k <= self.n:
             raise UsageError(f"degree {k} out of range 0..{self.n}")
-        if self._betti is None:
-            n = self.n
-            weight = [0] * (n + 1)  # weight[k]: the square-free monomials of size k
-            for s in range(1 << n):
+        if not self._degrees_checked:
+            full = 1 << self.n
+            weight = [0] * (self.n + 2)  # weight[d]: the square-free monomials of size d
+            for s in range(full):
                 weight[s.bit_count()] |= 1 << s
-            betti = [1]
-            by_last = [[1]] + [[] for _ in range(n - 1)]  # degree 0: the monomial 1
-            for k_ in range(1, n + 1):
-                # by_last[i]: normal forms of the degree-k_ monomials whose
-                # largest variable is x_i, i.e. x_i times the degree-(k_ - 1)
-                # ones whose largest variable is at most x_i
-                below: list[int] = []
-                for i in range(n):
-                    below += by_last[i]
-                    by_last[i] = self._times_var(i, below)
-                rows = [p for forms in by_last for p in forms]
-                outside = ~weight[k_]
-                for p in rows:
-                    if p & outside:
+            outside = [~weight[s.bit_count() + 1] for s in range(full)]
+            for i, row in enumerate(self._tables()):
+                bit = 1 << i
+                for s in range(bit, full):
+                    if s & bit and row[s] & outside[s]:
                         raise InvariantViolation("reduction must preserve degree")
-                dim = rank_masks(rows)
-                if dim != comb(n, k_):
-                    raise InvariantViolation("normal-form basis must be the square-free monomials")
-                betti.append(dim)
-            self._betti = betti
-        return self._betti[k]
+            self._degrees_checked = True
+        return comb(self.n, k)
 
 
 def _pack(terms: Iterable[int]) -> int:

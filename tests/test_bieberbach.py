@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from bottclass import catalog
 from bottclass.bieberbach import (
     AffineIso,
+    IntLattice,
     NotStrictlyUpper,
     TransLattice,
     _exponent_matrix,
@@ -449,6 +450,33 @@ def test_trans_lattice_refuses_a_basis_out_of_echelon_form():
     lat = TransLattice(2, ((0, 2), (2, 0)))
     with pytest.raises(InvariantViolation, match="echelon"):
         lat.contains2((2, 2))
+
+
+def test_trans_lattice_echelon_check_matches_rebuild_oracle():
+    # The check reads basis2 directly.  The oracle adds its rows one by one
+    # to an IntLattice and accepts iff the rows come out as basis2, in order.
+    rng = random.Random(14)
+    accepted = refused = 0
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        basis2 = []
+        for _ in range(rng.randint(0, n)):
+            pivot = rng.randrange(n + 1)  # n: a zero row
+            basis2.append(tuple(0 if c < pivot else rng.choice((1, 2, -2)) if c == pivot
+                                else rng.randint(-3, 3) for c in range(n)))
+        basis2 = tuple(basis2)
+        oracle = IntLattice(n)
+        for row in basis2:
+            oracle.add(row)
+        lat = TransLattice(n, basis2)
+        if [tuple(r) for r in oracle.rows] == list(basis2):
+            assert (lat._lattice.rows, lat._lattice.pivot_cols) == (oracle.rows, oracle.pivot_cols)
+            accepted += 1
+        else:
+            with pytest.raises(InvariantViolation, match="echelon"):
+                lat.contains2((0,) * n)
+            refused += 1
+    assert accepted > 300 and refused > 300
 
 
 def test_holonomy_torus_trivial():

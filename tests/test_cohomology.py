@@ -1,7 +1,12 @@
 """Cohomology rings: relations, normal forms, Stiefel-Whitney classes."""
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -507,3 +512,48 @@ def test_betti_matches_ideal_side_count_n5_seeded():
         perm = list(range(5))
         rng.shuffle(perm)
         _check_betti_from_ideal_side(op1(m, perm))
+
+
+def test_betti_matches_ideal_side_count_n6_seeded_and_n7():
+    rng = random.Random(66)
+    for _ in range(8):
+        m = _random_strict_upper(rng, 6)
+        _check_betti_from_ideal_side(m)
+        _check_betti_from_ideal_side(op1(m, rng.sample(range(6), 6)))
+    _check_betti_from_ideal_side(_random_strict_upper(random.Random(77), 7))
+
+
+@pytest.mark.parametrize("monomial", [0, 0b01111])  # 1 and x1*x2*x3*x4: degrees 0 and 4
+@pytest.mark.parametrize("i, s", [(1, 0b00011), (0, 0b00011)])
+def test_betti_refuses_a_square_entry_that_leaves_its_degree(i, s, monomial):
+    # x_i m_s (i in s) has degree |s| + 1 = 3.  The entry with i = max(s) is
+    # one the normal forms of the monomials meet, built in order of their
+    # largest variable; the one with max(s) > i only products and
+    # Stiefel-Whitney classes meet.
+    ring = ring_of(A4)
+    ring._tables()[i][s] ^= 1 << monomial
+    with pytest.raises(InvariantViolation, match="preserve degree"):
+        ring.betti_z2(2)
+
+
+def test_corrupted_square_entry_raises_under_python_O():
+    # The degree check raises InvariantViolation, not assert, so it survives
+    # `python -O`.  The entry x_1 * x_1 x_2 leaves degree 3 for the monomial 1.
+    code = textwrap.dedent("""
+        from bottclass import catalog
+        from bottclass.cohomology import ring_of
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        ring = ring_of(catalog.DIM5_ORIENTED["A4"])
+        ring._tables()[0][0b00011] ^= 1
+        try:
+            ring.betti_z2(2)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: reduction must preserve degree")
