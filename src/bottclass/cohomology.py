@@ -289,8 +289,8 @@ class CohomRing:
         return self._sigma[k]
 
     def betti_z2(self, k: int) -> int:
-        """GF(2) dimension of the degree-k part: C(n, k), once the multiply
-        tables are checked, once per ring, to keep degree.
+        """GF(2) dimension of the degree-k part: C(n, k), after a check,
+        made once per ring, that the multiply tables keep degree.
 
         - Degree.  `_times_var` shifts the monomials without x_i by 2^i and
           reads the square entries mul[i][s] (i in s) for the rest, so by
