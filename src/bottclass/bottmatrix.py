@@ -258,8 +258,10 @@ def to_strict_upper(m: BottMatrix) -> tuple[tuple[int, ...], BottMatrix]:
 
     p[i] is the new position of index i; ties in the topological sort are
     broken by smallest original index first, so strictly upper input maps
-    to itself under the identity.
+    to itself under the identity, which is returned at once.
     """
+    if m.is_strictly_upper:
+        return tuple(range(m.n)), m
     perm = _strict_upper_perm(m.n, m.rows)
     b = BottMatrix(m.n, _conjugate_raw(m.n, m.rows, perm))
     if not b.is_strictly_upper:

@@ -188,10 +188,9 @@ def cmd_prop1(dim: int) -> int:
     return EXIT_OK
 
 
-def cmd_rigidity(dim: int, sample: int, seed: int, prune: bool) -> int:
-    results = rigidity.rigidity_experiment(dim, inter_samples=sample, seed=seed, prune=prune)
-    _emit(_report("rigidity", {"dim": dim, "sample": sample, "seed": seed, "prune": prune},
-                  results))
+def cmd_rigidity(dim: int, sample: int, seed: int) -> int:
+    results = rigidity.rigidity_experiment(dim, inter_samples=sample, seed=seed)
+    _emit(_report("rigidity", {"dim": dim, "sample": sample, "seed": seed}, results))
     return EXIT_OK if not results["violations"] else EXIT_INVARIANT
 
 
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sample", type=int, default=10, help="inter-class pairs at n = 5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-prune", action="store_true")
     return parser
 
 
@@ -249,7 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "prop1":
             return cmd_prop1(args.dim)
         if args.command == "rigidity":
-            return cmd_rigidity(args.dim, args.sample, args.seed, not args.no_prune)
+            return cmd_rigidity(args.dim, args.sample, args.seed)
         parser.error(f"unknown command {args.command!r}")
     except (MatrixParseError, NotBottMatrix, BoundExceeded, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

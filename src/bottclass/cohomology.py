@@ -152,11 +152,7 @@ class CohomRing:
 
     def __init__(self, matrix: BottMatrix):
         self.source = matrix
-        if matrix.is_strictly_upper:
-            self.permutation: tuple[int, ...] = tuple(range(matrix.n))
-            self.matrix = matrix
-        else:
-            self.permutation, self.matrix = to_strict_upper(matrix)
+        self.permutation, self.matrix = to_strict_upper(matrix)
         self.n = matrix.n
         # y_j = sum of x_i over the set column j; for strictly upper input
         # every variable in y_j has index < j, which is what makes the

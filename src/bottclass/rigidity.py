@@ -18,7 +18,7 @@ is one bit test.  Neither changes the order in which candidates are met, so
 the first witness is that of a plain ascending walk.  The witness found is
 re-checked on normal forms, apart from the rows.
 
-Pairs are first pruned by `ring_invariants`, which builds no ring: no
+Pairs are first screened by `ring_invariants`, which builds no ring: no
 annihilator of a nonzero degree-1 class has dimension above 1, and which
 ones have dimension 1, like the square kernel, is read in closed form from
 the columns, for all 2^n classes at once as bit lanes of one int.  The
@@ -46,13 +46,14 @@ from .gf2 import (
     transpose_masks,
 )
 
-EXHAUSTIVE_BOUND = 5
 PRUNED_BOUND = 6
 
 
 @dataclass(frozen=True)
 class RingIsoWitness:
-    """Invertible degree-1 substitution x_i -> sum_j map[i][j] x_j."""
+    """Invertible degree-1 substitution x_i -> sum_j map[i][j] x_j, in the
+    labels of the matrices as given: x_i is the i-th variable of the source,
+    x_j the j-th of the target, not of their strictly upper forms."""
 
     map: Gf2Mat
 
@@ -95,8 +96,7 @@ def ring_invariants(m: BottMatrix) -> tuple:
     lane is set in the coefficient of some x_a x_b of v* w exactly when
     ann(w) = 0.
     """
-    if not m.is_strictly_upper:
-        m = to_strict_upper(m)[1]
+    m = to_strict_upper(m)[1]
     n = m.n
     cols = transpose_masks(n, m.rows)
     lanes = [bit_lanes(n, a) for a in range(n)]
@@ -116,29 +116,25 @@ def ring_invariants(m: BottMatrix) -> tuple:
     return (cols.count(0), (0,) * zero_ann + (1,) * ((1 << n) - 1 - zero_ann))
 
 
-def ring_isomorphic(
-    a: BottMatrix, b: BottMatrix, prune: bool = True
-) -> Optional[RingIsoWitness]:
+def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     """First graded-ring isomorphism H*(M(a)) -> H*(M(b)) in the fixed
-    enumeration order of GL(n,2), or None.
+    enumeration order of GL(n,2), or None, for n up to PRUNED_BOUND.
 
-    Rows are tried in ascending order at each level, restricted to the
-    rows `_admissible` for the image of y_j (a kernel of the target's
-    product rows) and independent of the rows before them.  Pruning
-    discards candidate pairs only via proven invariants and never changes
-    the verdict.  Exhaustive search is allowed up to n = 5; n = 6
-    requires pruning.  The witness is re-checked on normal forms and an
-    InvariantViolation is raised if it fails.
+    Pairs whose `ring_invariants` differ are refused first; the invariants
+    are proven, so this never changes the verdict.  The search runs on the
+    strictly upper forms of a and b: rows are tried in ascending order at
+    each level, restricted to the rows `_admissible` for the image of y_j
+    (a kernel of the target's product rows) and independent of the rows
+    before them.  The witness is re-checked there on normal forms, and an
+    InvariantViolation is raised if it fails; it is returned in the labels
+    of a and b as given.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
     n = a.n
-    if n > PRUNED_BOUND or (n > EXHAUSTIVE_BOUND and not prune):
-        raise BoundExceeded(
-            f"ring_isomorphic at n={n} needs pruning enabled (bound {EXHAUSTIVE_BOUND} "
-            f"exhaustive, {PRUNED_BOUND} with pruning)"
-        )
-    if prune and ring_invariants(a) != ring_invariants(b):
+    if n > PRUNED_BOUND:
+        raise BoundExceeded(f"ring_isomorphic at n={n} exceeds the bound {PRUNED_BOUND}")
+    if ring_invariants(a) != ring_invariants(b):
         return None
     ring_a, ring_b = CohomRing(a), CohomRing(b)
     cols_a = ring_a.cols
@@ -175,6 +171,11 @@ def ring_isomorphic(
         raise InvariantViolation(
             f"ring_isomorphic({a.rows}, {b.rows}) found {found}, which fails the relation check"
         )
+    pa, pb = ring_a.permutation, ring_b.permutation
+    if not pa == pb == tuple(range(n)):
+        # x_i of a is x_{pa[i]} of its strictly upper form, x_k of b is x_{pb[k]}
+        found = tuple(sum(((found[pa[i]] >> pb[k]) & 1) << k for k in range(n))
+                      for i in range(n))
     return RingIsoWitness(Gf2Mat(n, found))
 
 
@@ -199,20 +200,16 @@ def witness_inverse(witness: RingIsoWitness) -> Gf2Mat:
     return Gf2Mat(n, tuple(cols)).transpose()
 
 
-def rigidity_experiment(
-    n: int,
-    inter_samples: int = 10,
-    seed: int = 0,
-    prune: bool = True,
-) -> dict:
+def rigidity_experiment(n: int, inter_samples: int = 10, seed: int = 0) -> dict:
     """Check that ring isomorphism matches the diffeomorphism partition.
 
     n <= 4: every member is checked against its class canonical and every
     pair of canonicals against each other (exhaustive).  n = 5: all pairs
-    of full-holonomy-rank (GHW) class canonicals, two members per such
-    class, plus `inter_samples` seeded inter-class canonical pairs.
-    Violations are returned in the report; the acceptance suite requires
-    none.
+    of full-holonomy-rank (GHW) class canonicals; each GHW class's first
+    three members by rows against its canonical, skipping the canonical
+    itself, so two or three members per class; plus `inter_samples` seeded
+    inter-class canonical pairs.  Violations are returned in the report;
+    the acceptance suite requires none.
     """
     if n > 5:
         raise BoundExceeded(f"rigidity experiment supports n <= 5, got {n}")
@@ -220,51 +217,33 @@ def rigidity_experiment(
     violations: list[dict] = []
     pairs_checked = 0
 
-    def expect_iso(x: BottMatrix, y: BottMatrix) -> None:
+    def expect(x: BottMatrix, y: BottMatrix, iso: bool) -> None:
         nonlocal pairs_checked
         pairs_checked += 1
-        if ring_isomorphic(x, y, prune=prune) is None:
-            violations.append(
-                {"kind": "missing-isomorphism", "a": str(x).split(), "b": str(y).split()}
-            )
+        if (ring_isomorphic(x, y) is not None) != iso:
+            kind = "missing-isomorphism" if iso else "unexpected-isomorphism"
+            violations.append({"kind": kind, "a": str(x).split(), "b": str(y).split()})
 
-    def expect_not_iso(x: BottMatrix, y: BottMatrix) -> None:
-        nonlocal pairs_checked
-        pairs_checked += 1
-        if ring_isomorphic(x, y, prune=prune) is not None:
-            violations.append(
-                {"kind": "unexpected-isomorphism", "a": str(x).split(), "b": str(y).split()}
-            )
-
-    mode = "exhaustive" if n <= 4 else "sampled"
-    if n <= 4:
-        for cls in classes:
-            for member in sorted(cls.members, key=lambda m: m.rows):
-                if member != cls.canonical:
-                    expect_iso(member, cls.canonical)
-        for i, ci in enumerate(classes):
-            for cj in classes[i + 1:]:
-                expect_not_iso(ci.canonical, cj.canonical)
-    else:
-        ghw = [c for c in classes if c.fingerprint.ghw]
-        for cls in ghw:
-            members = sorted(cls.members, key=lambda m: m.rows)
-            for member in members[:3]:
-                if member != cls.canonical:
-                    expect_iso(member, cls.canonical)
-        for i, ci in enumerate(ghw):
-            for cj in ghw[i + 1:]:
-                expect_not_iso(ci.canonical, cj.canonical)
+    exhaustive = n <= 4
+    chosen = classes if exhaustive else [c for c in classes if c.fingerprint.ghw]
+    limit = None if exhaustive else 3
+    for cls in chosen:
+        for member in sorted(cls.members, key=lambda m: m.rows)[:limit]:
+            if member != cls.canonical:
+                expect(member, cls.canonical, True)
+    for i, ci in enumerate(chosen):
+        for cj in chosen[i + 1:]:
+            expect(ci.canonical, cj.canonical, False)
+    if not exhaustive:
         rng = random.Random(seed)
         for _ in range(inter_samples):
             i, j = rng.sample(range(len(classes)), 2)
-            expect_not_iso(classes[i].canonical, classes[j].canonical)
+            expect(classes[i].canonical, classes[j].canonical, False)
     return {
         "dim": n,
         "classes": len(classes),
-        "mode": mode,
-        "seed": seed if mode == "sampled" else None,
-        "pruning": prune,
+        "mode": "exhaustive" if exhaustive else "sampled",
+        "seed": None if exhaustive else seed,
         "pairs_checked": pairs_checked,
         "violations": violations,
     }

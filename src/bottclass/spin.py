@@ -166,8 +166,7 @@ def has_spin(m: BottMatrix) -> bool:
     """Spin structure exists iff w_2 = 0 (oriented input required), read
     from the rows of the strictly upper normalisation without a ring."""
     _require_orientable(m)
-    if not m.is_strictly_upper:
-        _, m = to_strict_upper(m)
+    _, m = to_strict_upper(m)
     return not cohomology.w2_of_rows(m.n, m.rows)
 
 
@@ -216,8 +215,7 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     re-checks it, or None when there is no solution.
     """
     _require_orientable(m)
-    if not m.is_strictly_upper:
-        _, m = to_strict_upper(m)
+    _, m = to_strict_upper(m)
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2

@@ -90,6 +90,37 @@ def rank_ring_invariants(m):
     return (sq_ker_dim, tuple(ann_dims))
 
 
+def degree2_relations_hold(a, b, rows):
+    """Oracle in the labels as given: invertible rows, and x_i -> rows[i]
+    sends each relation x_j (x_j + y_j) of a to zero in degree 2 of the
+    ring of b, whose basis is the x_k x_l, k < l, once each x_k^2 is
+    rewritten as x_k y_k from the column k of b."""
+    n = a.n
+
+    def column(m, j):
+        return sum(((m.rows[i] >> j) & 1) << i for i in range(n))
+
+    def image(w):
+        out = 0
+        for i in range(n):
+            if (w >> i) & 1:
+                out ^= rows[i]
+        return out
+
+    def product(u, v):
+        terms = set()
+        for k in range(n):
+            for l in range(n):
+                if (u >> k) & 1 and (v >> l) & 1:
+                    ls = [l] if k != l else [t for t in range(n) if (column(b, k) >> t) & 1]
+                    for t in ls:
+                        terms ^= {(min(k, t), max(k, t))}
+        return terms
+
+    return rank_masks(rows) == n and all(
+        not product(rows[j], rows[j] ^ image(column(a, j))) for j in range(n))
+
+
 def random_strict_upper(rng, n):
     return BottMatrix(n, tuple(rng.getrandbits(n) & -(2 << i) & ((1 << n) - 1) for i in range(n)))
 
@@ -109,7 +140,6 @@ def test_a40_vs_a48_not_isomorphic():
     # distinct diffeomorphism classes with the same w2; the ring comparison
     # is a genuine computation and must come back empty
     assert ring_isomorphic(A40, A48) is None
-    assert ring_isomorphic(A40, A48, prune=False) is None
 
 
 def test_torus_vs_superdiagonal_n3():
@@ -123,16 +153,16 @@ def test_dimension_mismatch():
         ring_isomorphic(BottMatrix(2, (0, 0)), BottMatrix(3, (0, 0, 0)))
 
 
-def test_bound_without_pruning():
-    a = BottMatrix(6, (0,) * 6)
+def test_bound_above_six():
+    a = BottMatrix(7, (0,) * 7)
     with pytest.raises(BoundExceeded):
-        ring_isomorphic(a, a, prune=False)
+        ring_isomorphic(a, a)
 
 
 def test_search_matches_brute_force_all_n3_pairs():
     mats = list(enumerate_strict_upper(3))
     for a, b in itertools.combinations_with_replacement(mats, 2):
-        got = ring_isomorphic(a, b, prune=False)
+        got = ring_isomorphic(a, b)
         expected = brute_force_isomorphic(a, b)
         assert (got is None) == (expected is None)
         if got is not None:
@@ -140,24 +170,19 @@ def test_search_matches_brute_force_all_n3_pairs():
             assert got.map.rows == expected
 
 
-def test_pruning_never_changes_verdicts_n3_exhaustive():
-    mats = list(enumerate_strict_upper(3))
-    for a, b in itertools.combinations(mats, 2):
-        assert (ring_isomorphic(a, b, prune=True) is None) == (
-            ring_isomorphic(a, b, prune=False) is None
-        )
-
-
-def test_pruning_never_changes_verdicts_n4_sampled():
-    rng = random.Random(11)
-    mats = list(enumerate_strict_upper(4))
-    for _ in range(40):
-        a, b = rng.sample(mats, 2)
-        wa = ring_isomorphic(a, b, prune=True)
-        wb = ring_isomorphic(a, b, prune=False)
-        assert (wa is None) == (wb is None)
-        if wa is not None:
-            assert wa == wb
+def test_witness_is_in_the_input_labels_relabelled_n_le_5():
+    rng = random.Random(2024)
+    relabelled = 0
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        m = random_strict_upper(rng, n)
+        partner = rng.choice(sorted(diffeo_class_of(m).members, key=lambda x: x.rows))
+        a = op1(m, rng.sample(range(n), n))
+        b = op1(partner, rng.sample(range(n), n))
+        relabelled += not (a.is_strictly_upper and b.is_strictly_upper)
+        w = ring_isomorphic(a, b)
+        assert w is not None and degree2_relations_hold(a, b, w.map.rows), (a.rows, b.rows)
+    assert relabelled >= 80
 
 
 def test_witness_is_symmetric():
@@ -207,9 +232,11 @@ def test_experiment_bound():
 
 
 def test_search_matches_ascending_oracle_all_n4_pairs():
+    # the oracle never prunes, so this also checks that refusing pairs by
+    # ring_invariants loses no isomorphism
     mats = list(enumerate_strict_upper(4))
     for a, b in itertools.product(mats, repeat=2):
-        got = ring_isomorphic(a, b, prune=False)
+        got = ring_isomorphic(a, b)
         assert (None if got is None else got.map.rows) == ascending_search(a, b), (a.rows, b.rows)
 
 
@@ -222,7 +249,7 @@ def test_search_matches_ascending_oracle_n5_seeded():
         # half the pairs are same-class, so that witnesses are compared too
         b = rng.choice(sorted(diffeo_class_of(a).members, key=lambda m: m.rows)) \
             if rng.random() < 0.5 else rng.choice(mats)
-        got = ring_isomorphic(a, b, prune=False)
+        got = ring_isomorphic(a, b)
         assert (None if got is None else got.map.rows) == ascending_search(a, b), (a.rows, b.rows)
         found += got is not None
     assert found >= 20
@@ -380,19 +407,21 @@ def test_admissible_rows_are_the_normal_form_kernel_n6_seeded():
 
 def test_corrupted_product_table_raises_under_python_O():
     # The final witness check raises InvariantViolation, not assert, so it
-    # survives `python -O`.  With all-zero product rows every row is
+    # survives `python -O`.  A40 and A48 share their ring_invariants, so the
+    # pair reaches the search.  With all-zero product rows every row is
     # admissible and the search returns the identity, which is no ring
     # isomorphism between these two rings.
     code = textwrap.dedent("""
-        from bottclass.bottmatrix import BottMatrix
+        from bottclass import catalog
         from bottclass.cohomology import CohomRing
         from bottclass.gf2 import InvariantViolation
-        from bottclass.rigidity import ring_isomorphic
+        from bottclass.rigidity import ring_invariants, ring_isomorphic
         assert not __debug__
+        a, b = catalog.DIM5_ORIENTED["A40"], catalog.DIM5_ORIENTED["A48"]
+        assert ring_invariants(a) == ring_invariants(b)
         CohomRing.product_rows = lambda self: [[0] * (1 << self.n)] * self.n
-        torus, sup = BottMatrix(3, (0, 0, 0)), BottMatrix(3, (0b010, 0b100, 0))
         try:
-            ring_isomorphic(torus, sup, prune=False)
+            ring_isomorphic(a, b)
         except InvariantViolation as exc:
             print("raised:", exc)
     """)
