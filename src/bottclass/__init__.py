@@ -22,7 +22,6 @@ from .bieberbach import (
     lattice_of,
     gamma_n_generators,
     member,
-    parse_iso,
     tower_conjugation_report,
     verify_tower_conjugation,
 )
@@ -62,8 +61,6 @@ from .gf2 import (
     InvariantViolation,
     Gf2Mat,
     Gf2Vec,
-    enumerate_invertible,
-    invertible_count,
     kernel_basis,
     rank,
     solve,

@@ -6,7 +6,6 @@ the group law never needs rational arithmetic.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -24,8 +23,8 @@ class NotStrictlyUpper(ValueError):
 class AffineIso:
     """Isometry x -> Dx + t with D = diag(signs) and t = trans2 / 2.
 
-    The public constructor, `identity`, `parse_iso` and `conjugate_by_perm`
-    validate their fields (nonempty, equal lengths, signs +-1, integer
+    The public constructor, `identity` and `conjugate_by_perm` validate
+    their fields (nonempty, equal lengths, signs +-1, integer
     translations).  `compose` and `inverse` skip that check: a product or
     inverse of valid elements has signs that are products of +-1 and
     translations that are sums of products of ints, so it is valid by
@@ -129,18 +128,6 @@ def format_iso(a: AffineIso) -> str:
     signs = "".join("+" if s == 1 else "-" for s in a.signs)
     t2 = ",".join(str(t) for t in a.trans2)
     return f"signs={signs} ; t2=[{t2}]"
-
-
-_ISO_RE = re.compile(r"^\s*signs=([+-]+)\s*;\s*t2=\[([-\d,\s]*)\]\s*$")
-
-
-def parse_iso(text: str) -> AffineIso:
-    m = _ISO_RE.match(text)
-    if not m:
-        raise ValueError(f"bad group element text: {text!r}")
-    signs = tuple(1 if c == "+" else -1 for c in m.group(1))
-    trans2 = tuple(int(p) for p in m.group(2).split(",") if p.strip())
-    return AffineIso(signs, trans2)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +293,10 @@ class GroupPresentation:
     relators: tuple[Relator, ...]
 
 
-def _exponent_matrix(n: int, gens: Sequence[AffineIso]) -> gf2.Gf2Mat:
-    """n x m matrix whose column i is the exponent vector of generator i."""
-    return gf2.Gf2Mat(len(gens), tuple(gf2.transpose_masks(n, [g.exponent_mask for g in gens])))
+def _exponent_matrix(n: int, gens: Sequence[AffineIso]) -> list[int]:
+    """Row masks of the n x m matrix whose column i is the exponent vector
+    of generator i."""
+    return gf2.transpose_masks(n, [g.exponent_mask for g in gens])
 
 
 def _require_translation(g: AffineIso, what: str) -> None:
@@ -338,8 +326,8 @@ def relators(gens: Sequence[AffineIso]) -> tuple[Relator, ...]:
     for k, i in enumerate(active):
         for j in active[k + 1:]:
             out.append(Relator((i, j, ~i, ~j), commutator_trans2(gens[i], gens[j])))
-    for kvec in gf2.kernel_basis(_exponent_matrix(gens[0].n, gens)):
-        word = tuple(i for i in range(len(gens)) if (kvec.mask >> i) & 1)
+    for kvec in gf2.kernel_basis(len(gens), _exponent_matrix(gens[0].n, gens)):
+        word = tuple(gf2.bits(kvec))
         prod = _ordered_product(gens, word)
         _require_translation(prod, "kernel product")
         out.append(Relator(word, prod.trans2))
@@ -409,13 +397,10 @@ def member(g: AffineIso, p: GroupPresentation) -> bool:
     """
     if g.n != p.n:
         raise gf2.DimensionMismatch(f"{g.n} != {p.n}")
-    mat = _exponent_matrix(p.n, p.generators)
-    target_mask = g.exponent_mask
-    solved = gf2.solve(mat, gf2.Gf2Vec(p.n, target_mask))
+    solved = gf2.solve(len(p.generators), _exponent_matrix(p.n, p.generators), g.exponent_mask)
     if solved is None:
         return False
-    x = solved[0].mask
-    g_s = _ordered_product(p.generators, (i for i in range(len(p.generators)) if (x >> i) & 1))
+    g_s = _ordered_product(p.generators, gf2.bits(solved[0]))
     diff = g.compose(g_s.inverse())
     _require_translation(diff, "quotient by the matching generator product")
     return p.lattice.contains2(diff.trans2)

@@ -90,6 +90,8 @@ def cmd_classify(dim: int) -> int:
 
 
 def _table_rows(max_dim: int) -> list[dict]:
+    if max_dim < 1:
+        raise UsageError(f"max dimension must be >= 1, got {max_dim}")
     rows = []
     for n in range(1, max_dim + 1):
         classes = diffeo_classes(n)

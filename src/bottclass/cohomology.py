@@ -21,13 +21,10 @@ others.  Stiefel-Whitney classes and products multiply through them;
 degree.
 
 Products of degree-1 classes have a denser form, read straight from the
-columns (`CohomRing.product_rows`): one bit per square-free pair x_a x_b
-(a < b), at bit `pair_bit(a, b)`, in n per-variable rows x_a * w over the
-2^n degree-1 masks w.  Squaring is additive (Frobenius), so for fixed y,
-v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v: the isomorphism
-search reads the v with v^2 = v y as a kernel of the rows, and no 2^n x 2^n
-table is built.  C(n, 2) pair bits build the rows faster than 2^n monomial
-bits would.
+columns with no ring (`degree2`): one bit per square-free pair x_a x_b
+(a < b), at bit `pair_bit(a, b)`.  The isomorphism search of `rigidity`
+and the proof of `ring_invariants` read it; the normal forms stay the
+independent check of both.
 """
 from __future__ import annotations
 
@@ -44,7 +41,6 @@ from .gf2 import (
     bit_lanes,
     bits,
     popcount,
-    subset_sums,
     transpose_masks,
 )
 
@@ -61,6 +57,31 @@ def pair_bit(a: int, b: int) -> int:
     """Bit index of the square-free pair x_a x_b (a < b) in a packed
     degree-2 class: pairs in colexicographic order, C(n, 2) bits in all."""
     return b * (b - 1) // 2 + a
+
+
+def degree2(cols: Sequence[int], u: int, v: int) -> int:
+    """The product u v of the degree-1 classes u = sum_{a in u} x_a and
+    v = sum_{b in v} x_b, packed over the square-free pairs (`pair_bit`),
+    in the ring whose strictly upper matrix has the columns `cols`.
+
+    Expand u v = sum u_a v_b x_a x_b.  For a != b, x_a x_b is a square-free
+    pair; x_b^2 = x_b y_b = sum_{a in y_b} x_a x_b, and every a in y_b is
+    below b, so no square is left.  So the coefficient of x_a x_b, a < b, is
+
+        u_a v_b + u_b v_a + u_b v_b [a in y_b],
+
+    and the block of the pairs ending at b (bits a < b, from b(b-1)/2 on)
+    is (v if u_b) + (u if v_b), cut below bit b, plus y_b when
+    u_b = v_b = 1.  Only the b in u or v have a block.
+    """
+    acc = 0
+    for b in bits(u | v):
+        ub, vb = (u >> b) & 1, (v >> b) & 1
+        block = ((v if ub else 0) ^ (u if vb else 0)) & ((1 << b) - 1)
+        if ub and vb:
+            block ^= cols[b]
+        acc |= block << pair_bit(0, b)
+    return acc
 
 
 def linear(mask: int) -> int:
@@ -161,7 +182,6 @@ class CohomRing:
         self._mul: list[list[int]] | None = None
         self._degrees_checked = False
         self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
-        self._rows: list[list[int]] | None = None
 
     # -- normal form ------------------------------------------------------
 
@@ -240,21 +260,6 @@ class CohomRing:
             if t >> self.n:
                 raise UsageError("polynomial uses variables beyond the ring")
         return Gf2Poly(_unpack(self.multiply_packed(_pack(p.terms), _pack(q.terms))))
-
-    def product_rows(self) -> list[list[int]]:
-        """rows[a][w]: x_a * w packed over the square-free pairs (see
-        `pair_bit`) for the degree-1 masks w < 2^n, so that u * w is the XOR
-        of rows[a][w] over the a in u.  Built once per ring, row a as the
-        subset sums of the products x_a x_b read from the columns: x_a x_b is
-        a square-free monomial for a != b, and x_a^2 = sum_{l in y_a} x_l x_a."""
-        if self._rows is None:
-            rows = []
-            for a, col in enumerate(self.cols):
-                square = sum(1 << pair_bit(l, a) for l in bits(col))
-                rows.append(subset_sums([square if b == a else 1 << pair_bit(min(a, b), max(a, b))
-                                         for b in range(self.n)]))
-            self._rows = rows
-        return self._rows
 
     def y(self, j: int) -> Gf2Poly:
         """Degree-1 class of the j-th line bundle: y_j = sum_i a_{i,j} x_i."""

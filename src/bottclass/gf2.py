@@ -1,15 +1,16 @@
 """Exact linear algebra over GF(2) on packed integer bitmasks.
 
-Vectors are Python ints (bit i = coordinate i), wrapped in small frozen
-value types at the public boundary.  All arithmetic is XOR/AND; there is
-no floating point anywhere in this package.
+Vectors are Python ints (bit i = coordinate i), and so are the rows of a
+matrix: `solve`, `kernel_basis` and the rank routines take and return such
+masks.  `Gf2Vec` and `Gf2Mat` are small frozen value types over the same
+masks, for callers that want a checked length; the package builds them
+only for the witness of `rigidity.ring_isomorphic`.  All arithmetic is XOR/AND; there is no
+floating point anywhere in this package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
-
-INVERTIBLE_ENUM_BOUND = 6
 
 
 class Gf2Error(ValueError):
@@ -137,7 +138,7 @@ class Gf2Mat:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Mat":
         vecs = [Gf2Vec.from_bits(r) for r in rows]
-        ncols = vecs[0].n
+        ncols = vecs[0].n if vecs else 0  # no rows: refused by __post_init__
         if any(v.n != ncols for v in vecs):
             raise DimensionMismatch("ragged rows")
         return cls(ncols, tuple(v.mask for v in vecs))
@@ -218,18 +219,23 @@ def rank(m: Gf2Mat) -> int:
     return rank_masks(m.rows)
 
 
-def solve(m: Gf2Mat, b: Gf2Vec) -> Optional[tuple[Gf2Vec, list[Gf2Vec]]]:
-    """Solve m @ x = b over GF(2).
+def solve(ncols: int, rows: Sequence[int], rhs: int) -> Optional[tuple[int, list[int]]]:
+    """Solve the system with equations parity(rows[i] & x) = bit i of rhs
+    over GF(2), for x over the columns 0..ncols-1.
 
-    Returns (particular solution, kernel basis) when solvable, None when
-    not.  The particular solution has free variables set to 0; the kernel
-    basis vectors are indexed by the free columns in ascending order.
+    Returns (particular solution, kernel basis) as masks when solvable,
+    None when not.  The particular solution has free variables set to 0;
+    the kernel basis vectors are indexed by the free columns in ascending
+    order.  Raises DimensionMismatch when a row does not fit in ncols
+    columns or rhs has a bit beyond the last row.
     """
-    if b.n != m.nrows:
-        raise DimensionMismatch(f"matrix has {m.nrows} rows, rhs length {b.n}")
-    n = m.ncols
+    n = ncols
+    if any(r < 0 or r >> n for r in rows):
+        raise DimensionMismatch(f"a row does not fit in {n} columns")
+    if rhs < 0 or rhs >> len(rows):
+        raise DimensionMismatch(f"rhs {rhs:#x} does not fit the {len(rows)} rows")
     # Augmented rows: bit n carries the rhs.
-    aug = [m.rows[i] | (((b.mask >> i) & 1) << n) for i in range(m.nrows)]
+    aug = [r | (((rhs >> i) & 1) << n) for i, r in enumerate(rows)]
     pivots: list[int] = []  # pivot column per reduced row
     reduced: list[int] = []
     for col in range(n):
@@ -256,7 +262,7 @@ def solve(m: Gf2Mat, b: Gf2Vec) -> Optional[tuple[Gf2Vec, list[Gf2Vec]]]:
         if (r >> n) & 1:
             x |= 1 << col
     pivot_set = set(pivots)
-    kernel: list[Gf2Vec] = []
+    kernel: list[int] = []
     for free in range(n):
         if free in pivot_set:
             continue
@@ -264,52 +270,13 @@ def solve(m: Gf2Mat, b: Gf2Vec) -> Optional[tuple[Gf2Vec, list[Gf2Vec]]]:
         for r, col in zip(reduced, pivots):
             if (r >> free) & 1:
                 v |= 1 << col
-        kernel.append(Gf2Vec(n, v))
-    return Gf2Vec(n, x), kernel
+        kernel.append(v)
+    return x, kernel
 
 
-def kernel_basis(m: Gf2Mat) -> list[Gf2Vec]:
-    """Basis of {x : m @ x = 0}."""
-    solved = solve(m, Gf2Vec(m.nrows, 0))
+def kernel_basis(ncols: int, rows: Sequence[int]) -> list[int]:
+    """Basis of {x : parity(rows[i] & x) = 0 for every i}, as masks."""
+    solved = solve(ncols, rows, 0)
     if solved is None:
         raise InvariantViolation("a homogeneous system always has the zero solution")
     return solved[1]
-
-
-def invertible_count(n: int) -> int:
-    """|GL(n,2)| by the standard order formula."""
-    total = 1
-    for i in range(n):
-        total *= (1 << n) - (1 << i)
-    return total
-
-
-def enumerate_invertible(n: int) -> Iterator[Gf2Mat]:
-    """Yield every element of GL(n,2) exactly once.
-
-    Rows are chosen depth-first in ascending bitmask order, skipping rows
-    dependent on the ones already placed, so the stream order is the
-    lexicographic order on row tuples.  Refuses n above
-    INVERTIBLE_ENUM_BOUND.
-    """
-    if n < 1:
-        raise Gf2Error(f"dimension must be >= 1, got {n}")
-    if n > INVERTIBLE_ENUM_BOUND:
-        raise BoundExceeded(
-            f"enumerate_invertible(n={n}) exceeds the configured bound {INVERTIBLE_ENUM_BOUND}"
-        )
-    rows: list[int] = []
-    pivots: dict[int, int] = {}
-
-    def rec() -> Iterator[Gf2Mat]:
-        if len(rows) == n:
-            yield Gf2Mat(n, tuple(rows))
-            return
-        for v in range(1, 1 << n):
-            if reduce_into(pivots, (v,)):
-                rows.append(v)
-                yield from rec()
-                rows.pop()
-                pivots.popitem()
-
-    yield from rec()

@@ -7,41 +7,40 @@ bitmask order; the relation for x_j only involves rows up to j (source
 matrices are normalized to strictly upper), so each level is filtered
 exactly as soon as its row is chosen.
 
-The filter reads the target's per-variable product rows
-(`CohomRing.product_rows`, rows[a][w] = x_a w): row v passes for x_j with
-y_j mapped to y iff v (v + y) = 0.  Squaring is additive over GF(2)
-(Frobenius), so v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v, with
-images rows[a][(1 << a) ^ y]; the rows that pass are its nonzero kernel,
-listed ascending for each y the search meets (`_admissible`).  The span of
-the rows already chosen is kept as a 2^n-bit set, so the independence test
-is one bit test.  Neither changes the order in which candidates are met, so
-the first witness is that of a plain ascending walk.  The witness found is
-re-checked on normal forms, apart from the rows.
+The filter reads the degree-2 products of the target in closed form from
+its columns (`cohomology.degree2`): row v passes for x_j with y_j mapped to
+y iff v (v + y) = 0.  Squaring is additive over GF(2) (Frobenius), so
+v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v; the rows that pass
+are its nonzero kernel, listed ascending for each y the search meets
+(`_admissible`).  The span of the rows already chosen is kept as a
+2^n-bit set, so the independence test is one bit test.  Neither changes
+the order in which candidates are met, so the first witness is that of a
+plain ascending walk.  The search builds no ring: the two rings are built
+only to re-check a witness it found, on normal forms, apart from the
+closed form.
 
 Pairs are first screened by `ring_invariants`, which builds no ring: no
 annihilator of a nonzero degree-1 class has dimension above 1, and which
 ones have dimension 1, like the square kernel, is read in closed form from
-the columns, for all 2^n classes at once as bit lanes of one int.  The
-rings, and the target's product rows, are built only for pairs that pass.
+the columns, for all 2^n classes at once as bit lanes of one int.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bottmatrix import BottMatrix, diffeo_classes, to_strict_upper
-from .cohomology import CohomRing, linear
+from .cohomology import CohomRing, degree2, linear
 from .gf2 import (
     BoundExceeded,
     DimensionMismatch,
     Gf2Mat,
-    Gf2Vec,
     InvariantViolation,
+    UsageError,
     bit_lanes,
     rank_masks,
-    solve,
     subset_sums,
     transpose_masks,
 )
@@ -60,14 +59,14 @@ class RingIsoWitness:
 
 def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
     """Does the image of x_j^2 + x_j y_j = x_j (x_j + y_j) reduce to zero in
-    the target?  Computed on normal forms, not from the product rows."""
+    the target?  Computed on normal forms, not by `degree2`."""
     return not ring_b.multiply_packed(linear(image_j), linear(image_j ^ image_yj))
 
 
-def _admissible(rows: list[list[int]], y: int) -> list[int]:
+def _admissible(cols: Sequence[int], y: int) -> list[int]:
     """The nonzero v, ascending, with v (v + y) = sum_{a in v} x_a (x_a + y)
-    = 0 in the ring whose `CohomRing.product_rows` are `rows`."""
-    images = subset_sums([row[(1 << a) ^ y] for a, row in enumerate(rows)])
+    = 0 in the ring of the strictly upper matrix with columns `cols`."""
+    images = subset_sums([degree2(cols, 1 << a, (1 << a) ^ y) for a in range(len(cols))])
     return [v for v in range(1, len(images)) if not images[v]]
 
 
@@ -79,14 +78,14 @@ def ring_invariants(m: BottMatrix) -> tuple:
 
     Both are read in closed form from the columns y_b of the strictly upper
     form, with no ring and no rank.  For a < b the coefficient of x_a x_b
-    in v w is v_a w_b + v_b w_a + v_b w_b [a in y_b], since x_b^2 = x_b y_b
-    and every variable of y_b is below b.  Let t be the top variable of w.
-    The pairs (a, t) with a < t force v_a = v_t (w_a + [a in y_t]), and the
-    pairs (t, b) with b > t force v_b = 0.  So ann(w) is contained in
-    {0, v*} with v* = x_t + the part of w + y_t below t, and its dimension
-    is 1 exactly when v* w = 0.  Squares are additive and the x_b^2 = x_b y_b
-    have disjoint supports, so the square kernel is spanned by the x_b with
-    y_b = 0: its dimension is the number of zero columns.
+    in v w is v_a w_b + v_b w_a + v_b w_b [a in y_b] (`degree2`).  Let t be
+    the top variable of w.  The pairs (a, t) with a < t force
+    v_a = v_t (w_a + [a in y_t]), and the pairs (t, b) with b > t force
+    v_b = 0.  So ann(w) is contained in {0, v*} with v* = x_t + the part of
+    w + y_t below t, and its dimension is 1 exactly when v* w = 0.  Squares
+    are additive and the x_b^2 = x_b y_b have disjoint supports, so the
+    square kernel is spanned by the x_b with y_b = 0: its dimension is the
+    number of zero columns.
 
     All 2^n masks w are handled at once as the bit lanes of one int, lane w
     for the mask w: lanes[a] (`bit_lanes`) holds the w with w_a = 1, and
@@ -122,12 +121,12 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
 
     Pairs whose `ring_invariants` differ are refused first; the invariants
     are proven, so this never changes the verdict.  The search runs on the
-    strictly upper forms of a and b: rows are tried in ascending order at
-    each level, restricted to the rows `_admissible` for the image of y_j
-    (a kernel of the target's product rows) and independent of the rows
-    before them.  The witness is re-checked there on normal forms, and an
-    InvariantViolation is raised if it fails; it is returned in the labels
-    of a and b as given.
+    columns of the strictly upper forms of a and b, with no ring: rows are
+    tried in ascending order at each level, restricted to the rows
+    `_admissible` for the image of y_j and independent of the rows before
+    them.  A witness found is re-checked on the normal forms of the two
+    rings, built only then, and an InvariantViolation is raised if it
+    fails; it is returned in the labels of a and b as given.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
@@ -136,9 +135,9 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
         raise BoundExceeded(f"ring_isomorphic at n={n} exceeds the bound {PRUNED_BOUND}")
     if ring_invariants(a) != ring_invariants(b):
         return None
-    ring_a, ring_b = CohomRing(a), CohomRing(b)
-    cols_a = ring_a.cols
-    rows_b = ring_b.product_rows()
+    (pa, upper_a), (pb, upper_b) = to_strict_upper(a), to_strict_upper(b)
+    cols_a = transpose_masks(n, upper_a.rows)
+    cols_b = transpose_masks(n, upper_b.rows)
     admissible: list[Optional[list[int]]] = [None] * (1 << n)  # listed per y met
     chosen = [0] * n
 
@@ -150,7 +149,7 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
         image_y = elems[cols_a[level]]  # cols_a[level] < 2^level: strictly upper
         candidates = admissible[image_y]
         if candidates is None:
-            candidates = admissible[image_y] = _admissible(rows_b, image_y)
+            candidates = admissible[image_y] = _admissible(cols_b, image_y)
         for v in candidates:
             if (span >> v) & 1:
                 continue
@@ -167,11 +166,10 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     found = rec(0, 1, [0])
     if found is None:
         return None
-    if not _is_witness(ring_a, ring_b, found):
+    if not _is_witness(CohomRing(a), CohomRing(b), found):
         raise InvariantViolation(
             f"ring_isomorphic({a.rows}, {b.rows}) found {found}, which fails the relation check"
         )
-    pa, pb = ring_a.permutation, ring_b.permutation
     if not pa == pb == tuple(range(n)):
         # x_i of a is x_{pa[i]} of its strictly upper form, x_k of b is x_{pb[k]}
         found = tuple(sum(((found[pa[i]] >> pb[k]) & 1) << k for k in range(n))
@@ -187,19 +185,6 @@ def _is_witness(ring_a: CohomRing, ring_b: CohomRing, rows: tuple[int, ...]) -> 
     return all(_relation_holds(ring_b, rows[j], images[col]) for j, col in enumerate(ring_a.cols))
 
 
-def witness_inverse(witness: RingIsoWitness) -> Gf2Mat:
-    """Inverse substitution over GF(2): column j solves map @ x = e_j."""
-    m = witness.map
-    n = m.ncols
-    cols = []
-    for j in range(n):
-        solved = solve(m, Gf2Vec(n, 1 << j))
-        if solved is None or solved[1]:
-            raise InvariantViolation(f"witness {m.rows} is not invertible")
-        cols.append(solved[0].mask)
-    return Gf2Mat(n, tuple(cols)).transpose()
-
-
 def rigidity_experiment(n: int, inter_samples: int = 10, seed: int = 0) -> dict:
     """Check that ring isomorphism matches the diffeomorphism partition.
 
@@ -213,6 +198,8 @@ def rigidity_experiment(n: int, inter_samples: int = 10, seed: int = 0) -> dict:
     """
     if n > 5:
         raise BoundExceeded(f"rigidity experiment supports n <= 5, got {n}")
+    if inter_samples < 0:
+        raise UsageError(f"inter-class samples must be >= 0, got {inter_samples}")
     classes = diffeo_classes(n)
     violations: list[dict] = []
     pairs_checked = 0

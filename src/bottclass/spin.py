@@ -255,13 +255,13 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     if constraints:
         masks = tuple(mask for mask, _ in constraints)
         rhs = sum(bit << k for k, (_, bit) in enumerate(constraints))
-        solved = gf2.solve(gf2.Gf2Mat(shift + len(basis2), masks), gf2.Gf2Vec(len(masks), rhs))
+        solved = gf2.solve(shift + len(basis2), masks, rhs)
         if solved is None:
             return None
         # Pivots are taken lowest column first, so each pivot variable is
         # fixed by free variables in higher columns; with every free
         # variable 0, the particular solution is the least one.
-        x = solved[0].mask
+        x = solved[0]
     sigma, chi = x & ((1 << shift) - 1), x >> shift
 
     gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}

@@ -193,6 +193,10 @@ def test_bad_dim_exits_2(capsys):
     ("prop1", "--dim", "1"),
     ("prop1", "--dim", "9"),
     ("rigidity", "--dim", "0"),
+    ("rigidity", "--dim", "5", "--sample", "-1"),
+    ("table", "--max-dim", "0"),
+    ("table", "--max-dim", "-3"),
+    ("table", "--max-dim", "0", "--csv"),
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

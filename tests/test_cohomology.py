@@ -11,10 +11,17 @@ from pathlib import Path
 import pytest
 
 from bottclass import catalog
-from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, is_orientable, op1
+from bottclass.bottmatrix import (
+    BottMatrix,
+    enumerate_strict_upper,
+    is_orientable,
+    op1,
+    to_strict_upper,
+)
 from bottclass.cohomology import (
     CohomRing,
     Gf2Poly,
+    degree2,
     PolyParseError,
     format_poly,
     h2_real_is_zero,
@@ -24,7 +31,7 @@ from bottclass.cohomology import (
     ring_of,
     w2_of_rows,
 )
-from bottclass.gf2 import InvariantViolation, UsageError
+from bottclass.gf2 import InvariantViolation, UsageError, transpose_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 A23 = catalog.DIM5_ORIENTED["A23"]
@@ -289,39 +296,51 @@ def _pair_packed(n, p):
     return sum(1 << index[t] for t in range(p.bit_length()) if (p >> t) & 1)
 
 
-def _check_product_rows(m):
+def _check_degree2(m, pairs):
+    """degree2 on the columns of the strictly upper form of m against the
+    normal form of u v in the ring of m, repacked by `_pair_packed`."""
     ring = CohomRing(m)
-    rows = ring.product_rows()
-    n, full = m.n, 1 << m.n
-    assert len(rows) == n and all(len(row) == full for row in rows)
-    for a in range(n):
-        for w in range(full):
-            expected = ring.multiply_packed(linear(1 << a), linear(w))
-            assert rows[a][w] == _pair_packed(n, expected), (m.rows, a, w)
-    # every product u * v of degree-1 classes, rebuilt from the rows by
-    # bilinearity, against its normal form
-    for u in range(full):
-        for v in range(full):
-            by_rows = 0
-            for a in range(n):
-                if (u >> a) & 1:
-                    by_rows ^= rows[a][v]
-            expected = ring.multiply_packed(linear(u), linear(v))
-            assert by_rows == _pair_packed(n, expected), (m.rows, u, v)
-    assert ring.product_rows() is rows  # built once per ring
+    cols = transpose_masks(m.n, to_strict_upper(m)[1].rows)
+    for u, v in pairs:
+        expected = _pair_packed(m.n, ring.multiply_packed(linear(u), linear(v)))
+        assert degree2(cols, u, v) == expected, (m.rows, u, v)
 
 
-def test_product_rows_match_normal_forms_n_le_4():
+def test_degree2_matches_normal_forms_n_le_4():
+    # every (u, v) on every strictly upper matrix
     for n in range(1, 5):
+        pairs = list(itertools.product(range(1 << n), repeat=2))
         for m in enumerate_strict_upper(n):
-            _check_product_rows(m)
+            _check_degree2(m, pairs)
 
 
-def test_product_rows_match_normal_forms_n6_seeded():
+def test_degree2_matches_normal_forms_n5():
+    # every basis pair (x_a, x_b) on every strictly upper matrix, and
+    # seeded (u, v)
+    rng = random.Random(5)
+    basis = [(1 << a, 1 << b) for a in range(5) for b in range(5)]
+    for m in enumerate_strict_upper(5):
+        _check_degree2(m, basis + [(rng.getrandbits(5), rng.getrandbits(5)) for _ in range(4)])
+
+
+def test_degree2_matches_normal_forms_n6_n7_seeded():
     rng = random.Random(6)
-    for _ in range(20):
-        rows = tuple(rng.getrandbits(6) & -(2 << i) & 0b111111 for i in range(6))
-        _check_product_rows(BottMatrix(6, rows))
+    for n, count in ((6, 30), (7, 10)):
+        for _ in range(count):
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(100)]
+            _check_degree2(_random_strict_upper(rng, n), pairs)
+
+
+def test_degree2_matches_normal_forms_relabelled_inputs():
+    # the columns are those of the to_strict_upper form, the ring's labels
+    rng = random.Random(61)
+    relabelled = 0
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        m = op1(_random_strict_upper(rng, n), rng.sample(range(n), n))
+        relabelled += not m.is_strictly_upper
+        _check_degree2(m, [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(50)])
+    assert relabelled >= 50
 
 
 def test_linear_packs_one_monomial_per_variable():
@@ -443,10 +462,10 @@ def test_tables_refuse_a_non_decreasing_rewrite():
         ring.betti_z2(2)
 
 
-def test_product_rows_and_squares_do_not_build_the_tables():
+def test_linear_classes_do_not_build_the_tables():
     ring = ring_of(A4)
-    ring.product_rows()
     ring.stiefel_whitney(1)
+    ring.y(4)
     assert ring._mul is None
 
 

@@ -18,20 +18,41 @@ from bottclass.bottmatrix import (
     op1,
 )
 from bottclass.cohomology import CohomRing, linear
-from bottclass.gf2 import BoundExceeded, Gf2Mat, enumerate_invertible, rank_masks
+from bottclass.gf2 import BoundExceeded, rank_masks, reduce_into, subset_sums
 from bottclass.rigidity import (
-    RingIsoWitness,
     _admissible,
     _is_witness,
     _relation_holds,
     rigidity_experiment,
     ring_invariants,
     ring_isomorphic,
-    witness_inverse,
 )
 
 A40 = catalog.DIM5_ORIENTED["A40"]
 A48 = catalog.DIM5_ORIENTED["A48"]
+
+
+def enumerate_invertible(n):
+    """Every element of GL(n,2) once, as a tuple of row masks.
+
+    Rows are chosen depth-first in ascending bitmask order, skipping rows
+    dependent on the ones already placed, so the stream order is the
+    lexicographic order on row tuples."""
+    rows = []
+    pivots = {}
+
+    def rec():
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for v in range(1, 1 << n):
+            if reduce_into(pivots, (v,)):
+                rows.append(v)
+                yield from rec()
+                rows.pop()
+                pivots.popitem()
+
+    yield from rec()
 
 
 def brute_force_isomorphic(a, b):
@@ -39,8 +60,8 @@ def brute_force_isomorphic(a, b):
     check, no pruning and no incremental filtering."""
     ring_a, ring_b = CohomRing(a), CohomRing(b)
     for cand in enumerate_invertible(a.n):
-        if _is_witness(ring_a, ring_b, cand.rows):
-            return cand.rows
+        if _is_witness(ring_a, ring_b, cand):
+            return cand
     return None
 
 
@@ -80,13 +101,17 @@ def ascending_search(a, b):
 
 
 def rank_ring_invariants(m):
-    """Oracle: the square kernel and every annihilator ranked from the
-    product rows, one `rank_masks` call each, as computed before the
-    closed form."""
-    rows = CohomRing(m).product_rows()
+    """Oracle: the square kernel and every annihilator ranked from normal
+    forms, one `rank_masks` call each, with neither `degree2` nor the bit
+    lanes of the closed form: v -> v^2 and v -> v w are linear in v, so
+    their kernels have dimension n minus the rank of the images of the
+    x_a.  x_a w is the XOR of the normal forms x_a x_b over the b in w."""
+    ring = CohomRing(m)
     n = m.n
-    sq_ker_dim = n - rank_masks([row[1 << a] for a, row in enumerate(rows)])
-    ann_dims = sorted(n - rank_masks([row[w] for row in rows]) for w in range(1, 1 << n))
+    times = [subset_sums([ring.multiply_packed(linear(1 << a), linear(1 << b)) for b in range(n)])
+             for a in range(n)]  # times[a][w]: the normal form of x_a w
+    sq_ker_dim = n - rank_masks([times[a][1 << a] for a in range(n)])
+    ann_dims = sorted(n - rank_masks([row[w] for row in times]) for w in range(1, 1 << n))
     return (sq_ker_dim, tuple(ann_dims))
 
 
@@ -195,8 +220,10 @@ def test_witness_is_symmetric():
         a, b = members[0], members[1]
         w = ring_isomorphic(a, b)
         assert w is not None
-        inv = witness_inverse(w)
-        assert _is_witness(CohomRing(b), CohomRing(a), inv.rows)
+        # row i of the inverse is the mask s whose rows of w XOR to x_i
+        images = subset_sums(w.map.rows)
+        inv = tuple(images.index(1 << i) for i in range(a.n))
+        assert _is_witness(CohomRing(b), CohomRing(a), inv)
         checked += 1
     assert checked > 0
 
@@ -353,6 +380,7 @@ def test_ring_invariants_constant_on_classes_n_le_5():
 
 
 def test_pruned_pairs_build_no_ring(monkeypatch):
+    # the search reads columns: a ring is built only to re-check a witness
     built = []
     original = CohomRing.__init__
 
@@ -365,25 +393,22 @@ def test_pruned_pairs_build_no_ring(monkeypatch):
     assert ring_invariants(a) != ring_invariants(b)
     assert ring_isomorphic(a, b) is None
     assert built == []
+    # searched, not isomorphic
+    assert ring_invariants(A40) == ring_invariants(A48)
+    assert ring_isomorphic(A40, A48) is None
+    assert built == []
     assert ring_isomorphic(a, a) is not None
     assert built == [a, a]
-
-
-def test_witness_inverse_is_two_sided():
-    for cls in diffeo_classes(4):
-        for member in cls.members:
-            w = ring_isomorphic(member, cls.canonical)
-            inv = witness_inverse(w)
-            assert w.map.mul_mat(inv) == Gf2Mat.identity(4)
-            assert inv.mul_mat(w.map) == Gf2Mat.identity(4)
+    c, d = SLOW_ISOMORPHIC_PAIRS[1]
+    assert ring_isomorphic(c, d) is not None
+    assert built == [a, a, c, d]
 
 
 def _check_admissible_is_the_normal_form_kernel(m):
     ring = CohomRing(m)
-    rows = ring.product_rows()
     full = 1 << m.n
     for y in range(full):
-        listed = _admissible(rows, y)
+        listed = _admissible(ring.cols, y)
         assert listed == [v for v in range(1, full)
                           if not ring.multiply_packed(linear(v), linear(v ^ y))], (m.rows, y)
         kernel = set(listed) | {0}
@@ -408,18 +433,17 @@ def test_admissible_rows_are_the_normal_form_kernel_n6_seeded():
 def test_corrupted_product_table_raises_under_python_O():
     # The final witness check raises InvariantViolation, not assert, so it
     # survives `python -O`.  A40 and A48 share their ring_invariants, so the
-    # pair reaches the search.  With all-zero product rows every row is
-    # admissible and the search returns the identity, which is no ring
-    # isomorphism between these two rings.
+    # pair reaches the search.  With every closed-form product zero every
+    # row is admissible and the search returns the identity, which is no
+    # ring isomorphism between these two rings.
     code = textwrap.dedent("""
-        from bottclass import catalog
-        from bottclass.cohomology import CohomRing
+        from bottclass import catalog, rigidity
         from bottclass.gf2 import InvariantViolation
         from bottclass.rigidity import ring_invariants, ring_isomorphic
         assert not __debug__
         a, b = catalog.DIM5_ORIENTED["A40"], catalog.DIM5_ORIENTED["A48"]
         assert ring_invariants(a) == ring_invariants(b)
-        CohomRing.product_rows = lambda self: [[0] * (1 << self.n)] * self.n
+        rigidity.degree2 = lambda cols, u, v: 0
         try:
             ring_isomorphic(a, b)
         except InvariantViolation as exc:
@@ -431,3 +455,33 @@ def test_corrupted_product_table_raises_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: ring_isomorphic(")
+
+
+def test_enumerate_invertible_n1():
+    assert list(enumerate_invertible(1)) == [(1,)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerate_invertible_counts(n):
+    # |GL(n,2)| = prod (2^n - 2^i) is the independent counting oracle
+    mats = list(enumerate_invertible(n))
+    order = 1
+    for i in range(n):
+        order *= (1 << n) - (1 << i)
+    assert len(mats) == len(set(mats)) == order
+    assert all(rank_masks(rows) == n for rows in mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_invertible_stream_is_lexicographic(n):
+    # every row tuple in lexicographic order, kept when its span has 2^n
+    # elements: the oracle uses neither reduce_into nor rank_masks
+    def span_size(rows):
+        span = {0}
+        for r in rows:
+            span |= {x ^ r for x in span}
+        return len(span)
+
+    expected = [rows for rows in itertools.product(range(1, 1 << n), repeat=n)
+                if span_size(rows) == 1 << n]
+    assert list(enumerate_invertible(n)) == expected

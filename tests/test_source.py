@@ -75,3 +75,25 @@ def test_no_function_imports_a_package_module():
              for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(func) if imports_package(node)}
     assert found == set()
+
+
+def test_value_types_are_built_only_at_the_boundary():
+    # below the public API a GF(2) vector or matrix is an int mask: only
+    # gf2.py builds a Gf2Vec, and besides it only the RingIsoWitness of
+    # rigidity.py builds a Gf2Mat
+    def called(node):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    found = []
+    for path, tree in package_trees():
+        if path.name == "gf2.py":
+            continue
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        witness_args = {id(arg) for node in calls if called(node) == "RingIsoWitness"
+                        for arg in node.args}
+        found += [f"{path.name}:{node.lineno}:{called(node)}" for node in calls
+                  if called(node) == "Gf2Vec"
+                  or called(node) == "Gf2Mat" and not (path.name == "rigidity.py"
+                                                       and id(node) in witness_args)]
+    assert found == []

@@ -22,7 +22,7 @@ from bottclass.bottmatrix import (
     to_strict_upper,
 )
 from bottclass.cohomology import h2_real_is_zero, ring_of
-from bottclass.gf2 import Gf2Mat, kernel_basis, parity
+from bottclass.gf2 import kernel_basis, parity
 from bottclass.spin import (
     PART_I,
     PART_II,
@@ -324,15 +324,15 @@ def brute_force_lift(m):
             for c in range(n)]
     mixed = []
     if active:
-        for kvec in kernel_basis(Gf2Mat(len(active), tuple(rows))):
-            subset = [active[pos] for pos in range(len(active)) if (kvec.mask >> pos) & 1]
+        for kvec in kernel_basis(len(active), rows):
+            subset = [active[pos] for pos in range(len(active)) if (kvec >> pos) & 1]
             prod = _ordered_product(gens, subset)
             _require_translation(prod, "kernel product")
             cliff = CliffordElement.identity(n)
             for i in subset:
                 cliff = clifford_mul(cliff, CliffordElement(n, 1, supports[i]))
             assert cliff.support == 0
-            mixed.append((kvec.mask, coords(prod.trans2), 0 if cliff.sign == 1 else 1))
+            mixed.append((kvec, coords(prod.trans2), 0 if cliff.sign == 1 else 1))
     for chi in range(1 << len(basis2)):
         if any(parity(chi & cmask) != bit for cmask, bit in chi_constraints):
             continue
