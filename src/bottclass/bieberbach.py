@@ -3,6 +3,13 @@
 Group elements are pairs (D, t) with D a diagonal +-1 matrix and t a
 translation in (1/2)Z^n; translations are stored doubled as integers so
 the group law never needs rational arithmetic.
+
+A presentation (`GroupPresentation`) comes by one of two routes.
+`from_generators` is the generic one: relators from compose chains and the
+translation lattice as the holonomy closure of their translations, put in
+Hermite form.  It serves Gamma_n and arbitrary generator lists, and it is
+the tests' reference for `generators_of`, which reads the same presentation
+of Gamma(A) in closed form from the rows and columns of A.
 """
 from __future__ import annotations
 
@@ -24,11 +31,11 @@ class AffineIso:
     """Isometry x -> Dx + t with D = diag(signs) and t = trans2 / 2.
 
     The public constructor, `identity` and `conjugate_by_perm` validate
-    their fields (nonempty, equal lengths, signs +-1, integer
-    translations).  `compose` and `inverse` skip that check: a product or
-    inverse of valid elements has signs that are products of +-1 and
-    translations that are sums of products of ints, so it is valid by
-    construction.
+    their fields (nonempty, equal lengths, exact ints with no floats or
+    bools: signs +-1, integer translations).  `compose` and `inverse` skip
+    that check: a product or inverse of valid elements has signs that are
+    products of +-1 and translations that are sums of products of ints, so
+    it is valid by construction.
     """
 
     signs: tuple[int, ...]
@@ -37,10 +44,10 @@ class AffineIso:
     def __post_init__(self) -> None:
         if len(self.signs) != len(self.trans2) or not self.signs:
             raise ValueError("signs and trans2 must be nonempty and of equal length")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError(f"linear part must be diagonal +-1, got {self.signs}")
-        if any(not isinstance(t, int) for t in self.trans2):
-            raise ValueError("translations must be doubled integers")
+        if any(type(s) is not int or s not in (-1, 1) for s in self.signs):
+            raise ValueError(f"linear part must be diagonal int +-1, got {self.signs}")
+        if any(type(t) is not int for t in self.trans2):
+            raise ValueError(f"translations must be doubled ints, got {self.trans2}")
 
     @property
     def n(self) -> int:
@@ -232,9 +239,9 @@ class IntLattice:
 class TransLattice:
     """The translation subgroup N = Gamma ∩ R^n; rows of basis2, halved,
     generate N.  basis2 is an echelon basis with positive pivots, such as
-    the Hermite form `from_generators` builds.  For Gamma(A) and Gamma_n this
-    contains Z^n and has full rank; artificial generator lists may give a
-    smaller lattice."""
+    the Hermite form `from_generators` builds and `generators_of` reads off
+    in closed form.  For Gamma(A) and Gamma_n this contains Z^n and has
+    full rank; artificial generator lists may give a smaller lattice."""
 
     n: int
     basis2: tuple[tuple[int, ...], ...]
@@ -283,8 +290,9 @@ class Relator(NamedTuple):
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators, their relators (`relators`, built once), the lattice N
-    those relators span under the holonomy, and the point-group rank."""
+    """Generators, their relators (built once, in the order `relators`
+    lists them), the lattice N those relators span under the holonomy, and
+    the point-group rank."""
 
     n: int
     generators: tuple[AffineIso, ...]
@@ -313,20 +321,35 @@ def _ordered_product(gens: Sequence[AffineIso], subset: Iterable[int]) -> Affine
     return acc
 
 
-def relators(gens: Sequence[AffineIso]) -> tuple[Relator, ...]:
-    """The relations of the group generated by `gens`, as words that are
-    translations: the squares (i, i) and commutators (i, j, ~i, ~j) of the
-    non-translation generators, then the ascending product over each kernel
-    basis vector of the exponent system (a translation generator is a word
-    on its own).  The squares and commutators of translation generators are
-    left out: their translations 2t and D t - t lie in the holonomy closure
-    of t."""
+def _squares_and_commutators(gens: Sequence[AffineIso]) -> list[Relator]:
+    """The relators both presentation routes list first: the square
+    (i, i) of each non-translation generator, with translation D t + t, then
+    the commutator (i, j, ~i, ~j) of each pair i < j of them."""
     active = [i for i, g in enumerate(gens) if not g.is_translation]
-    out = [Relator((i, i), gens[i].compose(gens[i]).trans2) for i in active]
+    out = [Relator((i, i), tuple((s + 1) * t for s, t in zip(gens[i].signs, gens[i].trans2)))
+           for i in active]
     for k, i in enumerate(active):
         for j in active[k + 1:]:
             out.append(Relator((i, j, ~i, ~j), commutator_trans2(gens[i], gens[j])))
-    for kvec in gf2.kernel_basis(len(gens), _exponent_matrix(gens[0].n, gens)):
+    return out
+
+
+def relators(gens: Sequence[AffineIso]) -> tuple[Relator, ...]:
+    """The relations of the group generated by `gens`, as words that are
+    translations: the squares and commutators of the non-translation
+    generators (`_squares_and_commutators`), then the ascending product over
+    each kernel basis vector of the exponent system (a translation generator
+    is a word on its own).  The squares and commutators of translation
+    generators are left out: their translations 2t and D t - t lie in the
+    holonomy closure of t.  An empty list raises UsageError and generators
+    of mixed dimension raise DimensionMismatch."""
+    if not gens:
+        raise gf2.UsageError("a group needs at least one generator")
+    n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise gf2.DimensionMismatch("generators of mixed dimension")
+    out = _squares_and_commutators(gens)
+    for kvec in gf2.kernel_basis(len(gens), _exponent_matrix(n, gens)):
         word = tuple(gf2.bits(kvec))
         prod = _ordered_product(gens, word)
         _require_translation(prod, "kernel product")
@@ -340,13 +363,14 @@ def lattice_of(gens: Sequence[AffineIso]) -> TransLattice:
 
 
 def from_generators(gens: Sequence[AffineIso]) -> GroupPresentation:
-    """The presentation of the group generated by `gens`: N is the span of
-    the relators' translations closed under the holonomy action, as a
-    doubled HNF basis (tests check it against brute-force word closure)."""
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise gf2.DimensionMismatch("generators of mixed dimension")
+    """The presentation of the group generated by `gens`, by the generic
+    route: N is the span of the relators' translations closed under the
+    holonomy action, as a doubled HNF basis (tests check it against
+    brute-force word closure).  It serves Gamma_n, arbitrary generator
+    lists and `lattice_of`, and tests use it as the reference for the
+    closed form of `generators_of`."""
     rels = relators(gens)
+    n = gens[0].n
     lat = IntLattice(n)
     sign_vectors = {g.signs for g in gens}
     todo = [rel.trans2 for rel in rels]
@@ -361,19 +385,69 @@ def from_generators(gens: Sequence[AffineIso]) -> GroupPresentation:
 def generators_of(m: BottMatrix) -> GroupPresentation:
     """Standard generators of Gamma(A) for a strictly upper Bott matrix:
     s_i = (diag((-1)^a_{i,j}), e_i/2) for i < n and the full translation
-    s_n = (I, e_n)."""
+    s_n = (I, e_n), with the presentation `from_generators` gives them,
+    read in closed form from the rows and columns of A.
+
+    The exponent vector of s_i is row i of A (s_n has none), so the
+    exponent matrix of the generators is cols = transpose_masks(n, rows).
+    Translations below are doubled.
+
+    * Squares and commutators come from `_squares_and_commutators`: the
+      square of a non-translation s_i is 2 e_i.
+    * Kernel words: for kvec in kernel_basis(n, cols) the rows over kvec
+      XOR to 0 (checked), and the ascending product of the s_i, i in kvec,
+      is a translation.  Its coordinate c comes from s_c alone, when c is in
+      kvec, with the sign prod D_j[c] over j < c in kvec, which is
+      (-1)^|cols[c] & kvec| because A is strictly upper.  The kernel makes
+      that count even, so the word moves by kvec itself: 1 at each of its
+      bits, 2 at bit n-1.
+    * Lattice: the relators give 2 e_i for every i (a square, the word of
+      s_n, or twice the word (i,) of an s_i without signs), commutators in
+      2Z^n, and the kernel words, which add K: the span of the kernel
+      vectors without bit n-1 (only s_n's own vector has that bit), read
+      as 0/1 vectors.  So N, doubled, is 2Z^n + K, and each D maps it onto
+      itself, as D v = v mod 2.  Reduce K with the lowest bit of each
+      vector as its pivot, above and below; a pivot column c gets its
+      vector as row c of basis2, every other column c gets 2 e_c.  Pivots
+      are 1 or 2 and each entry above a pivot lies in [0, pivot), so this
+      is the unique Hermite form, the one `from_generators` builds.
+    """
     if not m.is_strictly_upper:
         raise NotStrictlyUpper(
             "Gamma(A) generators need a strictly upper matrix; apply to_strict_upper first"
         )
-    n = m.n
-    gens = []
-    for i in range(n - 1):
-        signs = tuple(-1 if m.entry(i, j) else 1 for j in range(n))
-        trans2 = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(AffineIso(signs, trans2))
-    gens.append(AffineIso((1,) * n, tuple(2 if j == n - 1 else 0 for j in range(n))))
-    return from_generators(gens)
+    n, rows = m.n, m.rows
+    gens = [AffineIso(tuple(-1 if (r >> j) & 1 else 1 for j in range(n)),
+                      tuple(1 if j == i else 0 for j in range(n)))
+            for i, r in enumerate(rows[:-1])]
+    gens.append(AffineIso((1,) * n, (0,) * (n - 1) + (2,)))
+    rels = _squares_and_commutators(gens)
+    reduced: dict[int, int] = {}  # lowest bit -> vector of K with that pivot
+    for kvec in gf2.kernel_basis(n, gf2.transpose_masks(n, rows)):
+        word = tuple(gf2.bits(kvec))
+        acc = 0
+        for i in word:
+            acc ^= rows[i]
+        if acc:
+            raise gf2.InvariantViolation(f"rows {word} of {rows} do not sum to 0")
+        rels.append(Relator(word, tuple((kvec >> c) & 1 for c in range(n - 1))
+                            + (2 * (kvec >> (n - 1)),)))
+        v = kvec & ~(1 << (n - 1))
+        while v:
+            low = v & -v
+            if low not in reduced:
+                reduced[low] = v
+                break
+            v ^= reduced[low]
+    for low in sorted(reduced, reverse=True):  # clear each pivot from the vectors above it
+        for other in reduced:
+            if other < low and reduced[other] & low:
+                reduced[other] ^= reduced[low]
+    basis2 = tuple(tuple((reduced[1 << c] >> j) & 1 for j in range(n)) if 1 << c in reduced
+                   else tuple(2 if j == c else 0 for j in range(n))
+                   for c in range(n))
+    return GroupPresentation(n, tuple(gens), TransLattice(n, basis2), gf2.rank_masks(rows),
+                             tuple(rels))
 
 
 def gamma_n_generators(n: int) -> GroupPresentation:

@@ -38,7 +38,7 @@ from bottclass.bieberbach import (
     verify_tower_conjugation,
 )
 from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper
-from bottclass.gf2 import InvariantViolation, rank_masks
+from bottclass.gf2 import DimensionMismatch, InvariantViolation, UsageError, rank_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 
@@ -99,7 +99,13 @@ def test_public_constructors_validate_under_python_O():
         for make in (lambda: AffineIso((1, 2), (0, 0)),
                      lambda: AffineIso((1, -1), (0, 0.5)),
                      lambda: AffineIso((1, -1), (0,)),
-                     lambda: AffineIso((), ())):
+                     lambda: AffineIso((), ()),
+                     # exact ints only: a float or bool would break the
+                     # doubled-integer group law, which compose does not re-check
+                     lambda: AffineIso((-1.0, 1), (1, 0)),
+                     lambda: AffineIso((True, 1), (False, 0)),
+                     lambda: AffineIso((1, -1), (False, 0)),
+                     lambda: AffineIso((1, -1), (2.0, 0))):
             try:
                 make()
             except ValueError:
@@ -110,7 +116,7 @@ def test_public_constructors_validate_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised"] * 4
+    assert proc.stdout.splitlines() == ["raised"] * 8
 
 
 def chain_commutator(g, h):
@@ -381,6 +387,36 @@ def test_relators_evaluate_to_their_stored_translations():
         for rel in p.relators:
             w = evaluate_word(p.generators, rel.word)
             assert w.is_translation and w.trans2 == rel.trans2, (p.generators, rel)
+
+
+def test_empty_generator_list_is_a_usage_error():
+    for build in (relators, from_generators, lattice_of):
+        with pytest.raises(UsageError, match="at least one generator"):
+            build([])
+
+
+def test_generators_of_mixed_dimension_are_a_dimension_mismatch():
+    a, b = AffineIso((1,), (2,)), AffineIso((-1, 1), (0, 0))
+    for build in (relators, from_generators, lattice_of):
+        for gens in ([a, b], [b, a], [b, b, a]):
+            with pytest.raises(DimensionMismatch, match="mixed dimension"):
+                build(gens)
+
+
+def test_generators_of_equals_the_generic_route_n_le_5():
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            p = generators_of(m)
+            assert p == from_generators(p.generators), m.rows
+
+
+def test_generators_of_equals_the_generic_route_seeded_n6_to_8():
+    rng = random.Random(17)
+    for n in (6, 7, 8):
+        for _ in range(100):
+            rows = tuple(rng.getrandbits(n) >> (i + 1) << (i + 1) for i in range(n))
+            p = generators_of(BottMatrix(n, rows))
+            assert p == from_generators(p.generators), rows
 
 
 def test_relators_listed_in_order():

@@ -22,6 +22,12 @@ def imports_package(node):
         alias.name.partition(".")[0] == "bottclass" for alias in node.names)
 
 
+def called(node):
+    """The name a call node calls: `f(...)` and `x.f(...)` both give f."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so every invariant check must raise
     trees = package_trees()
@@ -81,10 +87,6 @@ def test_value_types_are_built_only_at_the_boundary():
     # below the public API a GF(2) vector or matrix is an int mask: only
     # gf2.py builds a Gf2Vec, and besides it only the RingIsoWitness of
     # rigidity.py builds a Gf2Mat
-    def called(node):
-        func = node.func
-        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-
     found = []
     for path, tree in package_trees():
         if path.name == "gf2.py":
@@ -96,4 +98,26 @@ def test_value_types_are_built_only_at_the_boundary():
                   if called(node) == "Gf2Vec"
                   or called(node) == "Gf2Mat" and not (path.name == "rigidity.py"
                                                        and id(node) in witness_args)]
+    assert found == []
+
+
+def test_generators_of_builds_no_compose_chain_and_no_hnf_closure():
+    # generators_of reads the presentation of Gamma(A) in closed form; the
+    # compose chains and the lattice closure belong to from_generators.
+    # Module functions it calls are walked too, so a helper cannot bring
+    # them back.
+    tree = ast.parse((PACKAGE / "bieberbach.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"compose", "_ordered_product", "from_generators", "IntLattice"}
+    found, seen, todo = [], set(), ["generators_of"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                callee = called(node)
+                if callee in banned:
+                    found.append(f"{name}:{node.lineno}:{callee}")
+                elif callee in functions and callee not in seen:
+                    todo.append(callee)
     assert found == []
