@@ -12,12 +12,10 @@ from .bieberbach import (
     AffineIso,
     GroupPresentation,
     TransLattice,
-    compose,
     conjugate_by_perm,
     format_iso,
     generators_of,
     holonomy_rep,
-    inverse,
     is_torsion_free,
     lattice_of,
     gamma_n_generators,
@@ -60,9 +58,7 @@ from .gf2 import (
     BoundExceeded,
     InvariantViolation,
     Gf2Mat,
-    Gf2Vec,
     kernel_basis,
-    rank,
     solve,
     UsageError,
 )

@@ -110,14 +110,6 @@ def commutator_trans2(g: AffineIso, h: AffineIso) -> tuple[int, ...]:
     )
 
 
-def compose(a: AffineIso, b: AffineIso) -> AffineIso:
-    return a.compose(b)
-
-
-def inverse(a: AffineIso) -> AffineIso:
-    return a.inverse()
-
-
 def conjugate_by_perm(perm: Sequence[int], a: AffineIso) -> AffineIso:
     """(P,0)(D,t)(P,0)^-1 where the permutation sends index i to perm[i]."""
     n = a.n
@@ -406,11 +398,12 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
       2Z^n, and the kernel words, which add K: the span of the kernel
       vectors without bit n-1 (only s_n's own vector has that bit), read
       as 0/1 vectors.  So N, doubled, is 2Z^n + K, and each D maps it onto
-      itself, as D v = v mod 2.  Reduce K with the lowest bit of each
-      vector as its pivot, above and below; a pivot column c gets its
-      vector as row c of basis2, every other column c gets 2 e_c.  Pivots
-      are 1 or 2 and each entry above a pivot lies in [0, pivot), so this
-      is the unique Hermite form, the one `from_generators` builds.
+      itself, as D v = v mod 2.  `gf2.echelon` gives the reduced echelon
+      form of K, each vector keyed by its lowest bit; a pivot column c
+      gets its vector as row c of basis2, every other column c gets
+      2 e_c.  Pivots are 1 or 2 and each entry above a pivot lies in
+      [0, pivot), so this is the unique Hermite form, the one
+      `from_generators` builds.
     """
     if not m.is_strictly_upper:
         raise NotStrictlyUpper(
@@ -422,8 +415,8 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
             for i, r in enumerate(rows[:-1])]
     gens.append(AffineIso((1,) * n, (0,) * (n - 1) + (2,)))
     rels = _squares_and_commutators(gens)
-    reduced: dict[int, int] = {}  # lowest bit -> vector of K with that pivot
-    for kvec in gf2.kernel_basis(n, gf2.transpose_masks(n, rows)):
+    kernel = gf2.kernel_basis(n, gf2.transpose_masks(n, rows))
+    for kvec in kernel:
         word = tuple(gf2.bits(kvec))
         acc = 0
         for i in word:
@@ -432,17 +425,7 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
             raise gf2.InvariantViolation(f"rows {word} of {rows} do not sum to 0")
         rels.append(Relator(word, tuple((kvec >> c) & 1 for c in range(n - 1))
                             + (2 * (kvec >> (n - 1)),)))
-        v = kvec & ~(1 << (n - 1))
-        while v:
-            low = v & -v
-            if low not in reduced:
-                reduced[low] = v
-                break
-            v ^= reduced[low]
-    for low in sorted(reduced, reverse=True):  # clear each pivot from the vectors above it
-        for other in reduced:
-            if other < low and reduced[other] & low:
-                reduced[other] ^= reduced[low]
+    reduced = gf2.echelon(kvec & ~(1 << (n - 1)) for kvec in kernel)
     basis2 = tuple(tuple((reduced[1 << c] >> j) & 1 for j in range(n)) if 1 << c in reduced
                    else tuple(2 if j == c else 0 for j in range(n))
                    for c in range(n))

@@ -192,7 +192,11 @@ def parse_matrix(text: str) -> BottMatrix:
             raise MatrixParseError(f"bad JSON: {exc}") from exc
         if not isinstance(data, dict) or "n" not in data or "rows" not in data:
             raise MatrixParseError('JSON matrix needs keys "n" and "rows"')
-        return _rows_from_strings(int(data["n"]), list(data["rows"]))
+        n, rows = data["n"], data["rows"]
+        if (type(n) is not int or not isinstance(rows, list)
+                or not all(isinstance(r, str) for r in rows)):
+            raise MatrixParseError('JSON matrix needs an int "n" and a list of strings "rows"')
+        return _rows_from_strings(n, rows)
     lines = stripped.splitlines()
     try:
         n = int(lines[0].strip())

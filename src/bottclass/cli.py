@@ -48,7 +48,10 @@ def _emit(obj) -> None:
 
 
 def _load_matrix(path: str) -> BottMatrix:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    try:
+        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_matrix(text)
 
 

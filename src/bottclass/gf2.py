@@ -1,11 +1,14 @@
 """Exact linear algebra over GF(2) on packed integer bitmasks.
 
 Vectors are Python ints (bit i = coordinate i), and so are the rows of a
-matrix: `solve`, `kernel_basis` and the rank routines take and return such
-masks.  `Gf2Vec` and `Gf2Mat` are small frozen value types over the same
-masks, for callers that want a checked length; the package builds them
-only for the witness of `rigidity.ring_isomorphic`.  All arithmetic is XOR/AND; there is no
-floating point anywhere in this package.
+matrix: `solve`, `kernel_basis`, `echelon` and the rank routines take and
+return such masks.  Two helpers reduce rows against a basis: `reduce_into`
+keys each row by its top bit and does not back-substitute, which is all
+rank and independence need; `echelon` keys each row by its lowest bit and
+clears the pivots from the other rows, the reduced form `solve` and the
+lattice of `bieberbach.generators_of` read.  `Gf2Mat` is the checked
+record of the map in the witness of `rigidity.ring_isomorphic`.  All
+arithmetic is XOR/AND; there is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
@@ -84,44 +87,6 @@ def subset_sums(gens: Sequence[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Gf2Vec:
-    """Fixed-length vector over GF(2), packed into an int."""
-
-    n: int
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise Gf2Error(f"vector length must be >= 1, got {self.n}")
-        if self.mask < 0 or self.mask >> self.n:
-            raise Gf2Error(f"mask {self.mask:#x} does not fit in {self.n} bits")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Gf2Vec":
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise Gf2Error(f"entry {b!r} is not a bit")
-            mask |= b << i
-        return cls(len(bits), mask)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.n))
-
-    def __xor__(self, other: "Gf2Vec") -> "Gf2Vec":
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return Gf2Vec(self.n, self.mask ^ other.mask)
-
-    def weight(self) -> int:
-        return popcount(self.mask)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-@dataclass(frozen=True)
 class Gf2Mat:
     """Rectangular GF(2) matrix; row i is an int mask over the columns."""
 
@@ -134,58 +99,6 @@ class Gf2Mat:
         for r in self.rows:
             if r < 0 or r >> self.ncols:
                 raise Gf2Error(f"row {r:#x} does not fit in {self.ncols} columns")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Mat":
-        vecs = [Gf2Vec.from_bits(r) for r in rows]
-        ncols = vecs[0].n if vecs else 0  # no rows: refused by __post_init__
-        if any(v.n != ncols for v in vecs):
-            raise DimensionMismatch("ragged rows")
-        return cls(ncols, tuple(v.mask for v in vecs))
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Mat":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Gf2Mat":
-        return cls(ncols, (0,) * nrows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def row(self, i: int) -> Gf2Vec:
-        return Gf2Vec(self.ncols, self.rows[i])
-
-    def transpose(self) -> "Gf2Mat":
-        return Gf2Mat(self.nrows, tuple(transpose_masks(self.ncols, self.rows)))
-
-    def mul_vec(self, v: Gf2Vec) -> Gf2Vec:
-        if v.n != self.ncols:
-            raise DimensionMismatch(f"matrix has {self.ncols} columns, vector length {v.n}")
-        mask = 0
-        for i, r in enumerate(self.rows):
-            mask |= parity(r & v.mask) << i
-        return Gf2Vec(self.nrows, mask)
-
-    def mul_mat(self, other: "Gf2Mat") -> "Gf2Mat":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
-        cols = transpose_masks(other.ncols, other.rows)
-        rows = []
-        for r in self.rows:
-            out = 0
-            for j, c in enumerate(cols):
-                out |= parity(r & c) << j
-            rows.append(out)
-        return Gf2Mat(other.ncols, tuple(rows))
-
-    def __str__(self) -> str:
-        return "\n".join(str(self.row(i)) for i in range(self.nrows))
 
 
 def reduce_into(pivots: dict[int, int], rows: Iterable[int]) -> int:
@@ -214,9 +127,26 @@ def rank_masks(rows: Iterable[int]) -> int:
     return reduce_into({}, rows)
 
 
-def rank(m: Gf2Mat) -> int:
-    """Dimension of the row space of m over GF(2)."""
-    return rank_masks(m.rows)
+def echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Reduced row echelon form of the span of `rows` over GF(2).
+
+    Maps the lowest set bit of each basis row (as a mask, r & -r) to the
+    row, and clears every such pivot bit from the other rows.  The reduced
+    echelon form of a span is unique, so the result does not depend on
+    the order of `rows`; zero rows and dependent rows leave no trace.
+    """
+    pivots: dict[int, int] = {}
+    for r in rows:
+        for low, p in pivots.items():
+            if r & low:
+                r ^= p
+        if r:
+            low = r & -r
+            for other, p in pivots.items():
+                if p & low:
+                    pivots[other] = p ^ r
+            pivots[low] = r
+    return pivots
 
 
 def solve(ncols: int, rows: Sequence[int], rhs: int) -> Optional[tuple[int, list[int]]]:
@@ -234,42 +164,24 @@ def solve(ncols: int, rows: Sequence[int], rhs: int) -> Optional[tuple[int, list
         raise DimensionMismatch(f"a row does not fit in {n} columns")
     if rhs < 0 or rhs >> len(rows):
         raise DimensionMismatch(f"rhs {rhs:#x} does not fit the {len(rows)} rows")
-    # Augmented rows: bit n carries the rhs.
-    aug = [r | (((rhs >> i) & 1) << n) for i, r in enumerate(rows)]
-    pivots: list[int] = []  # pivot column per reduced row
-    reduced: list[int] = []
-    for col in range(n):
-        pivot_row = None
-        for idx, r in enumerate(aug):
-            if (r >> col) & 1:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        prow = aug.pop(pivot_row)
-        for idx, r in enumerate(aug):
-            if (r >> col) & 1:
-                aug[idx] = r ^ prow
-        for idx, r in enumerate(reduced):
-            if (r >> col) & 1:
-                reduced[idx] = r ^ prow
-        reduced.append(prow)
-        pivots.append(col)
-    if any(r == 1 << n for r in aug):
+    # Augmented rows: bit n carries the rhs; a pivot there is the row 0 = 1.
+    rhs_bit = 1 << n
+    reduced = echelon(r | (((rhs >> i) & 1) << n) for i, r in enumerate(rows))
+    if rhs_bit in reduced:
         return None
     x = 0
-    for r, col in zip(reduced, pivots):
-        if (r >> n) & 1:
-            x |= 1 << col
-    pivot_set = set(pivots)
+    for low, r in reduced.items():
+        if r & rhs_bit:
+            x |= low
     kernel: list[int] = []
     for free in range(n):
-        if free in pivot_set:
+        bit = 1 << free
+        if bit in reduced:
             continue
-        v = 1 << free
-        for r, col in zip(reduced, pivots):
-            if (r >> free) & 1:
-                v |= 1 << col
+        v = bit
+        for low, r in reduced.items():
+            if r & bit:
+                v |= low
         kernel.append(v)
     return x, kernel
 

@@ -19,14 +19,12 @@ from bottclass.bieberbach import (
     _exponent_matrix,
     _pivot_generators,
     commutator_trans2,
-    compose,
     conjugate_by_perm,
     coset_reps,
     format_iso,
     from_generators,
     generators_of,
     holonomy_rep,
-    inverse,
     is_torsion_free,
     lattice_of,
     gamma_n_generators,
@@ -374,10 +372,10 @@ def test_pivot_generators_match_rank_prefix_oracle():
 
 def evaluate_word(gens, word):
     """Oracle: the word as an honest compose chain, inverse letters through
-    inverse()."""
+    AffineIso.inverse."""
     acc = AffineIso.identity(gens[0].n)
     for letter in word:
-        acc = compose(acc, gens[letter] if letter >= 0 else inverse(gens[~letter]))
+        acc = acc.compose(gens[letter] if letter >= 0 else gens[~letter].inverse())
     return acc
 
 
@@ -567,11 +565,6 @@ def test_conjugation_by_reversal_maps_generators_exactly():
 def test_iso_text_form():
     a = AffineIso((1, -1, 1, 1, -1), (1, 0, 0, 1, 0))
     assert format_iso(a) == "signs=+-++- ; t2=[1,0,0,1,0]"
-
-
-def test_module_level_compose_inverse():
-    a = AffineIso((1, -1), (1, 1))
-    assert compose(a, inverse(a)) == AffineIso.identity(2)
 
 
 def test_lattice_vector_of_wrong_length_is_a_dimension_mismatch():

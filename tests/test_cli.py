@@ -1,4 +1,5 @@
 """CLI behaviour: reports, filters, exit codes, determinism."""
+import io
 import json
 import subprocess
 import sys
@@ -169,12 +170,28 @@ def test_rigidity(capsys):
     assert res["violations"] == []
 
 
-def test_parse_failure_exits_2(capsys, tmp_path):
-    f = tmp_path / "bad.txt"
-    f.write_text("2\n01\n10\n")  # 2-cycle
-    code, out, err = run(capsys, "spin", "--matrix", str(f))
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("content", [
+    b"2\n01\n10\n",  # a 2-cycle
+    b'{"n": "x", "rows": []}',
+    b'{"n": null, "rows": []}',
+    b'{"n": 2, "rows": [1, 2]}',
+    b'{"n": 2, "rows": null}',
+    b'{"n": 2.5, "rows": ["01", "00"]}',  # not read as n = 2
+    b'{"n": true, "rows": ["0"]}',  # not read as n = 1
+    b"2\n0\xff\n00\n",  # not UTF-8
+], ids=["2-cycle", "n-str", "n-null", "rows-ints", "rows-null", "n-float", "n-bool", "not-utf8"])
+def test_parse_failure_exits_2(capsys, monkeypatch, tmp_path, content, source):
+    if source == "file":
+        f = tmp_path / "bad.txt"
+        f.write_bytes(content)
+        path = str(f)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+        path = "-"
+    code, out, err = run(capsys, "spin", "--matrix", path)
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: ") and not out
 
 
 def test_missing_file_exits_2(capsys):

@@ -8,10 +8,10 @@ from bottclass.gf2 import (
     DimensionMismatch,
     Gf2Error,
     Gf2Mat,
-    Gf2Vec,
     bit_lanes,
+    echelon,
     kernel_basis,
-    rank,
+    parity,
     rank_masks,
     reduce_into,
     solve,
@@ -19,19 +19,23 @@ from bottclass.gf2 import (
     transpose_masks,
 )
 
-A4_ROWS = [
-    [0, 1, 0, 1, 0],
-    [0, 0, 1, 0, 1],
-    [0, 0, 0, 1, 1],
-    [0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0],
-]
+# A4 of the paper, row i as a mask with bit j = entry (i, j)
+A4_ROWS = [0b01010, 0b10100, 0b11000, 0, 0]
 
 
-def span_size_rank(rows):
+def identity(n):
+    return [1 << i for i in range(n)]
+
+
+def mul(rows, x):
+    """Matrix (row masks) times vector (mask) over GF(2): bit i is
+    parity(rows[i] & x)."""
+    return sum(parity(r & x) << i for i, r in enumerate(rows))
+
+
+def span_size_rank(masks):
     """Independent rank oracle: the row span of a rank-r matrix has 2^r
     elements; enumerate all subset XORs and count."""
-    masks = [Gf2Vec.from_bits(r).mask for r in rows]
     span = set()
     for picks in itertools.product([0, 1], repeat=len(masks)):
         acc = 0
@@ -46,17 +50,17 @@ def span_size_rank(rows):
 
 
 def test_rank_zero_matrix():
-    assert rank(Gf2Mat.zero(3, 3)) == 0
+    assert rank_masks([0, 0, 0]) == 0
 
 
 def test_rank_identity():
     for n in range(1, 7):
-        assert rank(Gf2Mat.identity(n)) == n
+        assert rank_masks(identity(n)) == n
 
 
 def test_rank_a4_against_span_oracle():
     assert span_size_rank(A4_ROWS) == 3
-    assert rank(Gf2Mat.from_rows(A4_ROWS)) == 3
+    assert rank_masks(A4_ROWS) == 3
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
@@ -99,14 +103,13 @@ def test_rank_masks_matches_span_size(rows):
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
 def test_rank_equals_rank_of_transpose(nr, nc, data):
-    rows = tuple(data.draw(st.integers(0, (1 << nc) - 1)) for _ in range(nr))
-    m = Gf2Mat(nc, rows)
-    assert rank(m) == rank(m.transpose())
+    rows = [data.draw(st.integers(0, (1 << nc) - 1)) for _ in range(nr)]
+    assert rank_masks(rows) == rank_masks(transpose_masks(nc, rows))
 
 
 def test_solve_identity_system():
     b = 0b1101
-    got = solve(4, Gf2Mat.identity(4).rows, b)
+    got = solve(4, identity(4), b)
     assert got is not None
     x, kern = got
     assert x == b and kern == []
@@ -133,25 +136,59 @@ def test_solve_dimension_mismatch():
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 def test_solve_returns_actual_solutions(nr, nc, data):
-    rows = tuple(data.draw(st.integers(0, (1 << nc) - 1)) for _ in range(nr))
-    m = Gf2Mat(nc, rows)
-    x_true = Gf2Vec(nc, data.draw(st.integers(0, (1 << nc) - 1)))
-    b = m.mul_vec(x_true)
-    got = solve(nc, rows, b.mask)
+    rows = [data.draw(st.integers(0, (1 << nc) - 1)) for _ in range(nr)]
+    b = mul(rows, data.draw(st.integers(0, (1 << nc) - 1)))
+    got = solve(nc, rows, b)
     assert got is not None
     x, kern = got
-    assert m.mul_vec(Gf2Vec(nc, x)) == b
+    assert mul(rows, x) == b
     for k in kern:
-        assert m.mul_vec(Gf2Vec(nc, k)).mask == 0
+        assert mul(rows, k) == 0
     # kernel size matches rank-nullity
-    assert len(kern) == nc - rank(m)
+    assert len(kern) == nc - rank_masks(rows)
     assert kernel_basis(nc, rows) == kern
     # the particular solution is the least one (spin_lift_search relies on it)
-    assert x == min(y for y in range(1 << nc) if m.mul_vec(Gf2Vec(nc, y)) == b)
+    assert x == min(y for y in range(1 << nc) if mul(rows, y) == b)
+    # kernel vector i holds exactly one free column, the i-th in ascending
+    # order (relator order and the SpinLift order rely on it); the pivot
+    # columns are the lowest bits of the nonzero vectors of the row span
+    span = set(subset_sums(rows)) - {0}
+    free = [c for c in range(nc) if all(v & -v != 1 << c for v in span)]
+    free_mask = sum(1 << c for c in free)
+    assert [k & free_mask for k in kern] == [1 << c for c in free]
 
 
 def test_kernel_basis_of_identity_is_empty():
-    assert kernel_basis(5, Gf2Mat.identity(5).rows) == []
+    assert kernel_basis(5, identity(5)) == []
+
+
+@given(st.lists(st.integers(0, (1 << 10) - 1) | st.sampled_from([0, 1, 3, 1 << 9]), max_size=9),
+       st.randoms(use_true_random=False))
+def test_echelon_is_the_reduced_form_of_the_span(rows, rnd):
+    reduced = echelon(rows)
+    for low, r in reduced.items():
+        assert r & -r == low  # keyed by the row's lowest bit
+        # the pivot bit is set in its own row only
+        assert [other for other, p in reduced.items() if p & low] == [low]
+    assert len(reduced) == rank_masks(rows)
+    # same span: every input row is the XOR of the pivot rows at its pivot bits
+    for r in rows:
+        acc = 0
+        for low, p in reduced.items():
+            if (r ^ acc) & low:
+                acc ^= p
+        assert acc == r
+    # the reduced form is unique, whatever the order of the input
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert echelon(shuffled) == reduced
+
+
+def test_echelon_example():
+    # 011 and 110 span {011, 110, 101}; pivots at bits 0 and 1, with bit 1
+    # cleared from the row of bit 0 after 110 arrives
+    assert echelon([0b011, 0b110, 0b101, 0]) == {0b001: 0b101, 0b010: 0b110}
+    assert echelon([]) == {}
 
 
 def test_reduce_into_counts_kept_rows_and_pops_the_last():
@@ -164,22 +201,7 @@ def test_reduce_into_counts_kept_rows_and_pops_the_last():
     assert len(pivots) == 3
 
 
-def test_vector_bits_round_trip():
-    v = Gf2Vec.from_bits([1, 0, 1, 1, 0])
-    assert v.bits == (1, 0, 1, 1, 0)
-    assert str(v) == "10110"
-    assert v.weight() == 3
-
-
-def test_matmul_identity():
-    m = Gf2Mat.from_rows([[1, 1], [0, 1]])
-    assert m.mul_mat(Gf2Mat.identity(2)) == m
-    assert Gf2Mat.identity(2).mul_mat(m) == m
-
-
 def test_from_rows_without_rows_is_a_gf2_error():
-    # as Gf2Mat(ncols, ()) is: no row means no matrix
-    with pytest.raises(Gf2Error):
-        Gf2Mat.from_rows([])
+    # no row means no matrix
     with pytest.raises(Gf2Error):
         Gf2Mat(3, ())

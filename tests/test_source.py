@@ -84,19 +84,15 @@ def test_no_function_imports_a_package_module():
 
 
 def test_value_types_are_built_only_at_the_boundary():
-    # below the public API a GF(2) vector or matrix is an int mask: only
-    # gf2.py builds a Gf2Vec, and besides it only the RingIsoWitness of
-    # rigidity.py builds a Gf2Mat
+    # below the public API a GF(2) vector or matrix is an int mask: only the
+    # RingIsoWitness of rigidity.py builds a Gf2Mat
     found = []
     for path, tree in package_trees():
-        if path.name == "gf2.py":
-            continue
         calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
         witness_args = {id(arg) for node in calls if called(node) == "RingIsoWitness"
                         for arg in node.args}
         found += [f"{path.name}:{node.lineno}:{called(node)}" for node in calls
-                  if called(node) == "Gf2Vec"
-                  or called(node) == "Gf2Mat" and not (path.name == "rigidity.py"
+                  if called(node) == "Gf2Mat" and not (path.name == "rigidity.py"
                                                        and id(node) in witness_args)]
     assert found == []
 
