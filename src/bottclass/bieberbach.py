@@ -10,6 +10,12 @@ translation lattice as the holonomy closure of their translations, put in
 Hermite form.  It serves Gamma_n and arbitrary generator lists, and it is
 the tests' reference for `generators_of`, which reads the same presentation
 of Gamma(A) in closed form from the rows and columns of A.
+
+Torsion, holonomy and the lift search of `spin` read a presentation on int
+masks.  A lattice that contains Z^n is known by its rows mod 2
+(`TransLattice.mod2_rows`), and D t = t mod 2 for a diagonal +-1 matrix D,
+so the translation of a product is, mod 2, the XOR of its factors'; the
+mod-2 lemma that makes this exact is in `is_torsion_free`.
 """
 from __future__ import annotations
 
@@ -35,7 +41,8 @@ class AffineIso:
     bools: signs +-1, integer translations).  `compose` and `inverse` skip
     that check: a product or inverse of valid elements has signs that are
     products of +-1 and translations that are sums of products of ints, so
-    it is valid by construction.
+    it is valid by construction.  So does `generators_of`, whose signs and
+    translations are literal +-1 and 0, 1, 2 placed by the bits of A.
     """
 
     signs: tuple[int, ...]
@@ -59,7 +66,7 @@ class AffineIso:
 
     @property
     def is_translation(self) -> bool:
-        return all(s == 1 for s in self.signs)
+        return not self.exponent_mask
 
     @cached_property
     def exponent_mask(self) -> int:
@@ -85,13 +92,30 @@ class AffineIso:
         return format_iso(self)
 
 
-def _trusted(signs: tuple[int, ...], trans2: tuple[int, ...]) -> AffineIso:
+def _trusted(signs: tuple[int, ...], trans2: tuple[int, ...],
+             exponent_mask: Optional[int] = None) -> AffineIso:
     """An AffineIso built without `__post_init__`, for results of the group
-    law on validated elements only (see the AffineIso docstring)."""
+    law on validated elements and the generators of Gamma(A) only (see the
+    AffineIso docstring).  A caller that built the signs from a mask
+    passes it, and it becomes the value of `exponent_mask`."""
     g = object.__new__(AffineIso)
     object.__setattr__(g, "signs", signs)
     object.__setattr__(g, "trans2", trans2)
+    if exponent_mask is not None:
+        g.__dict__["exponent_mask"] = exponent_mask
     return g
+
+
+def _signs(n: int, mask: int) -> tuple[int, ...]:
+    """The diagonal +-1 entries with -1 at the bits of mask."""
+    return tuple([-1 if (mask >> j) & 1 else 1 for j in range(n)])
+
+
+def _unit(n: int, c: int, value: int) -> tuple[int, ...]:
+    """The vector of length n with value at c and 0 elsewhere."""
+    vec = [0] * n
+    vec[c] = value
+    return tuple(vec)
 
 
 def commutator_trans2(g: AffineIso, h: AffineIso) -> tuple[int, ...]:
@@ -145,6 +169,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
+
+
+def _mod2(vec: Sequence[int]) -> int:
+    """An integer vector mod 2, as a mask."""
+    mask = 0
+    for j, x in enumerate(vec):
+        if x & 1:
+            mask |= 1 << j
+    return mask
 
 
 class IntLattice:
@@ -256,6 +289,26 @@ class TransLattice:
     def contains2(self, trans2: Sequence[int]) -> bool:
         return self._lattice.contains(trans2)
 
+    def mod2_rows(self) -> Optional[list[int]]:
+        """The rows of basis2 mod 2, as masks, when N contains Z^n, that is
+        when basis2 spans a lattice holding 2Z^n; None when it does not.
+
+        Any lattice L in Z^n lies in 2Z^n + V, V the span of its rows mod 2
+        lifted to 0/1 vectors, and holds 2Z^n iff it equals that sum: iff
+        both have the same index in Z^n.  The index of 2Z^n + V is
+        2^(n - dim V); that of L, for a full-rank echelon basis, is the
+        product of its pivots.  Reading this costs no integer elimination."""
+        n = self.n
+        if len(self.basis2) != n:
+            return None
+        index = 1
+        for i, row in enumerate(self.basis2):
+            if len(row) != n or any(row[:i]) or row[i] <= 0:
+                raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
+            index *= row[i]
+        rows = [_mod2(row) for row in self.basis2]
+        return rows if index == 1 << (n - gf2.rank_masks(rows)) else None
+
     def coords_mod2(self, trans2: Sequence[int]) -> int:
         """Coordinates (mod 2) of a lattice vector in basis2, as a mask with
         bit i for row i; InvariantViolation if the vector is not in N."""
@@ -314,9 +367,10 @@ def _ordered_product(gens: Sequence[AffineIso], subset: Iterable[int]) -> Affine
 
 
 def _squares_and_commutators(gens: Sequence[AffineIso]) -> list[Relator]:
-    """The relators both presentation routes list first: the square
-    (i, i) of each non-translation generator, with translation D t + t, then
-    the commutator (i, j, ~i, ~j) of each pair i < j of them."""
+    """The relators `relators` lists first, and `generators_of` writes
+    from the rows of A: the square (i, i) of each non-translation
+    generator, with translation D t + t, then the commutator (i, j, ~i, ~j)
+    of each pair i < j of them."""
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     out = [Relator((i, i), tuple((s + 1) * t for s, t in zip(gens[i].signs, gens[i].trans2)))
            for i in active]
@@ -384,8 +438,11 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
     exponent matrix of the generators is cols = transpose_masks(n, rows).
     Translations below are doubled.
 
-    * Squares and commutators come from `_squares_and_commutators`: the
-      square of a non-translation s_i is 2 e_i.
+    * Squares and commutators, in the order `_squares_and_commutators`
+      lists them, come from the rows: the square of a non-translation s_i
+      (row i nonzero) is D t + t = 2 e_i, and the commutator of s_i and
+      s_j, i < j, is (I - D_j) e_i - (I - D_i) e_j = -2 a_{i,j} e_j, as
+      a_{j,i} = 0.
     * Kernel words: for kvec in kernel_basis(n, cols) the rows over kvec
       XOR to 0 (checked), and the ascending product of the s_i, i in kvec,
       is a translation.  Its coordinate c comes from s_c alone, when c is in
@@ -410,11 +467,14 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
             "Gamma(A) generators need a strictly upper matrix; apply to_strict_upper first"
         )
     n, rows = m.n, m.rows
-    gens = [AffineIso(tuple(-1 if (r >> j) & 1 else 1 for j in range(n)),
-                      tuple(1 if j == i else 0 for j in range(n)))
-            for i, r in enumerate(rows[:-1])]
-    gens.append(AffineIso((1,) * n, (0,) * (n - 1) + (2,)))
-    rels = _squares_and_commutators(gens)
+    # valid by construction: signs +-1, translations 1 at i (2 at n-1)
+    gens = [_trusted(_signs(n, r), _unit(n, i, 1), r) for i, r in enumerate(rows[:-1])]
+    gens.append(_trusted((1,) * n, _unit(n, n - 1, 2), 0))
+    active = [i for i, r in enumerate(rows) if r]
+    rels = [Relator((i, i), _unit(n, i, 2)) for i in active]
+    for k, i in enumerate(active):
+        for j in active[k + 1:]:
+            rels.append(Relator((i, j, ~i, ~j), _unit(n, j, -2 * ((rows[i] >> j) & 1))))
     kernel = gf2.kernel_basis(n, gf2.transpose_masks(n, rows))
     for kvec in kernel:
         word = tuple(gf2.bits(kvec))
@@ -423,11 +483,11 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
             acc ^= rows[i]
         if acc:
             raise gf2.InvariantViolation(f"rows {word} of {rows} do not sum to 0")
-        rels.append(Relator(word, tuple((kvec >> c) & 1 for c in range(n - 1))
-                            + (2 * (kvec >> (n - 1)),)))
+        rels.append(Relator(word, tuple([(kvec >> c) & 1 for c in range(n - 1)]
+                                        + [2 * (kvec >> (n - 1))])))
     reduced = gf2.echelon(kvec & ~(1 << (n - 1)) for kvec in kernel)
-    basis2 = tuple(tuple((reduced[1 << c] >> j) & 1 for j in range(n)) if 1 << c in reduced
-                   else tuple(2 if j == c else 0 for j in range(n))
+    basis2 = tuple(tuple([(reduced[1 << c] >> j) & 1 for j in range(n)]) if 1 << c in reduced
+                   else _unit(n, c, 2)
                    for c in range(n))
     return GroupPresentation(n, tuple(gens), TransLattice(n, basis2), gf2.rank_masks(rows),
                              tuple(rels))
@@ -438,11 +498,9 @@ def gamma_n_generators(n: int) -> GroupPresentation:
     of the group Gamma_n (n = 2 is the Klein bottle group)."""
     if n < 2:
         raise gf2.UsageError(f"Gamma_n needs n >= 2, got {n}")
-    gens = [AffineIso((1,) * n, tuple(2 if j == 0 else 0 for j in range(n)))]
+    gens = [AffineIso((1,) * n, _unit(n, 0, 2))]
     for i in range(1, n):
-        signs = tuple(-1 if j == i - 1 else 1 for j in range(n))
-        trans2 = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(AffineIso(signs, trans2))
+        gens.append(AffineIso(_signs(n, 1 << (i - 1)), _unit(n, i, 1)))
     return from_generators(gens)
 
 
@@ -485,21 +543,53 @@ def coset_reps(p: GroupPresentation) -> list[AffineIso]:
 
 def holonomy_rep(p: GroupPresentation) -> list[tuple[int, ...]]:
     """Diagonal matrices (as sign tuples) of the holonomy representation,
-    one per point-group element, identity first."""
-    reps = coset_reps(p)
-    out = [r.signs for r in reps]
-    if len(set(out)) != 1 << p.point_rank:
+    one per point-group element, identity first: the linear parts of
+    `coset_reps`, read as XORs of the pivot generators' exponent masks."""
+    masks = gf2.subset_sums([p.generators[i].exponent_mask for i in _pivot_generators(p)])
+    if len(set(masks)) != 1 << p.point_rank:
         raise gf2.InvariantViolation("coset representatives must have distinct linear parts")
-    return out
+    return [_signs(p.n, mask) for mask in masks]
 
 
 def is_torsion_free(p: GroupPresentation) -> bool:
     """No nontrivial point-group coset contains a finite-order element.
 
-    For a coset rep (D, v), an element (D, v + mu) with mu in N has finite
-    order iff (v + mu) vanishes on the +1 eigenspace F of D; existence of
-    such mu is an integer membership test on the F-projection of N.
+    An element (D, w) squares to (I, D w + w), so it has finite order iff
+    w vanishes on the +1 eigenspace F of D; the coset of (D, t) holds one
+    iff -t, restricted to F, lies in N restricted to F.
+
+    Mod-2 lemma: when N contains Z^n (`TransLattice.mod2_rows`), as it does
+    for every Gamma(A) and Gamma_n, N restricted to F, doubled, is 2Z^F
+    plus the 0/1 lifts of the rows of N mod 2 restricted to F, so the coset
+    holds torsion iff t mod 2, restricted to F, lies in the GF(2) span of
+    those restricted rows.  And D t = t mod 2, so the translation of a
+    product is, mod 2, the XOR of its factors' translations: every coset
+    is decided on int masks by `gf2.reduce_into`, with no group
+    arithmetic.  A lattice without Z^n, which only hand-made generator
+    lists give, is decided over Z by `_torsion_free_over_z`.
     """
+    rows = p.lattice.mod2_rows()
+    if rows is None:
+        return _torsion_free_over_z(p)
+    rows = [r for r in rows if r]
+    gens = [p.generators[i] for i in _pivot_generators(p)]
+    full = (1 << p.n) - 1
+    for exps, trans in zip(gf2.subset_sums([g.exponent_mask for g in gens]),
+                           gf2.subset_sums([_mod2(g.trans2) for g in gens])):
+        if not exps:
+            continue
+        fixed = full & ~exps
+        span: dict[int, int] = {}
+        gf2.reduce_into(span, [r & fixed for r in rows])
+        if not gf2.reduce_into(span, (trans & fixed,)):
+            return False
+    return True
+
+
+def _torsion_free_over_z(p: GroupPresentation) -> bool:
+    """`is_torsion_free` for any lattice: for each coset rep (D, v), the
+    existence of mu in N with (v + mu) = 0 on F is an integer membership
+    test on the F-projection of N."""
     for rep in coset_reps(p):
         if rep.is_translation:
             continue

@@ -99,7 +99,9 @@ class BottMatrix:
 
     def __post_init__(self) -> None:
         n, rows = self.n, self.rows
-        if n < 1 or len(rows) != n:
+        if n < 1:
+            raise NotBottMatrix(f"dimension must be at least 1, got {n}")
+        if len(rows) != n:
             raise NotBottMatrix(f"expected {n} rows, got {len(rows)}")
         for i, r in enumerate(rows):
             if r < 0 or r >> n:
@@ -165,6 +167,8 @@ def to_json_dict(m: BottMatrix) -> dict:
 
 
 def _rows_from_strings(n: int, lines: Sequence[str]) -> BottMatrix:
+    if n < 1:
+        raise MatrixParseError(f"dimension must be at least 1, got {n}")
     if len(lines) != n:
         raise MatrixParseError(f"expected {n} rows, got {len(lines)}")
     rows = []

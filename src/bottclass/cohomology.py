@@ -36,6 +36,7 @@ from typing import FrozenSet, Iterable, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper, w2_masks
 from .gf2 import (
+    BoundExceeded,
     InvariantViolation,
     UsageError,
     bit_lanes,
@@ -43,6 +44,12 @@ from .gf2 import (
     popcount,
     transpose_masks,
 )
+
+# The multiply tables and the Betti degree check hold n 2^n packed forms
+# of up to 2^n bits each: n = 12 takes 0.07 s and 33 MiB of peak RSS for
+# `bottclass invariants`, and each step above it about four times the
+# memory (n = 15: 3.8 s, 1.1 GiB).
+RING_BOUND = 12
 
 Terms = FrozenSet[int]
 
@@ -172,6 +179,9 @@ class CohomRing:
     """
 
     def __init__(self, matrix: BottMatrix):
+        if matrix.n > RING_BOUND:
+            raise BoundExceeded(f"cohomology ring at n={matrix.n} exceeds the configured bound "
+                                f"{RING_BOUND}")
         self.source = matrix
         self.permutation, self.matrix = to_strict_upper(matrix)
         self.n = matrix.n

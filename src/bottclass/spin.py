@@ -9,7 +9,9 @@ group-theoretic definition.  Its relations are the relators of
 plus invariance of the lattice character under the holonomy: one affine
 GF(2) solve over the generator signs and the lattice character gives the
 least solution, and group and Clifford arithmetic re-evaluate every
-relator word on the lift it returns.
+relator word on the lift it returns.  The search reads lattice coordinates
+in closed form from the rows mod 2 of the Hermite basis; the re-check reads
+them by integer back-substitution (`TransLattice.coords_mod2`).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Optional
 
 from . import bieberbach, cohomology, gf2
 from .bottmatrix import BottMatrix, is_orientable, to_strict_upper
-from .gf2 import parity, popcount
+from .gf2 import bits, parity, popcount
 
 PART_I = "Part I"
 PART_II = "Part II"
@@ -62,13 +64,16 @@ class CliffordElement:
 def _mul_sign(a: int, b: int) -> int:
     """1 when e_a e_b = -e_{a ^ b} for sign monomials with supports a, b:
     one -1 per transposition needed to interleave the sorted supports and
-    one -1 per common generator (from e_i^2 = -1)."""
-    swaps = popcount(a & b)
-    while b:
-        low = b & -b
-        swaps += popcount(a >> low.bit_length())
-        b ^= low
-    return swaps & 1
+    one -1 per common generator (from e_i^2 = -1).  Each generator j of b
+    moves past the generators of a above j and meets its own copy in a,
+    so the count is, mod 2, the number of pairs i in a, j in b with
+    i >= j: the suffix parities of a (bit j: the parity of the bits of a
+    from j up, by doubling shifts), read on b."""
+    suffix, shift = a, 1
+    while suffix >> shift:
+        suffix ^= suffix >> shift
+        shift <<= 1
+    return parity(suffix & b)
 
 
 def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -213,14 +218,54 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     `gf2.solve` elimination gives the least solution x, the first lift in
     chi-major counting order, which is returned after `_verify_lift`
     re-checks it, or None when there is no solution.
+
+    Lattice coordinates are read in closed form, with no integer
+    elimination.  The basis of `generators_of` is the Hermite form of
+    2Z^n + K: row c is the 0/1 row of K with lowest bit c when c is a
+    pivot of K (nonzero `mod2_rows()[c]`; no other pivot bit is set in
+    it), else 2e_c.  Hence:
+
+    * 2e_c has coordinates e_c, plus the other bits of row c for a pivot
+      c; `doubled(h)` sums these over the bits of h, giving the
+      coordinates of 2d for d = h mod 2.
+    * A lattice vector t with bits 0 w and bits 1 y differs from the sum
+      u of the pivot rows at the pivot bits of w by 2(y - z), z being bit
+      1 of the column counts of u, so `coords(t)` is those pivot bits plus
+      doubled(y ^ z).  When u and w differ mod 2, t is not in N.
+    * Invariance: for a row 2e_c, D(2e_c) - 2e_c lies in 2N, so its
+      constraint is 0; for a pivot row v, D v - v = -2(v & e), e the
+      exponent mask of D.
     """
     _require_orientable(m)
     _, m = to_strict_upper(m)
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
-    # the holonomy images of the basis rows repeat across generators
-    coords = lru_cache(maxsize=None)(pres.lattice.coords_mod2)
+    rows2 = pres.lattice.mod2_rows()
+    if rows2 is None:
+        raise gf2.InvariantViolation(f"the lattice of Gamma(A) for {m.rows} misses Z^n")
+    pivots = sum(1 << c for c, r in enumerate(rows2) if r)
+
+    def doubled(half: int) -> int:
+        """Coordinates mod 2 of 2d for d = half mod 2."""
+        out = half
+        for c in bits(half):
+            out ^= rows2[c]
+        return out
+
+    def coords(trans2: tuple[int, ...]) -> int:
+        """Coordinates mod 2 of a lattice vector, from its bits 0 and 1."""
+        low = high = 0
+        for c, t in enumerate(trans2):
+            low |= (t & 1) << c
+            high |= ((t >> 1) & 1) << c
+        ones = twos = 0  # bits 0 and 1 of the column sums of the pivot rows in low
+        for c in bits(low & pivots):
+            twos ^= ones & rows2[c]
+            ones ^= rows2[c]
+        if ones != low:
+            raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
+        return (low & pivots) ^ doubled(high ^ twos)
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     position = {i: pos for pos, i in enumerate(active)}
@@ -245,10 +290,9 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         if support:
             raise gf2.InvariantViolation(f"relator {rel.word} of sign monomials is not +-1")
         constraints[sigma | chi << shift, sign] = None
-    for row_idx, row in enumerate(basis2):
+    for c in bits(pivots):
         for i in active:
-            conj = tuple(s * t for s, t in zip(gens[i].signs, row))
-            constraints[(coords(conj) ^ (1 << row_idx)) << shift, 0] = None
+            constraints[doubled(rows2[c] & gens[i].exponent_mask) << shift, 0] = None
 
     constraints.pop((0, 0), None)
     x = 0

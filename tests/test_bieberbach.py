@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from bottclass.bieberbach import (
     TransLattice,
     _exponent_matrix,
     _pivot_generators,
+    _torsion_free_over_z,
     commutator_trans2,
     conjugate_by_perm,
     coset_reps,
@@ -320,6 +322,86 @@ def test_point_reflection_has_torsion():
     assert not is_torsion_free(pres)
 
 
+def contains_unit_lattice(p):
+    """Oracle for TransLattice.mod2_rows: does N hold every e_i (doubled:
+    2 e_i), by integer membership?"""
+    n = p.n
+    return all(p.lattice.contains2(tuple(2 if j == i else 0 for j in range(n))) for i in range(n))
+
+
+def random_affine_lists(rng, count):
+    """Seeded generator lists at n <= 4: random signs with translations in
+    {-1, 0, 1, 2}, some with unit translations (I, 2 e_i) added, so the
+    lattices hold Z^n in some lists and not in others."""
+    lists = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        gens = [AffineIso(tuple(rng.choice((-1, 1)) for _ in range(n)),
+                          tuple(rng.choice((-1, 0, 1, 2)) for _ in range(n)))
+                for _ in range(rng.randint(1, 3))]
+        gens += [AffineIso((1,) * n, tuple(2 if j == i else 0 for j in range(n)))
+                 for i in range(n) if rng.random() < 0.5]
+        rng.shuffle(gens)
+        lists.append(gens)
+    return lists
+
+
+def test_mod2_torsion_route_matches_the_integer_route_seeded_lists():
+    kinds = Counter()
+    for gens in random_affine_lists(random.Random(19), 600):
+        p = from_generators(gens)
+        unit = contains_unit_lattice(p)
+        assert (p.lattice.mod2_rows() is not None) == unit, gens
+        free = is_torsion_free(p)
+        assert free == _torsion_free_over_z(p), gens
+        kinds[unit, free] += 1
+    # both routes, and both answers on the mod-2 route, are exercised
+    assert min(kinds[unit, free] for unit in (True, False) for free in (True, False)) > 20, kinds
+
+
+def test_mod2_torsion_route_matches_the_integer_route_gamma_a_n_le_5():
+    checked = 0
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            p = generators_of(m)
+            assert p.lattice.mod2_rows() is not None and contains_unit_lattice(p), m.rows
+            assert is_torsion_free(p) and _torsion_free_over_z(p), m.rows
+            checked += 1
+    assert checked == 1099
+
+
+def test_mod2_torsion_route_small_examples():
+    # Z^2 extended by (diag(-1, 1), (0, 1/2)) and (diag(1, -1), (1/2, 0)):
+    # their product (-I, (-1/2, 1/2)) is a point reflection, so only the
+    # coset of -I holds torsion.  In the Klein bottle group the one
+    # nontrivial coset is torsion-free by its translation bit alone.
+    gens = [AffineIso((-1, 1), (0, 1)), AffineIso((1, -1), (1, 0)),
+            AffineIso((1, 1), (2, 0)), AffineIso((1, 1), (0, 2))]
+    p = from_generators(gens)
+    assert p.lattice.mod2_rows() == [0, 0]
+    assert not is_torsion_free(p) and not _torsion_free_over_z(p)
+    klein = from_generators([AffineIso((-1, 1), (0, 1)), AffineIso((1, 1), (2, 0)),
+                             AffineIso((1, 1), (0, 2))])
+    assert is_torsion_free(klein) and _torsion_free_over_z(klein)
+
+
+def test_holonomy_rep_is_the_signs_of_coset_reps():
+    presentations = oracle_presentations()
+    presentations += [from_generators(gens) for gens in random_affine_lists(random.Random(23), 200)]
+    for p in presentations:
+        assert holonomy_rep(p) == [r.signs for r in coset_reps(p)], p.generators
+
+
+def test_mod2_rows_needs_a_full_rank_lattice_with_z_n():
+    assert TransLattice(2, ((1, 1), (0, 2))).mod2_rows() == [0b11, 0]
+    assert TransLattice(2, ((2, 0), (0, 2))).mod2_rows() == [0, 0]
+    assert TransLattice(2, ((2, 1), (0, 2))).mod2_rows() is None  # (2, 0) is missing
+    assert TransLattice(2, ((4, 0), (0, 2))).mod2_rows() is None
+    assert TransLattice(2, ((1, 0),)).mod2_rows() is None  # rank 1
+    with pytest.raises(InvariantViolation, match="echelon"):
+        TransLattice(2, ((0, 1), (1, 0))).mod2_rows()
+
+
 def rank_prefix_pivots(p):
     """Oracle for _pivot_generators: the generators that raise the rank of
     the exponent vectors before them."""
@@ -401,11 +483,18 @@ def test_generators_of_mixed_dimension_are_a_dimension_mismatch():
                 build(gens)
 
 
+def assert_exponent_masks_match_signs(p):
+    # generators_of hands each generator its row as exponent_mask
+    assert [g.exponent_mask for g in p.generators] == [
+        AffineIso(g.signs, g.trans2).exponent_mask for g in p.generators]
+
+
 def test_generators_of_equals_the_generic_route_n_le_5():
     for n in range(1, 6):
         for m in enumerate_strict_upper(n):
             p = generators_of(m)
             assert p == from_generators(p.generators), m.rows
+            assert_exponent_masks_match_signs(p)
 
 
 def test_generators_of_equals_the_generic_route_seeded_n6_to_8():
@@ -415,6 +504,7 @@ def test_generators_of_equals_the_generic_route_seeded_n6_to_8():
             rows = tuple(rng.getrandbits(n) >> (i + 1) << (i + 1) for i in range(n))
             p = generators_of(BottMatrix(n, rows))
             assert p == from_generators(p.generators), rows
+            assert_exponent_masks_match_signs(p)
 
 
 def test_relators_listed_in_order():

@@ -194,6 +194,33 @@ def test_parse_failure_exits_2(capsys, monkeypatch, tmp_path, content, source):
     assert err.startswith("error: ") and not out
 
 
+@pytest.mark.parametrize("command", ["invariants", "spin"])
+@pytest.mark.parametrize("content, n", [
+    ('{"n": 0, "rows": []}', 0),
+    ('{"n": -2, "rows": []}', -2),
+    ("0\n", 0),
+    ("-1\n", -1),
+], ids=["json-0", "json-neg", "text-0", "text-neg"])
+def test_dimension_below_one_is_named(capsys, tmp_path, command, content, n):
+    f = tmp_path / "m.txt"
+    f.write_text(content)
+    code, out, err = run(capsys, command, "--matrix", str(f))
+    assert code == 2 and not out
+    assert err == f"error: dimension must be at least 1, got {n}\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "spin"])
+def test_matrix_above_the_ring_bound_exits_2(capsys, tmp_path, command):
+    from bottclass.cohomology import RING_BOUND
+
+    n = RING_BOUND + 1
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"n": n, "rows": ["0" * n] * n}))
+    code, out, err = run(capsys, command, "--matrix", str(f))
+    assert code == 2 and not out
+    assert err == f"error: cohomology ring at n={n} exceeds the configured bound {RING_BOUND}\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "invariants", "--matrix", "/nonexistent/m.txt")
     assert code == 2

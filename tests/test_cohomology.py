@@ -19,6 +19,7 @@ from bottclass.bottmatrix import (
     to_strict_upper,
 )
 from bottclass.cohomology import (
+    RING_BOUND,
     CohomRing,
     Gf2Poly,
     degree2,
@@ -31,7 +32,7 @@ from bottclass.cohomology import (
     ring_of,
     w2_of_rows,
 )
-from bottclass.gf2 import InvariantViolation, UsageError, transpose_masks
+from bottclass.gf2 import BoundExceeded, InvariantViolation, UsageError, transpose_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 A23 = catalog.DIM5_ORIENTED["A23"]
@@ -208,6 +209,16 @@ def test_multiply_beyond_the_ring_is_a_usage_error():
         with pytest.raises(UsageError):
             ring.multiply(p, q)
     assert ring.multiply(x1, poly_from_vars([5])) == poly_from_vars([1, 5])  # in range
+
+
+def test_ring_above_the_bound_is_refused_before_any_table():
+    # the check comes first in the constructor, so n = 30 (30 * 2^30 table
+    # entries) is refused with nothing allocated
+    for n in (RING_BOUND + 1, 30):
+        with pytest.raises(BoundExceeded, match=f"n={n} exceeds"):
+            CohomRing(BottMatrix(n, (0,) * n))
+    ring = ring_of(BottMatrix(RING_BOUND, (0,) * RING_BOUND))
+    assert [ring.betti_z2(k) for k in (0, 1, RING_BOUND)] == [1, RING_BOUND, 1]
 
 
 def test_top_class_vanishes():

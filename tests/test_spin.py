@@ -22,13 +22,14 @@ from bottclass.bottmatrix import (
     to_strict_upper,
 )
 from bottclass.cohomology import h2_real_is_zero, ring_of
-from bottclass.gf2 import kernel_basis, parity
+from bottclass.gf2 import kernel_basis, parity, solve
 from bottclass.spin import (
     PART_I,
     PART_II,
     CliffordElement,
     NonOrientable,
     SpinLift,
+    _mul_sign,
     _verify_lift,
     clifford_inv,
     clifford_mul,
@@ -386,6 +387,110 @@ def test_lift_solve_matches_brute_force_permuted_n6_to_8():
         perm = list(range(n))
         rng.shuffle(perm)
         assert_same_lift(op1(random_oriented_strict_upper(rng, n), perm))
+
+
+def coords_route_lift(m):
+    """Oracle for the closed-form lattice coordinates of spin_lift_search:
+    the same GF(2) solve with every constraint read by
+    `TransLattice.coords_mod2`, an integer back-substitution in the HNF
+    basis, and an invariance row for every (basis row, generator) pair."""
+    _, m = to_strict_upper(m)
+    pres = generators_of(m)
+    gens = pres.generators
+    basis2 = pres.lattice.basis2
+    coords = pres.lattice.coords_mod2
+    active = [i for i, g in enumerate(gens) if not g.is_translation]
+    position = {i: pos for pos, i in enumerate(active)}
+    shift = len(active)
+    constraints = {}
+    for rel in pres.relators:
+        sigma = support = sign = 0
+        chi = coords(rel.trans2)
+        for letter in rel.word:
+            i = letter if letter >= 0 else ~letter
+            if gens[i].is_translation:
+                chi ^= coords(gens[i].trans2)
+                continue
+            s = gens[i].exponent_mask
+            sigma ^= 1 << position[i]
+            if letter < 0:
+                sign ^= _mul_sign(s, s)
+            sign ^= _mul_sign(support, s)
+            support ^= s
+        assert support == 0
+        constraints[sigma | chi << shift, sign] = None
+    for row_idx, row in enumerate(basis2):
+        for i in active:
+            conj = tuple(s * t for s, t in zip(gens[i].signs, row))
+            constraints[(coords(conj) ^ (1 << row_idx)) << shift, 0] = None
+    constraints.pop((0, 0), None)
+    x = 0
+    if constraints:
+        masks = tuple(mask for mask, _ in constraints)
+        rhs = sum(bit << k for k, (_, bit) in enumerate(constraints))
+        solved = solve(shift + len(basis2), masks, rhs)
+        if solved is None:
+            return None
+        x = solved[0]
+    sigma, chi = x & ((1 << shift) - 1), x >> shift
+    gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}
+    gen_signs.update((i, -1 if parity(chi & coords(g.trans2)) else 1)
+                     for i, g in enumerate(gens) if g.is_translation)
+    return SpinLift(gen_signs, {row: -1 if (chi >> idx) & 1 else 1
+                                for idx, row in enumerate(basis2)})
+
+
+def assert_lift_matches_coords_route(m):
+    got, want = spin_lift_search(m), coords_route_lift(m)
+    assert got == want, m.rows
+    if got is not None:
+        assert list(got.generator_signs) == list(want.generator_signs), m.rows
+        assert list(got.lattice_character) == list(want.lattice_character), m.rows
+    return got is not None
+
+
+def test_lift_matches_the_coords_route_all_oriented_n_le_5():
+    checked = found = 0
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            if is_orientable(m):
+                found += assert_lift_matches_coords_route(m)
+                checked += 1
+    assert checked == 1 + 1 + 2 + 8 + 64
+    assert 0 < found < checked
+
+
+def test_lift_matches_the_coords_route_seeded_oriented_n6_to_8():
+    rng = random.Random(8)
+    found = 0
+    for n in (6, 7, 8):
+        for _ in range(100):
+            found += assert_lift_matches_coords_route(random_oriented_strict_upper(rng, n))
+    assert 0 < found < 300
+
+
+def transposition_sign(a, b):
+    """Oracle for _mul_sign: bubble-sort the factors of e_a e_b, one -1 per
+    adjacent swap, then one -1 per e_i e_i = -1."""
+    word = [i for i in range(a.bit_length()) if (a >> i) & 1]
+    word += [i for i in range(b.bit_length()) if (b >> i) & 1]
+    swaps = 0
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                swaps += 1
+    return (swaps + (a & b).bit_count()) & 1
+
+
+def test_mul_sign_counts_transpositions_and_squares():
+    for a in range(1 << 6):
+        for b in range(1 << 6):
+            assert _mul_sign(a, b) == transposition_sign(a, b), (a, b)
+    rng = random.Random(9)
+    for _ in range(2000):
+        a, b = rng.getrandbits(rng.randint(1, 40)), rng.getrandbits(rng.randint(1, 40))
+        assert _mul_sign(a, b) == transposition_sign(a, b), (a, b)
 
 
 def kernel_words(pres):
