@@ -11,11 +11,12 @@ Hermite form.  It serves Gamma_n and arbitrary generator lists, and it is
 the tests' reference for `generators_of`, which reads the same presentation
 of Gamma(A) in closed form from the rows and columns of A.
 
-Torsion, holonomy and the lift search of `spin` read a presentation on int
-masks.  A lattice that contains Z^n is known by its rows mod 2
-(`TransLattice.mod2_rows`), and D t = t mod 2 for a diagonal +-1 matrix D,
-so the translation of a product is, mod 2, the XOR of its factors'; the
-mod-2 lemma that makes this exact is in `is_torsion_free`.
+Torsion and holonomy read a presentation on int masks.  A lattice that
+contains Z^n is known by its rows mod 2 (`TransLattice.mod2_rows`), and
+D t = t mod 2 for a diagonal +-1 matrix D, so the translation of a product
+is, mod 2, the XOR of its factors'; the mod-2 lemma that makes this exact
+is in `is_torsion_free`.  The lift search of `spin` does not read
+`mod2_rows`: it takes lattice coordinates from `TransLattice.coords_mod2`.
 """
 from __future__ import annotations
 
@@ -319,10 +320,6 @@ class TransLattice:
         for i, q in enumerate(qs):
             mask |= (q & 1) << i
         return mask
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis2)
 
 
 class Relator(NamedTuple):

@@ -5,13 +5,13 @@ detectors (odd row overlap with a zero entry; disjoint rows of weight
 2 mod 4) together with the w_2 = 0 criterion, and a lift of the holonomy
 through the sign-monomial subgroup of Spin(n), mirroring the
 group-theoretic definition.  Its relations are the relators of
-`bieberbach.generators_of(m)`, the one list of the relations of Gamma(A),
-plus invariance of the lattice character under the holonomy: one affine
-GF(2) solve over the generator signs and the lattice character gives the
-least solution, and group and Clifford arithmetic re-evaluate every
-relator word on the lift it returns.  The search reads lattice coordinates
-in closed form from the rows mod 2 of the Hermite basis; the re-check reads
-them by integer back-substitution (`TransLattice.coords_mod2`).
+`bieberbach.generators_of(m)`, the one list of the relations of Gamma(A):
+one affine GF(2) solve over the generator signs and the lattice character
+gives the least solution, and group and Clifford arithmetic re-evaluate
+every relator word on the lift it returns.  Invariance of the character
+under the holonomy follows from the commutator relators (the lemma in
+`spin_lift_search`).  The search and the re-check read lattice coordinates
+by one route, `TransLattice.coords_mod2`.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import bieberbach, cohomology, gf2
 from .bottmatrix import BottMatrix, is_orientable, to_strict_upper
-from .gf2 import bits, parity, popcount
+from .gf2 import parity, popcount
 
 PART_I = "Part I"
 PART_II = "Part II"
@@ -190,7 +190,9 @@ def spinc_obstructed(m: BottMatrix) -> bool:
 class SpinLift:
     """A homomorphism from Gamma(A) to the sign-monomial group covering the
     holonomy: a sign per generator and a +-1 character on the translation
-    lattice (keyed by the doubled HNF basis rows)."""
+    lattice (keyed by the doubled HNF basis rows).  For a matrix that is
+    not strictly upper, the lift is in the labels of its `to_strict_upper`
+    form."""
 
     generator_signs: dict[int, int]
     lattice_character: dict[tuple[int, ...], int]
@@ -211,61 +213,39 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     +-e_{S}; translations must map through a +-1 character chi on N.  The
     unknowns are the generator signs sigma and the values of chi on the
     HNF basis, packed as x = (chi << |active|) | sigma.  The constraints
-    are affine over GF(2): one row per relator of `generators_of(m)` (the
+    are affine over GF(2), one row per relator of `generators_of(m)`: the
     parity of sigma over its active letters, chi of its translation and of
-    any translation letter, and the word's Clifford sign by `_mul_sign`),
-    and invariance of chi under the holonomy action (chi only).  One
-    `gf2.solve` elimination gives the least solution x, the first lift in
-    chi-major counting order, which is returned after `_verify_lift`
-    re-checks it, or None when there is no solution.
+    any translation letter (coordinates by `TransLattice.coords_mod2`,
+    which raises InvariantViolation off the lattice), and the word's
+    Clifford sign by `_mul_sign`.  One `gf2.solve` elimination gives the
+    least solution x, the first lift in chi-major counting order, which is
+    returned after `_verify_lift` re-checks it, or None when there is no
+    solution.
 
-    Lattice coordinates are read in closed form, with no integer
-    elimination.  The basis of `generators_of` is the Hermite form of
-    2Z^n + K: row c is the 0/1 row of K with lowest bit c when c is a
-    pivot of K (nonzero `mod2_rows()[c]`; no other pivot bit is set in
-    it), else 2e_c.  Hence:
-
-    * 2e_c has coordinates e_c, plus the other bits of row c for a pivot
-      c; `doubled(h)` sums these over the bits of h, giving the
-      coordinates of 2d for d = h mod 2.
-    * A lattice vector t with bits 0 w and bits 1 y differs from the sum
-      u of the pivot rows at the pivot bits of w by 2(y - z), z being bit
-      1 of the column counts of u, so `coords(t)` is those pivot bits plus
-      doubled(y ^ z).  When u and w differ mod 2, t is not in N.
-    * Invariance: for a row 2e_c, D(2e_c) - 2e_c lies in 2N, so its
-      constraint is 0; for a pivot row v, D v - v = -2(v & e), e the
-      exponent mask of D.
+    Lemma: the commutator rows imply that chi is invariant under the
+    holonomy, so no invariance row is added.  Let S_i be row i of A
+    (|S_i| even) and q_c = chi(2e_c), a GF(2) form in x (translations
+    doubled, as throughout).  N doubled is 2Z^n + K (`generators_of`).
+    D_i maps a basis row 2e_c to +-2e_c, of equal chi, and a pivot row v
+    of K to v - 2(v & S_i): for active i (S_i nonzero), invariance asks
+    that the q_c over c in v & S_i sum to 0.
+    * c in v, c > i: the commutator row (i, c) reads a_ic q_c = |S_i & S_c|
+      when c is active.  Else S_c = 0 and q_c = 0 as a form, as e_c, the
+      translation of s_c, lies in N (bit n-1, the one inactive c without
+      such a generator, is in no vector of K), so the equation holds too.
+    * c in v, c < i: the commutator row (c, i) reads a_ci q_i = |S_c & S_i|
+      (0 = 0 for an inactive c).  c = i: a_ii = 0 = |S_i| mod 2.
+    The rows of A over v XOR to 0, so these rows sum to
+    0 = sum_{c in v & S_i} q_c + q_i [bit i of XOR_{c in v} S_c]
+      = sum_{c in v & S_i} q_c, the invariance row with its right-hand
+    side.  The proof holds over GF(2) only.
     """
     _require_orientable(m)
     _, m = to_strict_upper(m)
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
-    rows2 = pres.lattice.mod2_rows()
-    if rows2 is None:
-        raise gf2.InvariantViolation(f"the lattice of Gamma(A) for {m.rows} misses Z^n")
-    pivots = sum(1 << c for c, r in enumerate(rows2) if r)
-
-    def doubled(half: int) -> int:
-        """Coordinates mod 2 of 2d for d = half mod 2."""
-        out = half
-        for c in bits(half):
-            out ^= rows2[c]
-        return out
-
-    def coords(trans2: tuple[int, ...]) -> int:
-        """Coordinates mod 2 of a lattice vector, from its bits 0 and 1."""
-        low = high = 0
-        for c, t in enumerate(trans2):
-            low |= (t & 1) << c
-            high |= ((t >> 1) & 1) << c
-        ones = twos = 0  # bits 0 and 1 of the column sums of the pivot rows in low
-        for c in bits(low & pivots):
-            twos ^= ones & rows2[c]
-            ones ^= rows2[c]
-        if ones != low:
-            raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
-        return (low & pivots) ^ doubled(high ^ twos)
+    coords = pres.lattice.coords_mod2
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     position = {i: pos for pos, i in enumerate(active)}
@@ -290,9 +270,6 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         if support:
             raise gf2.InvariantViolation(f"relator {rel.word} of sign monomials is not +-1")
         constraints[sigma | chi << shift, sign] = None
-    for c in bits(pivots):
-        for i in active:
-            constraints[doubled(rows2[c] & gens[i].exponent_mask) << shift, 0] = None
 
     constraints.pop((0, 0), None)
     x = 0

@@ -22,7 +22,7 @@ from bottclass.bottmatrix import (
     to_strict_upper,
 )
 from bottclass.cohomology import h2_real_is_zero, ring_of
-from bottclass.gf2 import kernel_basis, parity, solve
+from bottclass.gf2 import kernel_basis, parity, reduce_into, solve
 from bottclass.spin import (
     PART_I,
     PART_II,
@@ -389,11 +389,12 @@ def test_lift_solve_matches_brute_force_permuted_n6_to_8():
         assert_same_lift(op1(random_oriented_strict_upper(rng, n), perm))
 
 
-def coords_route_lift(m):
-    """Oracle for the closed-form lattice coordinates of spin_lift_search:
-    the same GF(2) solve with every constraint read by
-    `TransLattice.coords_mod2`, an integer back-substitution in the HNF
-    basis, and an invariance row for every (basis row, generator) pair."""
+def lift_system(m):
+    """The GF(2) system of the lift search with every invariance row, each
+    coordinate read by `TransLattice.coords_mod2`: the presentation of the
+    strictly upper form of m, the number of unknowns, the relator rows as
+    (word, mask over x, required bit), and the invariance rows (mask over
+    x, required bit 0), one per (basis row, active generator) pair."""
     _, m = to_strict_upper(m)
     pres = generators_of(m)
     gens = pres.generators
@@ -402,7 +403,7 @@ def coords_route_lift(m):
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     position = {i: pos for pos, i in enumerate(active)}
     shift = len(active)
-    constraints = {}
+    relator_rows = []
     for rel in pres.relators:
         sigma = support = sign = 0
         chi = coords(rel.trans2)
@@ -418,17 +419,34 @@ def coords_route_lift(m):
             sign ^= _mul_sign(support, s)
             support ^= s
         assert support == 0
-        constraints[sigma | chi << shift, sign] = None
+        relator_rows.append((rel.word, sigma | chi << shift, sign))
+    invariance_rows = []
     for row_idx, row in enumerate(basis2):
         for i in active:
             conj = tuple(s * t for s, t in zip(gens[i].signs, row))
-            constraints[(coords(conj) ^ (1 << row_idx)) << shift, 0] = None
+            invariance_rows.append((coords(conj) ^ (1 << row_idx)) << shift)
+    return pres, shift + len(basis2), relator_rows, invariance_rows
+
+
+def coords_route_lift(m):
+    """Oracle for spin_lift_search that keeps every invariance row: the
+    same least solution of the same GF(2) solve, over the relator rows plus
+    an invariance row for every (basis row, active generator) pair, which
+    the lemma in the `spin_lift_search` docstring proves redundant."""
+    pres, width, relator_rows, invariance_rows = lift_system(m)
+    gens = pres.generators
+    basis2 = pres.lattice.basis2
+    coords = pres.lattice.coords_mod2
+    active = [i for i, g in enumerate(gens) if not g.is_translation]
+    shift = len(active)
+    constraints = {(mask, bit): None for _, mask, bit in relator_rows}
+    constraints.update(((mask, 0), None) for mask in invariance_rows)
     constraints.pop((0, 0), None)
     x = 0
     if constraints:
         masks = tuple(mask for mask, _ in constraints)
         rhs = sum(bit << k for k, (_, bit) in enumerate(constraints))
-        solved = solve(shift + len(basis2), masks, rhs)
+        solved = solve(width, masks, rhs)
         if solved is None:
             return None
         x = solved[0]
@@ -460,13 +478,60 @@ def test_lift_matches_the_coords_route_all_oriented_n_le_5():
     assert 0 < found < checked
 
 
-def test_lift_matches_the_coords_route_seeded_oriented_n6_to_8():
+def test_lift_matches_the_coords_route_seeded_permuted_n6_to_9():
     rng = random.Random(8)
     found = 0
-    for n in (6, 7, 8):
+    for n in (6, 7, 8, 9):
         for _ in range(100):
-            found += assert_lift_matches_coords_route(random_oriented_strict_upper(rng, n))
-    assert 0 < found < 300
+            perm = list(range(n))
+            rng.shuffle(perm)
+            found += assert_lift_matches_coords_route(op1(random_oriented_strict_upper(rng, n), perm))
+    assert 0 < found < 400
+
+
+def in_span(rows, row):
+    basis = {}
+    reduce_into(basis, rows)
+    return not reduce_into(basis, (row,))
+
+
+def test_commutator_rows_imply_the_invariance_rows_n_le_6_and_permuted_n7_to_9():
+    # The lemma of spin_lift_search: each invariance row is a sum of
+    # commutator rows, right-hand side included, so it lies in the span of
+    # the augmented relator rows.  Teeth: the squares and kernel rows
+    # alone, where consistent, leave some invariance row free.
+    def matrices():
+        for n in range(1, 7):
+            yield from (m for m in enumerate_strict_upper(n) if is_orientable(m))
+        rng = random.Random(10)
+        for n in (7, 8, 9):
+            for _ in range(60):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield op1(random_oriented_strict_upper(rng, n), perm)
+
+    checked = consistent = loose = 0
+    for m in matrices():
+        _, width, relator_rows, invariance_rows = lift_system(m)
+        augmented = [mask | bit << width for _, mask, bit in relator_rows]
+        commutators = [mask | bit << width for word, mask, bit in relator_rows
+                       if any(letter < 0 for letter in word)]
+        others = [mask | bit << width for word, mask, bit in relator_rows
+                  if all(letter >= 0 for letter in word)]
+        for row in invariance_rows:
+            assert in_span(commutators, row), m.rows
+        checked += 1
+        if not in_span(others, 1 << width) and not all(in_span(others, row)
+                                                        for row in invariance_rows):
+            loose += 1
+        if in_span(augmented, 1 << width):
+            continue  # no lift: the system implies every row
+        consistent += 1
+        for row in invariance_rows:
+            assert in_span(augmented, row), m.rows
+    assert checked == 1 + 1 + 2 + 8 + 64 + 1024 + 180
+    assert 0 < consistent < checked
+    assert loose > 0
 
 
 def transposition_sign(a, b):
