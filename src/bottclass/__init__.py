@@ -50,7 +50,6 @@ from .cohomology import (
     Gf2Poly,
     format_poly,
     h2_real_is_zero,
-    parse_poly,
     poly_from_vars,
     ring_of,
 )

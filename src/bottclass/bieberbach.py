@@ -316,10 +316,7 @@ class TransLattice:
         qs = self._lattice.quotients(trans2)
         if qs is None:
             raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
-        mask = 0
-        for i, q in enumerate(qs):
-            mask |= (q & 1) << i
-        return mask
+        return _mod2(qs)
 
 
 class Relator(NamedTuple):

@@ -3,12 +3,8 @@
 The ring of an n x n Bott matrix A is Z2[x_1..x_n] modulo the relations
 x_j^2 = x_j * y_j with y_j = sum_i a_{i,j} x_i.  Monomials in normal form
 are square free and stored as int bitmasks over the variable indices
-(0-based).  Below the public `Gf2Poly` (`w2_of_rows`, every ring product,
-the witness checks of `rigidity`) a polynomial is packed: one int with bit
-s set for each square-free monomial s < 2^n, so addition is XOR.  Only
-`Gf2Poly.terms` is a sparse frozenset of monomial masks, so that
-`parse_poly("x40")` does not allocate a 2^39-bit int; `multiply`, `y` and
-`stiefel_whitney` convert at that boundary through `_pack`/`_unpack`.
+(0-based).  A polynomial, `Gf2Poly`, is packed: one int with bit s set for
+each square-free monomial s, so addition is XOR.
 
 The ring keeps, built once on first use, the multiply-by-x_i tables
 mul[i][s], the packed normal form of x_i times the monomial s: 2^(s | 1<<i)
@@ -32,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
 from operator import xor
-from typing import FrozenSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .bottmatrix import BottMatrix, to_strict_upper, w2_masks
 from .gf2 import (
@@ -50,14 +46,6 @@ from .gf2 import (
 # `bottclass invariants`, and each step above it about four times the
 # memory (n = 15: 3.8 s, 1.1 GiB).
 RING_BOUND = 12
-
-Terms = FrozenSet[int]
-
-ZERO: Terms = frozenset()
-
-
-class PolyParseError(ValueError):
-    pass
 
 
 def pair_bit(a: int, b: int) -> int:
@@ -91,83 +79,57 @@ def degree2(cols: Sequence[int], u: int, v: int) -> int:
     return acc
 
 
-def linear(mask: int) -> int:
-    """The degree-1 class sum_{i in mask} x_i, packed."""
-    return _pack(1 << i for i in bits(mask))
-
-
 @dataclass(frozen=True)
 class Gf2Poly:
-    """Polynomial in square-free normal form: a set of monomial masks."""
+    """Polynomial in square-free normal form, packed: bit s of `packed` is
+    set for each monomial s (a mask over the variables) it holds."""
 
-    terms: Terms = ZERO
+    packed: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.packed) is not int or self.packed < 0:
+            raise UsageError(f"packed form must be a non-negative int, got {self.packed!r}")
+
+    @property
+    def terms(self) -> frozenset[int]:
+        """The monomial masks, as a set."""
+        return frozenset(bits(self.packed))
 
     def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.terms ^ other.terms)
+        return Gf2Poly(self.packed ^ other.packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((popcount(t) for t in self.terms), default=0)
+        return not self.packed
 
     def __str__(self) -> str:
         return format_poly(self)
 
 
+def linear(mask: int) -> Gf2Poly:
+    """The degree-1 class sum_{i in mask} x_i."""
+    return Gf2Poly(sum(1 << (1 << i) for i in bits(mask)))
+
+
 def poly_from_vars(*one_based_vars: Iterable[int]) -> Gf2Poly:
-    """Build a polynomial from monomials given as iterables of 1-based variables."""
-    terms = set()
+    """Build a polynomial from monomials given as iterables of 1-based
+    variables, each in 1..RING_BOUND."""
+    packed = 0
     for mono in one_based_vars:
         mask = 0
         for v in mono:
+            if not 1 <= v <= RING_BOUND:
+                raise UsageError(f"variable x{v} is outside x1..x{RING_BOUND}")
             mask |= 1 << (v - 1)
-        terms ^= {mask}
-    return Gf2Poly(frozenset(terms))
+        packed ^= 1 << mask
+    return Gf2Poly(packed)
 
 
 def format_poly(p: Gf2Poly) -> str:
-    if not p.terms:
+    """The '+'-separated product form, e.g. "x1*x3 + x2*x5"; "0", "1"."""
+    if p.is_zero():
         return "0"
-    def mono_key(mask: int) -> tuple:
-        idx = tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
-        return (popcount(mask), idx)
-    parts = []
-    for mask in sorted(p.terms, key=mono_key):
-        if mask == 0:
-            parts.append("1")
-        else:
-            parts.append("*".join(f"x{i + 1}" for i in range(mask.bit_length()) if (mask >> i) & 1))
-    return " + ".join(parts)
-
-
-def parse_poly(text: str) -> Gf2Poly:
-    """Parse the '+'-separated product form, e.g. "x1*x3 + x2*x5"; "0", "1"."""
-    stripped = text.strip()
-    if not stripped:
-        raise PolyParseError("empty polynomial")
-    if stripped == "0":
-        return Gf2Poly()
-    terms: set[int] = set()
-    for raw_term in stripped.split("+"):
-        term = raw_term.strip()
-        if not term:
-            raise PolyParseError(f"empty term in {text!r}")
-        if term == "1":
-            terms ^= {0}
-            continue
-        mask = 0
-        for factor in term.split("*"):
-            f = factor.strip()
-            if not (f.startswith("x") and f[1:].isdigit() and int(f[1:]) >= 1):
-                raise PolyParseError(f"bad factor {f!r} in {text!r}")
-            bit = 1 << (int(f[1:]) - 1)
-            if mask & bit:
-                raise PolyParseError(f"repeated variable {f!r}: text form carries"
-                                     " square-free normal forms only")
-            mask |= bit
-        terms ^= {mask}
-    return Gf2Poly(frozenset(terms))
+    monomials = sorted(bits(p.packed), key=lambda mask: (popcount(mask), tuple(bits(mask))))
+    return " + ".join("*".join(f"x{i + 1}" for i in bits(mask)) or "1" for mask in monomials)
 
 
 class CohomRing:
@@ -244,36 +206,31 @@ class CohomRing:
             out.append(acc)
         return out
 
-    def _reduce_exp(self, exps: tuple[int, ...]) -> Terms:
+    def _reduce_exp(self, exps: tuple[int, ...]) -> Gf2Poly:
         """Normal form of the monomial prod x_i^exps[i], one table
         application per factor."""
         forms = [1]
         for i, e in enumerate(exps):
             for _ in range(e):
                 forms = self._times_var(i, forms)
-        return _unpack(forms[0])
+        return Gf2Poly(forms[0])
 
-    def multiply_packed(self, p: int, q: int) -> int:
-        """Packed normal form of p * q: p times each monomial of q, one
+    def multiply(self, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
+        """Square-free normal form of p * q: p times each monomial of q, one
         variable at a time."""
+        if (p.packed | q.packed) >> (1 << self.n):  # a monomial s >= 2^n
+            raise UsageError("polynomial uses variables beyond the ring")
         acc = 0
-        for v in bits(q):
-            forms = [p]
+        for v in bits(q.packed):
+            forms = [p.packed]
             for i in bits(v):
                 forms = self._times_var(i, forms)
             acc ^= forms[0]
-        return acc
-
-    def multiply(self, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-        """Square-free normal form of p * q."""
-        for t in p.terms | q.terms:
-            if t >> self.n:
-                raise UsageError("polynomial uses variables beyond the ring")
-        return Gf2Poly(_unpack(self.multiply_packed(_pack(p.terms), _pack(q.terms))))
+        return Gf2Poly(acc)
 
     def y(self, j: int) -> Gf2Poly:
         """Degree-1 class of the j-th line bundle: y_j = sum_i a_{i,j} x_i."""
-        return Gf2Poly(_unpack(linear(self.cols[j])))
+        return linear(self.cols[j])
 
     # -- characteristic classes -------------------------------------------
 
@@ -285,7 +242,7 @@ class CohomRing:
             return Gf2Poly()
         if k == 1:
             # sigma_1 = y_1 + ... + y_n is linear: the XOR of the columns
-            return Gf2Poly(_unpack(linear(reduce(xor, self.cols, 0))))
+            return linear(reduce(xor, self.cols, 0))
         if k >= len(self._sigma):
             # sigma_0..sigma_k of y_1..y_j, one y_j at a time: sigma_d gains
             # y_j sigma_{d-1}, each x_l of y_j times all of sigma_0..sigma_{k-1}
@@ -296,7 +253,7 @@ class CohomRing:
                 for l in bits(col):
                     for d, p in enumerate(self._times_var(l, lower), 1):
                         sigma[d] ^= p
-            self._sigma = [Gf2Poly(_unpack(s)) for s in sigma]
+            self._sigma = [Gf2Poly(s) for s in sigma]
         return self._sigma[k]
 
     def betti_z2(self, k: int) -> int:
@@ -334,28 +291,19 @@ class CohomRing:
         return comb(self.n, k)
 
 
-def _pack(terms: Iterable[int]) -> int:
-    """Packed form of a set of monomial masks: bit t per monomial t."""
-    return sum(1 << t for t in terms)
-
-
-def _unpack(p: int) -> Terms:
-    return frozenset(bits(p))
-
-
 def ring_of(m: BottMatrix) -> CohomRing:
     """Ring context with the relations x_j^2 -> x_j * (sum_i a_{i,j} x_i)."""
     return CohomRing(m)
 
 
-def w2_of_rows(n: int, rows: Sequence[int]) -> int:
-    """Packed normal form of w_2 = sum_{i<j} y_i y_j straight from the row
+def w2_of_rows(n: int, rows: Sequence[int]) -> Gf2Poly:
+    """Normal form of w_2 = sum_{i<j} y_i y_j straight from the row
     masks, with no ring (`bottmatrix.w2_masks`)."""
     acc = 0
     for a, coeffs in enumerate(w2_masks(rows, transpose_masks(n, rows))):
         for b in bits(coeffs):
             acc |= 1 << ((1 << a) | (1 << b))
-    return acc
+    return Gf2Poly(acc)
 
 
 def h2_real_is_zero(m: BottMatrix) -> bool:

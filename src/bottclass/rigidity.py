@@ -60,7 +60,7 @@ class RingIsoWitness:
 def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
     """Does the image of x_j^2 + x_j y_j = x_j (x_j + y_j) reduce to zero in
     the target?  Computed on normal forms, not by `degree2`."""
-    return not ring_b.multiply_packed(linear(image_j), linear(image_j ^ image_yj))
+    return ring_b.multiply(linear(image_j), linear(image_j ^ image_yj)).is_zero()
 
 
 def _admissible(cols: Sequence[int], y: int) -> list[int]:

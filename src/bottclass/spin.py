@@ -172,7 +172,7 @@ def has_spin(m: BottMatrix) -> bool:
     from the rows of the strictly upper normalisation without a ring."""
     _require_orientable(m)
     _, m = to_strict_upper(m)
-    return not cohomology.w2_of_rows(m.n, m.rows)
+    return cohomology.w2_of_rows(m.n, m.rows).is_zero()
 
 
 def spinc_obstructed(m: BottMatrix) -> bool:
@@ -328,9 +328,10 @@ def _verify_lift(pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
                 g, cliff = g.compose(gens[i].inverse()), clifford_mul(cliff, clifford_inv(eps))
         if not g.is_translation or cliff.support or cliff.sign != chi(g.trans2):
             return False
+    flips = [g.signs for g in gens if not g.is_translation]  # a translation fixes every row
     for row in basis2:
-        for g in gens:
-            conj = tuple(s * t for s, t in zip(g.signs, row))
+        for signs in flips:
+            conj = tuple(s * t for s, t in zip(signs, row))
             if chi(conj) != chi(row):
                 return False
     return True

@@ -23,11 +23,9 @@ from bottclass.cohomology import (
     CohomRing,
     Gf2Poly,
     degree2,
-    PolyParseError,
     format_poly,
     h2_real_is_zero,
     linear,
-    parse_poly,
     poly_from_vars,
     ring_of,
     w2_of_rows,
@@ -43,9 +41,9 @@ A48 = catalog.DIM5_ORIENTED["A48"]
 A49 = catalog.DIM5_ORIENTED["A49"]
 
 
-def _pack(terms):
-    """Bit t per monomial t, the packed form of the ring's products."""
-    return sum(1 << t for t in terms)
+def _poly(terms):
+    """The polynomial of a set of monomial masks: bit t per monomial t."""
+    return Gf2Poly(sum(1 << t for t in terms))
 
 
 def _square_of_var(ring, j):
@@ -76,7 +74,7 @@ def test_superdiagonal3_relations():
 
 def test_multiply_unit():
     ring = ring_of(A4)
-    one = Gf2Poly(frozenset({0}))
+    one = Gf2Poly(1)
     q = poly_from_vars([1, 3], [2])
     assert ring.multiply(one, q) == q
 
@@ -113,7 +111,7 @@ def test_multiply_commutative_associative_random():
                 for v in rng.sample(range(n), min(deg, n)):
                     mask |= 1 << v
                 terms ^= {mask}
-            return Gf2Poly(frozenset(terms))
+            return _poly(terms)
 
         p, q, s = random_poly(), random_poly(), random_poly()
         assert ring.multiply(p, q) == ring.multiply(q, p)
@@ -140,8 +138,8 @@ def test_w2_printed_values(name, expected):
 def test_w2_of_a4_equals_reduction_of_unreduced_form():
     # the printed class (x2)^2 + x1 x3 must reduce to the computed w2
     ring = ring_of(A4)
-    unreduced = ring._reduce_exp((0, 2, 0, 0, 0)) ^ poly_from_vars([1, 3]).terms
-    assert Gf2Poly(frozenset(unreduced)) == ring.stiefel_whitney(2)
+    unreduced = ring._reduce_exp((0, 2, 0, 0, 0)) + poly_from_vars([1, 3])
+    assert unreduced == ring.stiefel_whitney(2)
 
 
 def test_w1_is_row_parity_combination():
@@ -162,7 +160,7 @@ def test_w1_zero_iff_orientable_exhaustive_n4():
 def test_w2_fast_path_matches_ring():
     for n in range(1, 6):
         for m in enumerate_strict_upper(n):
-            assert w2_of_rows(m.n, m.rows) == _pack(ring_of(m).stiefel_whitney(2).terms)
+            assert w2_of_rows(m.n, m.rows) == ring_of(m).stiefel_whitney(2)
 
 
 def test_w2_fast_path_follows_relabelling():
@@ -172,10 +170,9 @@ def test_w2_fast_path_follows_relabelling():
 
     for n in range(1, 5):
         for m in enumerate_strict_upper(n):
-            w2 = w2_of_rows(n, m.rows)
-            monomials = [t for t in range(w2.bit_length()) if (w2 >> t) & 1]
+            monomials = w2_of_rows(n, m.rows).terms
             for perm in itertools.permutations(range(n)):
-                expected = _pack(rename(t, perm) for t in monomials)
+                expected = _poly(rename(t, perm) for t in monomials)
                 assert w2_of_rows(n, op1(m, perm).rows) == expected
 
 
@@ -196,7 +193,7 @@ def test_sigma1_of_degree1_build_equals_degree2_build():
 
 def test_stiefel_whitney_degree_bounds():
     ring = ring_of(A4)
-    assert ring.stiefel_whitney(0) == Gf2Poly(frozenset({0}))
+    assert ring.stiefel_whitney(0) == Gf2Poly(1)
     assert ring.stiefel_whitney(6).is_zero()  # above the dimension
     with pytest.raises(ValueError):
         ring.stiefel_whitney(-1)
@@ -279,41 +276,43 @@ def test_w2_vanishing_constant_on_orbits_n4():
 
 def test_format_poly():
     assert format_poly(Gf2Poly()) == "0"
-    assert format_poly(Gf2Poly(frozenset({0}))) == "1"
+    assert format_poly(Gf2Poly(1)) == "1"
     assert format_poly(poly_from_vars([3, 1], [2, 5])) == "x1*x3 + x2*x5"
+    assert format_poly(poly_from_vars([2])) == "x2"
+    assert format_poly(poly_from_vars([1, 2], [])) == "1 + x1*x2"
 
 
-def test_parse_poly_round_trip():
-    for text in ["0", "1", "x1*x3 + x2*x5", "x2", "1 + x1*x2"]:
-        assert format_poly(parse_poly(text)) == text
+def test_gf2poly_refuses_anything_but_a_nonnegative_int():
+    # a negative int has infinitely many set bits: gf2.bits(-1) never ends
+    for bad in (-1, -(1 << 40), 1.0, "1", True, None, frozenset({0})):
+        with pytest.raises(UsageError):
+            Gf2Poly(bad)
+    assert Gf2Poly(1 << (1 << 20)).terms == {1 << 20}  # no bound on the variables
 
 
-def test_parse_poly_errors():
-    with pytest.raises(PolyParseError):
-        parse_poly("")
-    with pytest.raises(PolyParseError):
-        parse_poly("x0")
-    with pytest.raises(PolyParseError):
-        parse_poly("x1*x1")
-    with pytest.raises(PolyParseError):
-        parse_poly("y2")
+def test_poly_from_vars_refuses_a_variable_outside_the_ring_bound():
+    for bad in (0, -1, RING_BOUND + 1):
+        with pytest.raises(UsageError):
+            poly_from_vars([1], [2, bad])
+    top = poly_from_vars([RING_BOUND])
+    assert top.terms == {1 << (RING_BOUND - 1)}
 
 
-def _pair_packed(n, p):
-    """A degree-2 class packed by monomial (bit t per monomial t) repacked
-    as documented: x_a x_b (a < b) at bit b(b-1)/2 + a."""
+def _by_pair_bit(n, p):
+    """A degree-2 class (bit t per monomial t) repacked as documented:
+    x_a x_b (a < b) at bit b(b-1)/2 + a."""
     index = {(1 << a) | (1 << b): b * (b - 1) // 2 + a
              for b in range(n) for a in range(b)}
-    return sum(1 << index[t] for t in range(p.bit_length()) if (p >> t) & 1)
+    return sum(1 << index[t] for t in p.terms)
 
 
 def _check_degree2(m, pairs):
     """degree2 on the columns of the strictly upper form of m against the
-    normal form of u v in the ring of m, repacked by `_pair_packed`."""
+    normal form of u v in the ring of m, repacked by `_by_pair_bit`."""
     ring = CohomRing(m)
     cols = transpose_masks(m.n, to_strict_upper(m)[1].rows)
     for u, v in pairs:
-        expected = _pair_packed(m.n, ring.multiply_packed(linear(u), linear(v)))
+        expected = _by_pair_bit(m.n, ring.multiply(linear(u), linear(v)))
         assert degree2(cols, u, v) == expected, (m.rows, u, v)
 
 
@@ -355,8 +354,8 @@ def test_degree2_matches_normal_forms_relabelled_inputs():
 
 
 def test_linear_packs_one_monomial_per_variable():
-    assert linear(0) == 0
-    assert linear(0b1011) == (1 << 1) | (1 << 2) | (1 << 8)
+    assert linear(0).packed == 0
+    assert linear(0b1011).packed == (1 << 1) | (1 << 2) | (1 << 8)
 
 
 # --- the packed engine against independent oracles ---------------------------
@@ -429,7 +428,7 @@ def _random_strict_upper(rng, n):
 def _check_against_recursive_oracle(m, max_degree):
     ring, oracle = CohomRing(m), _RecursiveReducer(m)
     for exps in _exponents(m.n, max_degree):
-        assert ring._reduce_exp(exps) == oracle.reduce(exps), (m.rows, exps)
+        assert ring._reduce_exp(exps).terms == oracle.reduce(exps), (m.rows, exps)
     sigma = oracle.sigma()
     for k in range(m.n + 1):
         assert ring.stiefel_whitney(k).terms == sigma[k], (m.rows, k)
@@ -461,8 +460,7 @@ def test_multiply_matches_recursive_oracle():
         p = frozenset(rng.getrandbits(n) for _ in range(rng.randint(1, 5)))
         q = frozenset(rng.getrandbits(n) for _ in range(rng.randint(1, 5)))
         expected = oracle.multiply(p, q)
-        assert ring.multiply_packed(_pack(p), _pack(q)) == _pack(expected), (m.rows, p, q)
-        assert ring.multiply(Gf2Poly(p), Gf2Poly(q)).terms == expected, (m.rows, p, q)
+        assert ring.multiply(_poly(p), _poly(q)).terms == expected, (m.rows, p, q)
 
 
 def test_tables_refuse_a_non_decreasing_rewrite():

@@ -108,7 +108,7 @@ def rank_ring_invariants(m):
     x_a.  x_a w is the XOR of the normal forms x_a x_b over the b in w."""
     ring = CohomRing(m)
     n = m.n
-    times = [subset_sums([ring.multiply_packed(linear(1 << a), linear(1 << b)) for b in range(n)])
+    times = [subset_sums([ring.multiply(linear(1 << a), linear(1 << b)).packed for b in range(n)])
              for a in range(n)]  # times[a][w]: the normal form of x_a w
     sq_ker_dim = n - rank_masks([times[a][1 << a] for a in range(n)])
     ann_dims = sorted(n - rank_masks([row[w] for row in times]) for w in range(1, 1 << n))
@@ -364,10 +364,10 @@ def test_annihilators_are_zero_or_the_top_variable_candidate_n_le_4():
                 t = w.bit_length() - 1
                 v_star = (1 << t) | ((w ^ ring.cols[t]) & ((1 << t) - 1))
                 ann = {v for v in range(1 << n)
-                       if not ring.multiply_packed(linear(v), linear(w))}
+                       if ring.multiply(linear(v), linear(w)).is_zero()}
                 assert ann in ({0}, {0, v_star}), (m.rows, w, ann)
                 ann_dims.append(len(ann) - 1)
-            sq_ker = [v for v in range(1 << n) if not ring.multiply_packed(linear(v), linear(v))]
+            sq_ker = [v for v in range(1 << n) if ring.multiply(linear(v), linear(v)).is_zero()]
             assert sq_ker == [v for v in range(1 << n)
                               if all(ring.cols[b] == 0 for b in range(n) if (v >> b) & 1)]
             assert ring_invariants(m) == (len(sq_ker).bit_length() - 1, tuple(sorted(ann_dims)))
@@ -410,7 +410,7 @@ def _check_admissible_is_the_normal_form_kernel(m):
     for y in range(full):
         listed = _admissible(ring.cols, y)
         assert listed == [v for v in range(1, full)
-                          if not ring.multiply_packed(linear(v), linear(v ^ y))], (m.rows, y)
+                          if ring.multiply(linear(v), linear(v ^ y)).is_zero()], (m.rows, y)
         kernel = set(listed) | {0}
         assert all(u ^ v in kernel for u in kernel for v in kernel), (m.rows, y)
 

@@ -126,3 +126,21 @@ def test_spin_reads_lattice_coordinates_through_coords_mod2_only():
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Attribute) and node.value.attr == "lattice"}
     assert used == {"basis2", "coords_mod2"}
+
+
+def test_cohomology_builds_a_frozenset_only_in_gf2poly_terms():
+    # a polynomial is one packed int; the set of its monomial masks is
+    # built only on request, by the read-only Gf2Poly.terms
+    tree = ast.parse((PACKAGE / "cohomology.py").read_text())
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and called(node) == "frozenset":
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    assert found == ["Gf2Poly.terms"]
