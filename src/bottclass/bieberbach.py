@@ -1,8 +1,8 @@
 """Exact affine-isometry engine for the diagonal-type Bieberbach groups.
 
-Group elements are pairs (D, t) with D a diagonal +-1 matrix and t a
-translation in (1/2)Z^n; translations are stored doubled as integers so
-the group law never needs rational arithmetic.
+Group elements are pairs (D, t) with D a diagonal +-1 matrix, held as the
+mask of its -1 entries, and t a translation in (1/2)Z^n, stored doubled as
+integers so the group law never needs rational arithmetic.
 
 A presentation (`GroupPresentation`) comes by one of two routes.
 `from_generators` is the generic one: relators from compose chains and the
@@ -35,75 +35,66 @@ class NotStrictlyUpper(ValueError):
 
 @dataclass(frozen=True)
 class AffineIso:
-    """Isometry x -> Dx + t with D = diag(signs) and t = trans2 / 2.
+    """Isometry x -> Dx + t with D diagonal, -1 at the bits of exponent_mask
+    and +1 elsewhere, and t = trans2 / 2; n = len(trans2).
 
     The public constructor, `identity` and `conjugate_by_perm` validate
-    their fields (nonempty, equal lengths, exact ints with no floats or
-    bools: signs +-1, integer translations).  `compose` and `inverse` skip
-    that check: a product or inverse of valid elements has signs that are
-    products of +-1 and translations that are sums of products of ints, so
-    it is valid by construction.  So does `generators_of`, whose signs and
-    translations are literal +-1 and 0, 1, 2 placed by the bits of A.
+    their fields (trans2 nonempty, exact ints with no floats or bools, the
+    mask in [0, 2^n)).  `compose` and `inverse` skip that check: a product
+    or inverse of valid elements has the XOR of valid masks and
+    translations that are sums and differences of ints, so it is valid by
+    construction.  So does `generators_of`, whose masks are the rows of A
+    and whose translations are literal 0, 1, 2.
     """
 
-    signs: tuple[int, ...]
+    exponent_mask: int
     trans2: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.signs) != len(self.trans2) or not self.signs:
-            raise ValueError("signs and trans2 must be nonempty and of equal length")
-        if any(type(s) is not int or s not in (-1, 1) for s in self.signs):
-            raise ValueError(f"linear part must be diagonal int +-1, got {self.signs}")
+        mask = self.exponent_mask
+        if not self.trans2 or type(mask) is not int or mask < 0 or mask >> len(self.trans2):
+            raise ValueError(f"need a nonempty trans2 and an int mask of its length, got {mask!r}")
         if any(type(t) is not int for t in self.trans2):
             raise ValueError(f"translations must be doubled ints, got {self.trans2}")
 
     @property
     def n(self) -> int:
-        return len(self.signs)
+        return len(self.trans2)
 
     @classmethod
     def identity(cls, n: int) -> "AffineIso":
-        return cls((1,) * n, (0,) * n)
+        return cls(0, (0,) * n)
 
     @property
     def is_translation(self) -> bool:
         return not self.exponent_mask
 
-    @cached_property
-    def exponent_mask(self) -> int:
-        """Bitmask of coordinates where the linear part is -1."""
-        mask = 0
-        for i, s in enumerate(self.signs):
-            if s == -1:
-                mask |= 1 << i
-        return mask
-
     def compose(self, other: "AffineIso") -> "AffineIso":
         """(D1,t1)(D2,t2) = (D1 D2, D1 t2 + t1)."""
         if self.n != other.n:
             raise gf2.DimensionMismatch(f"{self.n} != {other.n}")
-        signs = tuple(a * b for a, b in zip(self.signs, other.signs))
-        trans2 = tuple(s * t + u for s, t, u in zip(self.signs, other.trans2, self.trans2))
-        return _trusted(signs, trans2)
+        mask = self.exponent_mask
+        trans2 = tuple([u - t if (mask >> j) & 1 else u + t
+                        for j, (t, u) in enumerate(zip(other.trans2, self.trans2))])
+        return _trusted(mask ^ other.exponent_mask, trans2)
 
     def inverse(self) -> "AffineIso":
-        return _trusted(self.signs, tuple(-s * t for s, t in zip(self.signs, self.trans2)))
+        """(D,t)^-1 = (D, -D t)."""
+        mask = self.exponent_mask
+        return _trusted(mask, tuple([t if (mask >> j) & 1 else -t
+                                     for j, t in enumerate(self.trans2)]))
 
     def __str__(self) -> str:
         return format_iso(self)
 
 
-def _trusted(signs: tuple[int, ...], trans2: tuple[int, ...],
-             exponent_mask: Optional[int] = None) -> AffineIso:
+def _trusted(exponent_mask: int, trans2: tuple[int, ...]) -> AffineIso:
     """An AffineIso built without `__post_init__`, for results of the group
     law on validated elements and the generators of Gamma(A) only (see the
-    AffineIso docstring).  A caller that built the signs from a mask
-    passes it, and it becomes the value of `exponent_mask`."""
+    AffineIso docstring)."""
     g = object.__new__(AffineIso)
-    object.__setattr__(g, "signs", signs)
+    object.__setattr__(g, "exponent_mask", exponent_mask)
     object.__setattr__(g, "trans2", trans2)
-    if exponent_mask is not None:
-        g.__dict__["exponent_mask"] = exponent_mask
     return g
 
 
@@ -122,17 +113,17 @@ def _unit(n: int, c: int, value: int) -> tuple[int, ...]:
 def commutator_trans2(g: AffineIso, h: AffineIso) -> tuple[int, ...]:
     """Doubled translation of the commutator [g, h] = g h g^-1 h^-1.
 
-    For diagonal D the commutator is (I, (I - D_h) t_g - (I - D_g) t_h).
-    Its linear part is always I, since diagonal +-1 matrices commute and
-    square to I, so unlike the product of four elements it needs no
-    translation check.
+    For diagonal D the commutator is (I, (I - D_h) t_g - (I - D_g) t_h),
+    so coordinate j is 2 [j in h] t_g - 2 [j in g] t_h, with g and h read
+    as their exponent masks.  Its linear part is always I, since diagonal
+    +-1 matrices commute and square to I, so unlike the product of four
+    elements it needs no translation check.
     """
     if g.n != h.n:
         raise gf2.DimensionMismatch(f"{g.n} != {h.n}")
-    return tuple(
-        (1 - dh) * tg - (1 - dg) * th
-        for dg, tg, dh, th in zip(g.signs, g.trans2, h.signs, h.trans2)
-    )
+    gm, hm = g.exponent_mask, h.exponent_mask
+    return tuple([2 * (((hm >> j) & 1) * tg - ((gm >> j) & 1) * th)
+                  for j, (tg, th) in enumerate(zip(g.trans2, h.trans2))])
 
 
 def conjugate_by_perm(perm: Sequence[int], a: AffineIso) -> AffineIso:
@@ -140,16 +131,16 @@ def conjugate_by_perm(perm: Sequence[int], a: AffineIso) -> AffineIso:
     n = a.n
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
-    signs = [1] * n
+    mask = 0
     trans2 = [0] * n
     for i in range(n):
-        signs[perm[i]] = a.signs[i]
+        mask |= ((a.exponent_mask >> i) & 1) << perm[i]
         trans2[perm[i]] = a.trans2[i]
-    return AffineIso(tuple(signs), tuple(trans2))
+    return AffineIso(mask, tuple(trans2))
 
 
 def format_iso(a: AffineIso) -> str:
-    signs = "".join("+" if s == 1 else "-" for s in a.signs)
+    signs = "".join("-" if (a.exponent_mask >> j) & 1 else "+" for j in range(a.n))
     t2 = ",".join(str(t) for t in a.trans2)
     return f"signs={signs} ; t2=[{t2}]"
 
@@ -366,7 +357,8 @@ def _squares_and_commutators(gens: Sequence[AffineIso]) -> list[Relator]:
     generator, with translation D t + t, then the commutator (i, j, ~i, ~j)
     of each pair i < j of them."""
     active = [i for i, g in enumerate(gens) if not g.is_translation]
-    out = [Relator((i, i), tuple((s + 1) * t for s, t in zip(gens[i].signs, gens[i].trans2)))
+    out = [Relator((i, i), tuple([0 if (gens[i].exponent_mask >> j) & 1 else 2 * t
+                                  for j, t in enumerate(gens[i].trans2)]))
            for i in active]
     for k, i in enumerate(active):
         for j in active[k + 1:]:
@@ -412,12 +404,13 @@ def from_generators(gens: Sequence[AffineIso]) -> GroupPresentation:
     rels = relators(gens)
     n = gens[0].n
     lat = IntLattice(n)
-    sign_vectors = {g.signs for g in gens}
+    masks = {g.exponent_mask for g in gens}
     todo = [rel.trans2 for rel in rels]
     for v in todo:  # grows while it is walked: the holonomy images of each new vector
         if not lat.contains(v):
             lat.add(v)
-            todo += [tuple(s * t for s, t in zip(signs, v)) for signs in sign_vectors]
+            todo += [tuple([-t if (mask >> j) & 1 else t for j, t in enumerate(v)])
+                     for mask in masks]
     point_rank = gf2.rank_masks([g.exponent_mask for g in gens])
     return GroupPresentation(n, tuple(gens), TransLattice(n, lat.basis_hnf()), point_rank, rels)
 
@@ -461,9 +454,9 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
             "Gamma(A) generators need a strictly upper matrix; apply to_strict_upper first"
         )
     n, rows = m.n, m.rows
-    # valid by construction: signs +-1, translations 1 at i (2 at n-1)
-    gens = [_trusted(_signs(n, r), _unit(n, i, 1), r) for i, r in enumerate(rows[:-1])]
-    gens.append(_trusted((1,) * n, _unit(n, n - 1, 2), 0))
+    # valid by construction: masks are rows of A, translations 1 at i (2 at n-1)
+    gens = [_trusted(r, _unit(n, i, 1)) for i, r in enumerate(rows[:-1])]
+    gens.append(_trusted(0, _unit(n, n - 1, 2)))
     active = [i for i, r in enumerate(rows) if r]
     rels = [Relator((i, i), _unit(n, i, 2)) for i in active]
     for k, i in enumerate(active):
@@ -492,9 +485,9 @@ def gamma_n_generators(n: int) -> GroupPresentation:
     of the group Gamma_n (n = 2 is the Klein bottle group)."""
     if n < 2:
         raise gf2.UsageError(f"Gamma_n needs n >= 2, got {n}")
-    gens = [AffineIso((1,) * n, _unit(n, 0, 2))]
+    gens = [AffineIso(0, _unit(n, 0, 2))]
     for i in range(1, n):
-        gens.append(AffineIso(_signs(n, 1 << (i - 1)), _unit(n, i, 1)))
+        gens.append(AffineIso(1 << (i - 1), _unit(n, i, 1)))
     return from_generators(gens)
 
 
@@ -587,7 +580,7 @@ def _torsion_free_over_z(p: GroupPresentation) -> bool:
     for rep in coset_reps(p):
         if rep.is_translation:
             continue
-        fixed = [i for i, s in enumerate(rep.signs) if s == 1]
+        fixed = [i for i in range(rep.n) if not (rep.exponent_mask >> i) & 1]
         proj = IntLattice(len(fixed)) if fixed else None
         if proj is not None:
             for row in p.lattice.basis2:

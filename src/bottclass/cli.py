@@ -178,6 +178,10 @@ def cmd_spin(path: str) -> int:
         results["spinc_obstructed"] = spin.spinc_obstructed(m)
         results["witnesses"] = witnesses
         results["lift_found"] = spin.spin_lift_search(m) is not None
+        if results["lift_found"] != results["spin"]:
+            raise InvariantViolation(
+                f"spin from w2 is {results['spin']} but lift_found is {results['lift_found']} "
+                f"for {json.dumps(to_json_dict(m))}")
     else:
         results["spin"] = None
         results["spinc_obstructed"] = None

@@ -111,14 +111,18 @@ def linear(mask: int) -> Gf2Poly:
 
 
 def poly_from_vars(*one_based_vars: Iterable[int]) -> Gf2Poly:
-    """Build a polynomial from monomials given as iterables of 1-based
-    variables, each in 1..RING_BOUND."""
+    """Build a polynomial from monomials given as iterables of distinct
+    1-based variables, each in 1..RING_BOUND.  A repeated variable is a
+    UsageError, as x_j^2 is not x_j in the ring; a repeated monomial
+    cancels."""
     packed = 0
     for mono in one_based_vars:
         mask = 0
         for v in mono:
             if not 1 <= v <= RING_BOUND:
                 raise UsageError(f"variable x{v} is outside x1..x{RING_BOUND}")
+            if (mask >> (v - 1)) & 1:
+                raise UsageError(f"variable x{v} appears twice in one monomial")
             mask |= 1 << (v - 1)
         packed ^= 1 << mask
     return Gf2Poly(packed)

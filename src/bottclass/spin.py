@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Optional
 
 from . import bieberbach, cohomology, gf2
@@ -189,21 +188,15 @@ def spinc_obstructed(m: BottMatrix) -> bool:
 @dataclass(frozen=True)
 class SpinLift:
     """A homomorphism from Gamma(A) to the sign-monomial group covering the
-    holonomy: a sign per generator and a +-1 character on the translation
-    lattice (keyed by the doubled HNF basis rows).  For a matrix that is
-    not strictly upper, the lift is in the labels of its `to_strict_upper`
-    form."""
+    holonomy, as two masks.  Bit i of `signs` is set when generator i maps
+    to -e_{S_i}, S_i its exponent mask (empty for a translation generator,
+    whose image is the scalar chi(t_i)).  Bit r of `character` is set when
+    the character chi of the translation lattice is -1 on row r of its
+    doubled HNF basis `basis2`.  For a matrix that is not strictly upper,
+    the lift is in the labels of its `to_strict_upper` form."""
 
-    generator_signs: dict[int, int]
-    lattice_character: dict[tuple[int, ...], int]
-
-    def __hash__(self) -> int:  # dict fields; hash by content
-        return hash(
-            (
-                tuple(sorted(self.generator_signs.items())),
-                tuple(sorted(self.lattice_character.items())),
-            )
-        )
+    signs: int
+    character: int
 
 
 def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
@@ -284,12 +277,10 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         # variable 0, the particular solution is the least one.
         x = solved[0]
     sigma, chi = x & ((1 << shift) - 1), x >> shift
-
-    gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}
-    gen_signs.update((i, -1 if parity(chi & coords(g.trans2)) else 1)
-                     for i, g in enumerate(gens) if g.is_translation)
-    character = {row: (-1 if (chi >> idx) & 1 else 1) for idx, row in enumerate(basis2)}
-    lift = SpinLift(gen_signs, character)
+    signs = sum(((sigma >> pos) & 1) << i for pos, i in enumerate(active))
+    signs |= sum(parity(chi & coords(g.trans2)) << i
+                 for i, g in enumerate(gens) if g.is_translation)
+    lift = SpinLift(signs, chi)
     if not _verify_lift(pres, lift):
         raise gf2.InvariantViolation(f"lift found for {m.rows} fails the relation check")
     return lift
@@ -313,25 +304,24 @@ def _verify_lift(pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
 
     @lru_cache(maxsize=None)  # the same translations recur across relations
     def chi(t2: tuple[int, ...]) -> int:
-        mask = pres.lattice.coords_mod2(t2)
-        return prod(lift.lattice_character[row] for idx, row in enumerate(basis2) if (mask >> idx) & 1)
+        return -1 if parity(lift.character & pres.lattice.coords_mod2(t2)) else 1
 
     for rel in pres.relators:
         g = bieberbach.AffineIso.identity(n)
         cliff = CliffordElement.identity(n)
         for letter in rel.word:
             i = letter if letter >= 0 else ~letter
-            eps = CliffordElement(n, lift.generator_signs[i], gens[i].exponent_mask)
+            eps = CliffordElement(n, -1 if (lift.signs >> i) & 1 else 1, gens[i].exponent_mask)
             if letter >= 0:
                 g, cliff = g.compose(gens[i]), clifford_mul(cliff, eps)
             else:
                 g, cliff = g.compose(gens[i].inverse()), clifford_mul(cliff, clifford_inv(eps))
         if not g.is_translation or cliff.support or cliff.sign != chi(g.trans2):
             return False
-    flips = [g.signs for g in gens if not g.is_translation]  # a translation fixes every row
+    flips = [g.exponent_mask for g in gens if not g.is_translation]  # a translation fixes every row
     for row in basis2:
-        for signs in flips:
-            conj = tuple(s * t for s, t in zip(signs, row))
+        for mask in flips:
+            conj = tuple([-t if (mask >> j) & 1 else t for j, t in enumerate(row)])
             if chi(conj) != chi(row):
                 return False
     return True

@@ -64,9 +64,66 @@ def word_closure(gens, max_len):
 # --- affine isometry algebra -------------------------------------------------
 
 def random_iso(data, n):
-    signs = tuple(data.draw(st.sampled_from((-1, 1))) for _ in range(n))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
     trans2 = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
-    return AffineIso(signs, trans2)
+    return AffineIso(mask, trans2)
+
+
+def mask_of(signs):
+    """The exponent mask of a diagonal +-1 tuple: bit j where it is -1."""
+    return sum(1 << j for j, s in enumerate(signs) if s == -1)
+
+
+def signs_of(a):
+    """The diagonal of a's linear part as a +-1 tuple."""
+    return tuple(-1 if (a.exponent_mask >> j) & 1 else 1 for j in range(a.n))
+
+
+# Oracle for the mask arithmetic: an isometry is read back from what it does
+# to points (doubled coordinates), with x -> D x + t applied literally on
+# +-1 tuples.  t is the image of 0 and D_jj the j-th coordinate of the
+# image of 2 e_j, less t, halved.
+
+def act(a, x):
+    return tuple(s * xj + t for s, xj, t in zip(signs_of(a), x, a.trans2))
+
+
+def act_inverse(a, y):
+    """The x with D x + t = y."""
+    return tuple(s * (yj - t) for s, yj, t in zip(signs_of(a), y, a.trans2))
+
+
+def read_back(n, f):
+    t = f((0,) * n)
+    signs = tuple((f(tuple(2 if k == j else 0 for k in range(n)))[j] - t[j]) // 2
+                  for j in range(n))
+    return signs, t
+
+
+@given(st.integers(1, 6), st.data())
+def test_group_law_on_masks_matches_the_signs_oracle(n, data):
+    g, h = random_iso(data, n), random_iso(data, n)
+    perm = data.draw(st.permutations(range(n)))
+
+    def as_pair(a):
+        return signs_of(a), a.trans2
+
+    assert as_pair(g.compose(h)) == read_back(n, lambda x: act(g, act(h, x)))
+    assert as_pair(g.inverse()) == read_back(n, lambda y: act_inverse(g, y))
+    assert ((1,) * n, commutator_trans2(g, h)) == read_back(
+        n, lambda x: act(g, act(h, act_inverse(g, act_inverse(h, x)))))
+
+    def permute(x):  # (P x)[perm[i]] = x[i]
+        out = [0] * n
+        for i, xi in enumerate(x):
+            out[perm[i]] = xi
+        return tuple(out)
+
+    def unpermute(y):
+        return tuple(y[perm[i]] for i in range(n))
+
+    assert as_pair(conjugate_by_perm(perm, g)) == read_back(
+        n, lambda x: permute(act(g, unpermute(x))))
 
 
 @given(st.integers(1, 5), st.data())
@@ -88,7 +145,7 @@ def test_products_and_inverses_pass_validation(n, data):
     # what the validating constructor builds from the same fields
     a, b = random_iso(data, n), random_iso(data, n)
     for p in (a.compose(b), a.inverse(), a.compose(b).inverse()):
-        q = AffineIso(p.signs, p.trans2)
+        q = AffineIso(p.exponent_mask, p.trans2)
         assert q == p and hash(q) == hash(p)
 
 
@@ -96,16 +153,17 @@ def test_public_constructors_validate_under_python_O():
     code = textwrap.dedent("""
         from bottclass.bieberbach import AffineIso
         assert not __debug__
-        for make in (lambda: AffineIso((1, 2), (0, 0)),
-                     lambda: AffineIso((1, -1), (0, 0.5)),
-                     lambda: AffineIso((1, -1), (0,)),
-                     lambda: AffineIso((), ()),
+        for make in (lambda: AffineIso(True, (0, 0)),
+                     lambda: AffineIso(-1, (0, 0)),
+                     lambda: AffineIso(0b100, (0, 0)),  # wider than trans2
+                     lambda: AffineIso(1.0, (0, 0)),
+                     lambda: AffineIso(0, ()),
                      # exact ints only: a float or bool would break the
                      # doubled-integer group law, which compose does not re-check
-                     lambda: AffineIso((-1.0, 1), (1, 0)),
-                     lambda: AffineIso((True, 1), (False, 0)),
-                     lambda: AffineIso((1, -1), (False, 0)),
-                     lambda: AffineIso((1, -1), (2.0, 0))):
+                     lambda: AffineIso(0b10, (0, 0.5)),
+                     lambda: AffineIso(0b10, (False, 0)),
+                     lambda: AffineIso(0b10, ("1", 0)),
+                     lambda: AffineIso((1, -1), (0, 0))):  # a +-1 tuple is no mask
             try:
                 make()
             except ValueError:
@@ -116,7 +174,7 @@ def test_public_constructors_validate_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised"] * 8
+    assert proc.stdout.splitlines() == ["raised"] * 9
 
 
 def chain_commutator(g, h):
@@ -125,7 +183,7 @@ def chain_commutator(g, h):
 
 def assert_commutator_matches_chain(g, h):
     c = chain_commutator(g, h)
-    assert c.signs == (1,) * g.n
+    assert c.is_translation
     assert commutator_trans2(g, h) == c.trans2
 
 
@@ -143,9 +201,9 @@ def test_commutator_helper_matches_compose_chain_random(n, data):
 
 
 def test_compose_translations_add():
-    a = AffineIso((1, 1), (1, 0))
-    b = AffineIso((1, 1), (0, 3))
-    assert a.compose(b) == AffineIso((1, 1), (1, 3))
+    a = AffineIso(0, (1, 0))
+    b = AffineIso(0, (0, 3))
+    assert a.compose(b) == AffineIso(0, (1, 3))
 
 
 def test_generator_commutators_are_translations():
@@ -160,17 +218,16 @@ def test_generator_commutators_are_translations():
 
 def test_generators_of_zero_matrix():
     pres = generators_of(BottMatrix(3, (0, 0, 0)))
-    assert pres.generators[0] == AffineIso((1, 1, 1), (1, 0, 0))
-    assert pres.generators[1] == AffineIso((1, 1, 1), (0, 1, 0))
-    assert pres.generators[2] == AffineIso((1, 1, 1), (0, 0, 2))
+    assert pres.generators[0] == AffineIso(0, (1, 0, 0))
+    assert pres.generators[1] == AffineIso(0, (0, 1, 0))
+    assert pres.generators[2] == AffineIso(0, (0, 0, 2))
 
 
 def test_generators_of_superdiagonal():
     pres = generators_of(superdiagonal_matrix(4))
     # s_i flips exactly the sign at position i+1
     for i in range(3):
-        signs = pres.generators[i].signs
-        assert signs == tuple(-1 if j == i + 1 else 1 for j in range(4))
+        assert pres.generators[i].exponent_mask == 1 << (i + 1)
         assert pres.generators[i].trans2 == tuple(1 if j == i else 0 for j in range(4))
 
 
@@ -179,7 +236,7 @@ def test_generator_squares_are_unit_translations():
         pres = generators_of(m)
         for i in range(m.n - 1):
             sq = pres.generators[i].compose(pres.generators[i])
-            assert sq == AffineIso((1,) * m.n, tuple(2 if j == i else 0 for j in range(m.n)))
+            assert sq == AffineIso(0, tuple(2 if j == i else 0 for j in range(m.n)))
 
 
 def test_generators_require_strict_upper():
@@ -190,8 +247,8 @@ def test_generators_require_strict_upper():
 
 def test_gamma_n_generators_klein_bottle():
     pres = gamma_n_generators(2)
-    assert pres.generators[0] == AffineIso((1, 1), (2, 0))
-    assert pres.generators[1] == AffineIso((-1, 1), (0, 1))
+    assert pres.generators[0] == AffineIso(0, (2, 0))
+    assert pres.generators[1] == AffineIso(1, (0, 1))
     assert pres.point_rank == 1
 
 
@@ -200,7 +257,7 @@ def test_gamma_n_generators_squares():
         pres = gamma_n_generators(n)
         for i in range(1, n):
             sq = pres.generators[i].compose(pres.generators[i])
-            assert sq == AffineIso((1,) * n, tuple(2 if j == i else 0 for j in range(n)))
+            assert sq == AffineIso(0, tuple(2 if j == i else 0 for j in range(n)))
 
 
 def test_gamma_n_generators_gamma3_has_two_sign_flips():
@@ -241,7 +298,7 @@ def test_lattice_matches_word_closure(n):
         for t in translations:
             assert pres.lattice.contains2(t.trans2)
         for row in pres.lattice.basis2:
-            assert AffineIso((1,) * n, row) in words
+            assert AffineIso(0, row) in words
 
 
 def test_gamma_n_lattice_matches_word_closure():
@@ -252,7 +309,7 @@ def test_gamma_n_lattice_matches_word_closure():
             if w.is_translation:
                 assert pres.lattice.contains2(w.trans2)
         for row in pres.lattice.basis2:
-            assert AffineIso((1,) * n, row) in words
+            assert AffineIso(0, row) in words
 
 
 def test_lattice_of_sampled_n4_against_closure():
@@ -276,7 +333,7 @@ def test_generators_are_members():
 
 def test_half_half_not_in_torus_group():
     pres = generators_of(BottMatrix(2, (0, 0)))
-    assert not member(AffineIso((1, 1), (1, 1)), pres)
+    assert not member(AffineIso(0, (1, 1)), pres)
 
 
 def test_random_words_are_members():
@@ -294,9 +351,9 @@ def test_random_words_are_members():
 def test_non_members_rejected():
     pres = generators_of(BottMatrix(2, (0b10, 0)))  # Klein bottle as Gamma(A)
     # a translation outside N
-    assert not member(AffineIso((1, 1), (0, 1)), pres)
+    assert not member(AffineIso(0, (0, 1)), pres)
     # a sign pattern outside the point group
-    assert not member(AffineIso((-1, -1), (0, 0)), pres)
+    assert not member(AffineIso(0b11, (0, 0)), pres)
 
 
 # --- torsion and holonomy ---------------------------------------------------------
@@ -313,12 +370,12 @@ def test_gamma_n_torsion_free():
 
 
 def test_reflection_group_has_torsion():
-    pres = from_generators([AffineIso((-1, 1), (0, 0))])
+    pres = from_generators([AffineIso(1, (0, 0))])
     assert not is_torsion_free(pres)
 
 
 def test_point_reflection_has_torsion():
-    pres = from_generators([AffineIso((-1, -1), (1, 0))])
+    pres = from_generators([AffineIso(0b11, (1, 0))])
     assert not is_torsion_free(pres)
 
 
@@ -336,10 +393,10 @@ def random_affine_lists(rng, count):
     lists = []
     for _ in range(count):
         n = rng.randint(1, 4)
-        gens = [AffineIso(tuple(rng.choice((-1, 1)) for _ in range(n)),
+        gens = [AffineIso(mask_of(tuple(rng.choice((-1, 1)) for _ in range(n))),
                           tuple(rng.choice((-1, 0, 1, 2)) for _ in range(n)))
                 for _ in range(rng.randint(1, 3))]
-        gens += [AffineIso((1,) * n, tuple(2 if j == i else 0 for j in range(n)))
+        gens += [AffineIso(0, tuple(2 if j == i else 0 for j in range(n)))
                  for i in range(n) if rng.random() < 0.5]
         rng.shuffle(gens)
         lists.append(gens)
@@ -375,13 +432,13 @@ def test_mod2_torsion_route_small_examples():
     # their product (-I, (-1/2, 1/2)) is a point reflection, so only the
     # coset of -I holds torsion.  In the Klein bottle group the one
     # nontrivial coset is torsion-free by its translation bit alone.
-    gens = [AffineIso((-1, 1), (0, 1)), AffineIso((1, -1), (1, 0)),
-            AffineIso((1, 1), (2, 0)), AffineIso((1, 1), (0, 2))]
+    gens = [AffineIso(1, (0, 1)), AffineIso(0b10, (1, 0)),
+            AffineIso(0, (2, 0)), AffineIso(0, (0, 2))]
     p = from_generators(gens)
     assert p.lattice.mod2_rows() == [0, 0]
     assert not is_torsion_free(p) and not _torsion_free_over_z(p)
-    klein = from_generators([AffineIso((-1, 1), (0, 1)), AffineIso((1, 1), (2, 0)),
-                             AffineIso((1, 1), (0, 2))])
+    klein = from_generators([AffineIso(1, (0, 1)), AffineIso(0, (2, 0)),
+                             AffineIso(0, (0, 2))])
     assert is_torsion_free(klein) and _torsion_free_over_z(klein)
 
 
@@ -389,7 +446,7 @@ def test_holonomy_rep_is_the_signs_of_coset_reps():
     presentations = oracle_presentations()
     presentations += [from_generators(gens) for gens in random_affine_lists(random.Random(23), 200)]
     for p in presentations:
-        assert holonomy_rep(p) == [r.signs for r in coset_reps(p)], p.generators
+        assert holonomy_rep(p) == [signs_of(r) for r in coset_reps(p)], p.generators
 
 
 def test_mod2_rows_needs_a_full_rank_lattice_with_z_n():
@@ -433,7 +490,7 @@ def test_coset_reps_match_subset_products_n_le_5():
 def random_generators(rng, n, count):
     """Generator lists with repeated and dependent exponent vectors."""
     signs = [tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-    return [AffineIso(rng.choice(signs + [(1,) * n]), (0,) * n) for _ in range(count)]
+    return [AffineIso(mask_of(rng.choice(signs + [(1,) * n])), (0,) * n) for _ in range(count)]
 
 
 def oracle_presentations():
@@ -476,17 +533,11 @@ def test_empty_generator_list_is_a_usage_error():
 
 
 def test_generators_of_mixed_dimension_are_a_dimension_mismatch():
-    a, b = AffineIso((1,), (2,)), AffineIso((-1, 1), (0, 0))
+    a, b = AffineIso(0, (2,)), AffineIso(1, (0, 0))
     for build in (relators, from_generators, lattice_of):
         for gens in ([a, b], [b, a], [b, b, a]):
             with pytest.raises(DimensionMismatch, match="mixed dimension"):
                 build(gens)
-
-
-def assert_exponent_masks_match_signs(p):
-    # generators_of hands each generator its row as exponent_mask
-    assert [g.exponent_mask for g in p.generators] == [
-        AffineIso(g.signs, g.trans2).exponent_mask for g in p.generators]
 
 
 def test_generators_of_equals_the_generic_route_n_le_5():
@@ -494,7 +545,6 @@ def test_generators_of_equals_the_generic_route_n_le_5():
         for m in enumerate_strict_upper(n):
             p = generators_of(m)
             assert p == from_generators(p.generators), m.rows
-            assert_exponent_masks_match_signs(p)
 
 
 def test_generators_of_equals_the_generic_route_seeded_n6_to_8():
@@ -504,7 +554,6 @@ def test_generators_of_equals_the_generic_route_seeded_n6_to_8():
             rows = tuple(rng.getrandbits(n) >> (i + 1) << (i + 1) for i in range(n))
             p = generators_of(BottMatrix(n, rows))
             assert p == from_generators(p.generators), rows
-            assert_exponent_masks_match_signs(p)
 
 
 def test_relators_listed_in_order():
@@ -527,7 +576,7 @@ def test_exponent_matrix_matches_per_coordinate_loop():
     lists += [random_generators(rng, rng.randint(1, 7), rng.randint(1, 8)) for _ in range(200)]
     for gens in lists:
         n = gens[0].n
-        rows = [sum(1 << i for i, g in enumerate(gens) if g.signs[coord] == -1)
+        rows = [sum(1 << i for i, g in enumerate(gens) if (g.exponent_mask >> coord) & 1)
                 for coord in range(n)]
         assert _exponent_matrix(n, gens) == rows
 
@@ -653,7 +702,7 @@ def test_conjugation_by_reversal_maps_generators_exactly():
 # --- text form ----------------------------------------------------------------------
 
 def test_iso_text_form():
-    a = AffineIso((1, -1, 1, 1, -1), (1, 0, 0, 1, 0))
+    a = AffineIso(0b10010, (1, 0, 0, 1, 0))
     assert format_iso(a) == "signs=+-++- ; t2=[1,0,0,1,0]"
 
 
@@ -672,6 +721,6 @@ def test_non_translation_is_an_invariant_violation():
     from bottclass.bieberbach import AffineIso, _require_translation
     from bottclass.gf2 import InvariantViolation
 
-    _require_translation(AffineIso((1, 1), (2, 0)), "square")
+    _require_translation(AffineIso(0, (2, 0)), "square")
     with pytest.raises(InvariantViolation, match="square"):
-        _require_translation(AffineIso((-1, 1), (0, 0)), "square")
+        _require_translation(AffineIso(1, (0, 0)), "square")

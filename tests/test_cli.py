@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog
-from bottclass.bottmatrix import format_matrix_text, to_json_dict
+from bottclass import catalog, spin
+from bottclass.bottmatrix import format_matrix_text, parse_matrix, to_json_dict
 from bottclass.cli import main
+from bottclass.spin import SpinLift
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -153,6 +154,18 @@ def test_spin_non_orientable(capsys, tmp_path):
     assert code == 0
     res = last_json(out)["results"]
     assert res["orientable"] is False and res["spin"] is None
+
+
+@pytest.mark.parametrize("fixture, lift", [("a29.txt", None), ("a4.txt", SpinLift(0, 0))],
+                         ids=["spin-a29", "not-spin-a4"])
+def test_spin_routes_that_disagree_exit_3_with_the_matrix(monkeypatch, capsys, fixture, lift):
+    # a29 is Spin and a4 is not; a lift search broken to answer the other
+    # way must stop the report, with the matrix on stderr
+    monkeypatch.setattr(spin, "spin_lift_search", lambda m: lift)
+    path = FIXTURES / fixture
+    code, out, err = run(capsys, "spin", "--matrix", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
 
 
 def test_prop1(capsys):

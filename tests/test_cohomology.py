@@ -290,6 +290,17 @@ def test_gf2poly_refuses_anything_but_a_nonnegative_int():
     assert Gf2Poly(1 << (1 << 20)).terms == {1 << 20}  # no bound on the variables
 
 
+def test_poly_from_vars_refuses_a_variable_repeated_in_one_monomial():
+    # x3 * x3 is x2 * x3 in the ring of A37, not x3
+    x3 = poly_from_vars([3])
+    assert ring_of(A37).multiply(x3, x3) == poly_from_vars([2, 3])
+    for bad in ([3, 3], [1, 2, 1], iter([4, 4])):
+        with pytest.raises(UsageError, match="twice"):
+            poly_from_vars([1], bad)
+    # a repeated monomial still cancels
+    assert poly_from_vars([1, 3], [3, 1], [2]) == poly_from_vars([2])
+
+
 def test_poly_from_vars_refuses_a_variable_outside_the_ring_bound():
     for bad in (0, -1, RING_BOUND + 1):
         with pytest.raises(UsageError):

@@ -144,3 +144,24 @@ def test_cohomology_builds_a_frozenset_only_in_gf2poly_terms():
 
     visit(tree, "")
     assert found == ["Gf2Poly.terms"]
+
+
+def test_sign_tuples_are_built_only_for_holonomy_rep():
+    # a diagonal +-1 matrix is the mask of its -1 entries: `_signs` builds
+    # the +-1 tuples only for the public output of holonomy_rep, and the
+    # one attribute named `signs` that is read is the sign mask of a SpinLift
+    found = []
+
+    def visit(module, node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and called(node) == "_signs":
+            found.append(f"{module}:{scope}:_signs()")
+        if isinstance(node, ast.Attribute) and node.attr == "signs":
+            found.append(f"{module}:{scope}:{ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, scope)
+
+    for module in ("bieberbach.py", "spin.py"):
+        visit(module, ast.parse((PACKAGE / module).read_text()), "")
+    assert found == ["bieberbach.py:holonomy_rep:_signs()", "spin.py:_verify_lift:lift.signs"]

@@ -242,10 +242,7 @@ def test_spinc_implies_no_spin_and_h2_zero():
 
 def test_lift_on_torus_is_trivial():
     m = BottMatrix(4, (0, 0, 0, 0))
-    lift = spin_lift_search(m)
-    assert lift is not None
-    assert all(s == 1 for s in lift.generator_signs.values())
-    assert all(s == 1 for s in lift.lattice_character.values())
+    assert spin_lift_search(m) == SpinLift(0, 0)
 
 
 def test_lift_absent_on_a23():
@@ -319,7 +316,8 @@ def brute_force_lift(m):
             chi_constraints.append((coords(comm.trans2), parity(supports[i] & supports[j])))
     for row_idx, row in enumerate(basis2):
         for i in active:
-            conj = tuple(s * t for s, t in zip(gens[i].signs, row))
+            conj = tuple(-t if (gens[i].exponent_mask >> j) & 1 else t
+                         for j, t in enumerate(row))
             chi_constraints.append((coords(conj) ^ (1 << row_idx), 0))
     rows = [sum(1 << pos for pos, i in enumerate(active) if (supports[i] >> c) & 1)
             for c in range(n)]
@@ -340,12 +338,13 @@ def brute_force_lift(m):
         for sigma in range(1 << len(active)):
             if all((parity(sigma & smask) ^ parity(chi & cmask)) == bit
                    for smask, cmask, bit in mixed):
-                gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}
+                signs = 0
+                for pos, i in enumerate(active):
+                    signs |= ((sigma >> pos) & 1) << i
                 for i, g in enumerate(gens):
                     if g.is_translation:
-                        gen_signs[i] = -1 if parity(chi & coords(g.trans2)) else 1
-                character = {row: -1 if (chi >> idx) & 1 else 1 for idx, row in enumerate(basis2)}
-                return SpinLift(gen_signs, character)
+                        signs |= parity(chi & coords(g.trans2)) << i
+                return SpinLift(signs, chi)
     return None
 
 
@@ -364,11 +363,7 @@ def random_oriented_strict_upper(rng, n):
 
 
 def assert_same_lift(m):
-    got, want = spin_lift_search(m), brute_force_lift(m)
-    assert got == want, m.rows
-    if got is not None:
-        assert list(got.generator_signs) == list(want.generator_signs), m.rows
-        assert list(got.lattice_character) == list(want.lattice_character), m.rows
+    assert spin_lift_search(m) == brute_force_lift(m), m.rows
 
 
 def test_lift_solve_matches_brute_force_all_oriented_n6():
@@ -423,7 +418,8 @@ def lift_system(m):
     invariance_rows = []
     for row_idx, row in enumerate(basis2):
         for i in active:
-            conj = tuple(s * t for s, t in zip(gens[i].signs, row))
+            conj = tuple(-t if (gens[i].exponent_mask >> j) & 1 else t
+                         for j, t in enumerate(row))
             invariance_rows.append((coords(conj) ^ (1 << row_idx)) << shift)
     return pres, shift + len(basis2), relator_rows, invariance_rows
 
@@ -435,7 +431,6 @@ def coords_route_lift(m):
     the lemma in the `spin_lift_search` docstring proves redundant."""
     pres, width, relator_rows, invariance_rows = lift_system(m)
     gens = pres.generators
-    basis2 = pres.lattice.basis2
     coords = pres.lattice.coords_mod2
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     shift = len(active)
@@ -451,19 +446,15 @@ def coords_route_lift(m):
             return None
         x = solved[0]
     sigma, chi = x & ((1 << shift) - 1), x >> shift
-    gen_signs = {i: -1 if (sigma >> pos) & 1 else 1 for pos, i in enumerate(active)}
-    gen_signs.update((i, -1 if parity(chi & coords(g.trans2)) else 1)
-                     for i, g in enumerate(gens) if g.is_translation)
-    return SpinLift(gen_signs, {row: -1 if (chi >> idx) & 1 else 1
-                                for idx, row in enumerate(basis2)})
+    signs = sum(((sigma >> pos) & 1) << i for pos, i in enumerate(active))
+    signs |= sum(parity(chi & coords(g.trans2)) << i
+                 for i, g in enumerate(gens) if g.is_translation)
+    return SpinLift(signs, chi)
 
 
 def assert_lift_matches_coords_route(m):
-    got, want = spin_lift_search(m), coords_route_lift(m)
-    assert got == want, m.rows
-    if got is not None:
-        assert list(got.generator_signs) == list(want.generator_signs), m.rows
-        assert list(got.lattice_character) == list(want.lattice_character), m.rows
+    got = spin_lift_search(m)
+    assert got == coords_route_lift(m), m.rows
     return got is not None
 
 
@@ -576,12 +567,11 @@ def test_verify_lift_rejects_a_sign_flipped_inside_a_kernel_relator_n_le_6():
                 continue
             assert _verify_lift(pres, lift), m.rows
             i = words[0][0]
-            signs = {k: (-v if k == i else v) for k, v in lift.generator_signs.items()}
-            assert not _verify_lift(pres, SpinLift(signs, lift.lattice_character)), m.rows
-            flipped[m.rows] = (i, lift.generator_signs[i])
+            assert not _verify_lift(pres, SpinLift(lift.signs ^ 1 << i, lift.character)), m.rows
+            flipped[m.rows] = (i, (lift.signs >> i) & 1)
     assert len(flipped) == 62
     smallest = parse_matrix("4\n0011\n0011\n0000\n0000").rows
-    assert flipped[smallest] == (0, -1)
+    assert flipped[smallest] == (0, 1)  # generator 0 maps to -e_S
 
 
 def test_failed_lift_recheck_raises_under_python_O():
