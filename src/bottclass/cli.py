@@ -215,56 +215,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--orientable", action="store_true", help="only even-weight rows")
     p.add_argument("--ghw", action="store_true", help="only rank n-1 matrices")
+    p.set_defaults(run=lambda args: cmd_enumerate(args.dim, args.orientable, args.ghw))
 
     p = sub.add_parser("classify", help="diffeomorphism classes for one dimension")
     p.add_argument("--dim", type=int, required=True)
+    p.set_defaults(run=lambda args: cmd_classify(args.dim))
 
     p = sub.add_parser("table", help="class counts per dimension")
     p.add_argument("--max-dim", type=int, default=6)
     p.add_argument("--csv", action="store_true")
+    p.set_defaults(run=lambda args: cmd_table(args.max_dim, args.csv))
 
     p = sub.add_parser("invariants", help="orientability, rank, GHW flag, w1, w2")
     p.add_argument("--matrix", required=True, help="matrix file (text or JSON), '-' for stdin")
+    p.set_defaults(run=lambda args: cmd_invariants(args.matrix))
 
     p = sub.add_parser("spin", help="Spin/Spin^C report with obstruction witnesses")
     p.add_argument("--matrix", required=True)
+    p.set_defaults(run=lambda args: cmd_spin(args.matrix))
 
     p = sub.add_parser("prop1", help="verify the Gamma_n / Gamma(A) conjugation")
     p.add_argument("--dim", type=int, required=True)
+    p.set_defaults(run=lambda args: cmd_prop1(args.dim))
 
     p = sub.add_parser("rigidity", help="ring-isomorphism vs diffeomorphism partition")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sample", type=int, default=10, help="inter-class pairs at n = 5")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=lambda args: cmd_rigidity(args.dim, args.sample, args.seed))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(args.dim, args.orientable, args.ghw)
-        if args.command == "classify":
-            return cmd_classify(args.dim)
-        if args.command == "table":
-            return cmd_table(args.max_dim, args.csv)
-        if args.command == "invariants":
-            return cmd_invariants(args.matrix)
-        if args.command == "spin":
-            return cmd_spin(args.matrix)
-        if args.command == "prop1":
-            return cmd_prop1(args.dim)
-        if args.command == "rigidity":
-            return cmd_rigidity(args.dim, args.sample, args.seed)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (MatrixParseError, NotBottMatrix, BoundExceeded, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ are square free and stored as int bitmasks over the variable indices
 (0-based).  A polynomial, `Gf2Poly`, is packed: one int with bit s set for
 each square-free monomial s, so addition is XOR.
 
-The ring keeps, built once on first use, the multiply-by-x_i tables
+The ring builds, when it is constructed, the multiply-by-x_i tables
 mul[i][s], the packed normal form of x_i times the monomial s: 2^(s | 1<<i)
 when x_i is not in s, and the XOR of mul[l][s] over the l in y_i when it is
 (x_i^2 = x_i y_i).  For strictly upper A every such l is below i, so the
@@ -25,7 +25,7 @@ independent check of both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from math import comb
 from operator import xor
 from typing import Iterable, Sequence
@@ -148,55 +148,39 @@ class CohomRing:
         if matrix.n > RING_BOUND:
             raise BoundExceeded(f"cohomology ring at n={matrix.n} exceeds the configured bound "
                                 f"{RING_BOUND}")
-        self.source = matrix
         self.permutation, self.matrix = to_strict_upper(matrix)
-        self.n = matrix.n
+        self.n = n = matrix.n
         # y_j = sum of x_i over the set column j; for strictly upper input
         # every variable in y_j has index < j, which is what makes the
-        # square rewriting terminate (see _tables).
-        self.cols: tuple[int, ...] = tuple(transpose_masks(self.n, self.matrix.rows))
-        self._mul: list[list[int]] | None = None
+        # square rewriting terminate.
+        self.cols: tuple[int, ...] = tuple(transpose_masks(n, self.matrix.rows))
+        # _mul[i][s]: packed normal form of x_i times the monomial s.  For i
+        # in s, x_i m_s = x_i^2 m_{s - i} = (sum_{l in y_i} x_l) m_s; every l
+        # is below i, so row i is read from rows already built.
+        full = 1 << n
+        self._mul: list[list[int]] = []
+        for i, col in enumerate(self.cols):
+            if col >> i:
+                raise InvariantViolation("rewrite must only introduce smaller indices")
+            square = [0] * full  # y_i m_s, the entry for s holding i
+            for l in bits(col):
+                square = list(map(xor, square, self._mul[l]))
+            bit = 1 << i
+            self._mul.append([square[s] if s & bit else 1 << (s | bit) for s in range(full)])
+        # _free[i]: the monomials s without x_i, the complement of
+        # `bit_lanes` over the 2^n bits s
+        ones = (1 << full) - 1
+        self._free = [ones ^ bit_lanes(n, i) for i in range(n)]
         self._degrees_checked = False
         self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
 
     # -- normal form ------------------------------------------------------
 
-    def _tables(self) -> list[list[int]]:
-        """mul[i][s]: packed normal form of x_i times the monomial s.
-
-        For i in s, x_i m_s = x_i^2 m_{s - i} = (sum_{l in y_i} x_l) m_s;
-        every l is below i, so row i is read from rows already built.
-        """
-        if self._mul is None:
-            full = 1 << self.n
-            mul: list[list[int]] = []
-            for i, col in enumerate(self.cols):
-                if col >> i:
-                    raise InvariantViolation("rewrite must only introduce smaller indices")
-                square = [0] * full  # y_i m_s, the entry for s holding i
-                for l in bits(col):
-                    square = list(map(xor, square, mul[l]))
-                bit = 1 << i
-                mul.append([square[s] if s & bit else 1 << (s | bit) for s in range(full)])
-            self._mul = mul
-        return self._mul
-
-    @cached_property
-    def _free(self) -> list[int]:
-        """_free[i]: the monomials s without x_i, the complement of
-        `bit_lanes` over the 2^n bits s."""
-        ones = (1 << (1 << self.n)) - 1
-        return [ones ^ bit_lanes(self.n, i) for i in range(self.n)]
-
     def _times_var(self, i: int, forms: Sequence[int]) -> list[int]:
-        """Packed normal forms of x_i times each packed normal form in forms.
-        The tables are built only once a monomial holding x_i is met."""
+        """Packed normal forms of x_i times each packed normal form in forms."""
         keep = self._free[i]
         shift = 1 << i
-        mul = self._mul
-        if mul is None and any(p & ~keep for p in forms):
-            mul = self._tables()
-        row = mul[i] if mul else None
+        row = self._mul[i]
         out = []
         for p in forms:
             # the monomials s without x_i go to s + 2^i: one shift by 2^i
@@ -231,10 +215,6 @@ class CohomRing:
                 forms = self._times_var(i, forms)
             acc ^= forms[0]
         return Gf2Poly(acc)
-
-    def y(self, j: int) -> Gf2Poly:
-        """Degree-1 class of the j-th line bundle: y_j = sum_i a_{i,j} x_i."""
-        return linear(self.cols[j])
 
     # -- characteristic classes -------------------------------------------
 
@@ -286,7 +266,7 @@ class CohomRing:
             for s in range(full):
                 weight[s.bit_count()] |= 1 << s
             outside = [~weight[s.bit_count() + 1] for s in range(full)]
-            for i, row in enumerate(self._tables()):
+            for i, row in enumerate(self._mul):
                 bit = 1 << i
                 for s in range(bit, full):
                     if s & bit and row[s] & outside[s]:

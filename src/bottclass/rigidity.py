@@ -15,9 +15,9 @@ are its nonzero kernel, listed ascending for each y the search meets
 (`_admissible`).  The span of the rows already chosen is kept as a
 2^n-bit set, so the independence test is one bit test.  Neither changes
 the order in which candidates are met, so the first witness is that of a
-plain ascending walk.  The search builds no ring: the two rings are built
-only to re-check a witness it found, on normal forms, apart from the
-closed form.
+plain ascending walk.  The search builds no ring: the target ring alone is
+built, to re-check a witness it found on normal forms, apart from the
+closed form; the source relations are read from the source columns.
 
 Pairs are first screened by `ring_invariants`, which builds no ring: no
 annihilator of a nonzero degree-1 class has dimension above 1, and which
@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bottmatrix import BottMatrix, diffeo_classes, to_strict_upper
-from .cohomology import CohomRing, degree2, linear
+from .cohomology import RING_BOUND, CohomRing, degree2, linear
 from .gf2 import (
     BoundExceeded,
     DimensionMismatch,
@@ -94,7 +94,12 @@ def ring_invariants(m: BottMatrix) -> tuple:
     is lanes[a] XOR the lanes [2^t, 2^(t+1)) of every t with a in y_t.  A
     lane is set in the coefficient of some x_a x_b of v* w exactly when
     ann(w) = 0.
+
+    The lanes take 2^n bits each and the result 2^n - 1 entries, so n above
+    `cohomology.RING_BOUND` is refused first.
     """
+    if m.n > RING_BOUND:
+        raise BoundExceeded(f"ring_invariants at n={m.n} exceeds the bound {RING_BOUND}")
     m = to_strict_upper(m)[1]
     n = m.n
     cols = transpose_masks(n, m.rows)
@@ -124,8 +129,8 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     columns of the strictly upper forms of a and b, with no ring: rows are
     tried in ascending order at each level, restricted to the rows
     `_admissible` for the image of y_j and independent of the rows before
-    them.  A witness found is re-checked on the normal forms of the two
-    rings, built only then, and an InvariantViolation is raised if it
+    them.  A witness found is re-checked on the normal forms of the target
+    ring, the one ring built, and an InvariantViolation is raised if it
     fails; it is returned in the labels of a and b as given.
     """
     if a.n != b.n:
@@ -166,7 +171,7 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     found = rec(0, 1, [0])
     if found is None:
         return None
-    if not _is_witness(CohomRing(a), CohomRing(b), found):
+    if not _is_witness(cols_a, CohomRing(b), found):
         raise InvariantViolation(
             f"ring_isomorphic({a.rows}, {b.rows}) found {found}, which fails the relation check"
         )
@@ -177,12 +182,13 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     return RingIsoWitness(Gf2Mat(n, found))
 
 
-def _is_witness(ring_a: CohomRing, ring_b: CohomRing, rows: tuple[int, ...]) -> bool:
-    """Full check: rows invertible and every source relation maps to zero."""
-    if rank_masks(rows) != ring_a.n:
+def _is_witness(cols_a: Sequence[int], ring_b: CohomRing, rows: tuple[int, ...]) -> bool:
+    """Full check: rows invertible and every relation of the source, the
+    strictly upper matrix with columns `cols_a`, maps to zero in ring_b."""
+    if rank_masks(rows) != len(cols_a):
         return False
     images = subset_sums(rows)  # images[mask]: the image of sum_{i in mask} x_i
-    return all(_relation_holds(ring_b, rows[j], images[col]) for j, col in enumerate(ring_a.cols))
+    return all(_relation_holds(ring_b, rows[j], images[col]) for j, col in enumerate(cols_a))
 
 
 def rigidity_experiment(n: int, inter_samples: int = 10, seed: int = 0) -> dict:

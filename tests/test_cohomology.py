@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog
+from bottclass import catalog, cohomology
 from bottclass.bottmatrix import (
     BottMatrix,
     enumerate_strict_upper,
@@ -185,7 +185,7 @@ def test_sigma1_of_degree1_build_equals_degree2_build():
     for m in itertools.chain(*(enumerate_strict_upper(n) for n in range(2, 6)), permuted):
         ring = ring_of(m)
         w1 = ring.stiefel_whitney(1)
-        assert not ring._sigma and ring._mul is None  # no pass
+        assert not ring._sigma  # no pass
         ring.stiefel_whitney(2)
         assert len(ring._sigma) == 3
         assert ring._sigma[1] == w1, m.rows
@@ -474,19 +474,31 @@ def test_multiply_matches_recursive_oracle():
         assert ring.multiply(_poly(p), _poly(q)).terms == expected, (m.rows, p, q)
 
 
-def test_tables_refuse_a_non_decreasing_rewrite():
-    # y_i holding x_i itself would never terminate; the table build refuses it
-    ring = ring_of(BottMatrix(3, (0b010, 0, 0)))
-    ring.cols = (0, 0b010, 0)
-    with pytest.raises(InvariantViolation):
-        ring.betti_z2(2)
+def test_tables_refuse_a_non_decreasing_rewrite(monkeypatch):
+    # A rewrite to a larger index need not terminate.  Column 0 of this
+    # lower triangular matrix holds x_2, so x_1^2 = x_1 x_2 would be one; a
+    # normalization that leaves it is refused when the tables are built.
+    monkeypatch.setattr(cohomology, "to_strict_upper", lambda m: (tuple(range(m.n)), m))
+    with pytest.raises(InvariantViolation, match="smaller indices"):
+        ring_of(BottMatrix(3, (0, 0b001, 0)))
 
 
-def test_linear_classes_do_not_build_the_tables():
-    ring = ring_of(A4)
-    ring.stiefel_whitney(1)
-    ring.y(4)
-    assert ring._mul is None
+def test_non_decreasing_rewrite_raises_under_python_O():
+    # the table guard raises InvariantViolation, not assert
+    code = textwrap.dedent("""
+        from bottclass import cohomology
+        from bottclass.bottmatrix import BottMatrix
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        cohomology.to_strict_upper = lambda m: (tuple(range(m.n)), m)
+        try:
+            cohomology.ring_of(BottMatrix(3, (0, 0b001, 0)))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    proc = _run_under_python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: rewrite must only introduce smaller indices")
 
 
 def test_stiefel_whitney_builds_sigma_up_to_k_only():
@@ -570,7 +582,7 @@ def test_betti_refuses_a_square_entry_that_leaves_its_degree(i, s, monomial):
     # largest variable; the one with max(s) > i only products and
     # Stiefel-Whitney classes meet.
     ring = ring_of(A4)
-    ring._tables()[i][s] ^= 1 << monomial
+    ring._mul[i][s] ^= 1 << monomial
     with pytest.raises(InvariantViolation, match="preserve degree"):
         ring.betti_z2(2)
 
@@ -584,15 +596,19 @@ def test_corrupted_square_entry_raises_under_python_O():
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
         ring = ring_of(catalog.DIM5_ORIENTED["A4"])
-        ring._tables()[0][0b00011] ^= 1
+        ring._mul[0][0b00011] ^= 1
         try:
             ring.betti_z2(2)
         except InvariantViolation as exc:
             print("raised:", exc)
     """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_under_python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: reduction must preserve degree")
+
+
+def _run_under_python_O(code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
