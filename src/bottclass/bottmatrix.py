@@ -384,7 +384,13 @@ def _reversed_bits(n: int) -> tuple[int, ...]:
 def _code(n: int, rows: Sequence[int]) -> int:
     """The entries above the diagonal, row-major, read as one binary number
     with a[0][1] highest.  On strictly upper matrices this is a bijection
-    onto 0 .. 2^(n(n-1)/2) - 1 that orders them as their entry lists do."""
+    onto 0 .. 2^(n(n-1)/2) - 1 that orders them as their entry lists do.
+
+    Row i is the field of width w_i = n-1-i at offset off_i, where
+    off_{n-1} = 0 and off_i = off_{i+1} + w_{i+1}; entry a[i][j] is bit
+    off_i + n-1-j, so a[i][i+1] is the top bit of the field and the fields
+    of all rows hold column j at the same place n-1-j.  The walk's moves
+    (`_neighbor_codes`) read and write the code through this layout."""
     rev = _reversed_bits(n)
     code = 0
     for i, r in enumerate(rows):
@@ -407,46 +413,91 @@ def _renorm_raw(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return _conjugate_raw(n, rows, _strict_upper_perm(n, rows))
 
 
-def _neighbors_raw(n: int, rows: tuple[int, ...], cols: Sequence[int]) -> list[tuple[int, ...]]:
-    """One move away from a strictly upper matrix with these column masks,
-    in strictly upper form (see `diffeo_classes` for why this generator set
-    suffices)."""
+@lru_cache(maxsize=None)
+def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
+    """The per-n masks of `_neighbor_codes`, over the `_code` layout.
+
+    swaps: (top, above, block, w) per adjacent swap (i i+1), with top the
+    bit of a[i][i+1], above the lower of the bits of columns i and i+1 in
+    every row r < i, block the field of row i+1 and w = w_{i+1} its width.
+    rows: (off_k, field mask, column mask C_k, n-1-k) per k < n-1 (row
+    n-1 is empty).
+    pairs: (l, m, off_m) per Op3 target m < l < n-1.
+    """
+    width = [n - 1 - i for i in range(n)]
+    off = [0] * n
+    for i in reversed(range(n - 1)):
+        off[i] = off[i + 1] + width[i + 1]
+    swaps = tuple(
+        (1 << (off[i] + width[i] - 1),
+         sum(1 << (off[r] + n - 2 - i) for r in range(i)),
+         ((1 << width[i + 1]) - 1) << off[i + 1],
+         width[i + 1])
+        for i in range(n - 1))
+    rows = tuple(
+        (off[k], (1 << width[k]) - 1, sum(1 << (off[i] + n - 1 - k) for i in range(k)), n - 1 - k)
+        for k in range(n - 1))
+    pairs = tuple((l, m, off[m]) for l in range(1, n - 1) for m in range(l))
+    return swaps, rows, pairs
+
+
+def _neighbor_codes(n: int, code: int) -> list[int]:
+    """The `_code`s one move away from the strictly upper matrix with this
+    code (see `diffeo_classes` for why these moves suffice); a swap that
+    fixes the matrix gives the code itself.  Each move is a few int
+    operations on the code:
+
+    - the adjacent swap (i i+1), when a[i][i+1] = 0, is two delta swaps:
+      columns i and i+1 in every row above i, and the low w_{i+1} bits of
+      row i against row i+1 (the rows trade places);
+    - Op2 at k adds row k's field v to every row i of column k: with
+      s = sum of 2^{off_i} over those i, the result is code ^ v * s, with
+      no carries since the fields are disjoint and v fits in each;
+    - Op3 adds row l to a row m < l whose column equals column l, i.e.
+      whose s equals that of l.
+    """
+    swaps, rows, pairs = _move_masks(n)
     out = []
-    # Op1: the adjacent transposition (i i+1) where a[i][i+1] = 0.  Rows i
-    # and i+1 trade places; only rows above them hold bits i and i+1.
-    for i in range(n - 1):
-        if not (rows[i] >> (i + 1)) & 1:
-            both = 3 << i
-            head = tuple(r ^ both if ((r >> i) ^ (r >> (i + 1))) & 1 else r for r in rows[:i])
-            out.append(head + (rows[i + 1], rows[i]) + rows[i + 2:])
-    # Op2 keeps strict upper triangularity; it is the identity unless both
-    # row k and column k are nonzero.
-    for k in range(n):
-        if rows[k] and cols[k]:
-            out.append(_op2_raw(rows, k, cols[k]))
-    # Op3 adding row l to a row m_idx < l with an equal column: row l holds
-    # only bits above l, so the result is strictly upper.
-    for l in range(1, n):
-        for m_idx in range(l):
-            if cols[l] == cols[m_idx]:
-                moved = list(rows)
-                moved[m_idx] ^= rows[l]
-                out.append(tuple(moved))
+    for top, above, block, w in swaps:
+        if not code & top:
+            t = ((code >> 1) ^ code) & above
+            moved = code ^ t ^ (t << 1)
+            t = ((moved >> w) ^ moved) & block
+            out.append(moved ^ t ^ (t << w))
+    fields = []
+    spreads = []
+    for off, fmask, cmask, shift in rows:
+        v = (code >> off) & fmask
+        s = (code & cmask) >> shift
+        if v and s:
+            out.append(code ^ v * s)
+        fields.append(v)
+        spreads.append(s)
+    for l, m, off in pairs:
+        if spreads[l] == spreads[m]:
+            v = fields[l]
+            if v:
+                out.append(code ^ (v << off))
     return out
 
 
-def orbit_raw(n: int, rows: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
-    """Closure of one strictly-upper matrix under the three operations:
-    each member, in the order the walk reaches it, mapped to its column
-    masks."""
-    seen = {rows: transpose_masks(n, rows)}
-    todo = [rows]
+def orbit_raw(n: int, code: int, ids: array, cid: int) -> list[int]:
+    """Closure of the strictly upper matrix with this `_code` under the
+    three operations: the member codes, in the order the walk reaches them.
+    Each is marked with cid in the class-id table `ids` when first reached,
+    so the table is the visited set; a neighbour that holds another class
+    id raises InvariantViolation."""
+    ids[code] = cid
+    todo = [code]
     for state in todo:  # grows while it is walked
-        for nb in _neighbors_raw(n, state, seen[state]):
-            if nb not in seen:
-                seen[nb] = transpose_masks(n, nb)
+        for nb in _neighbor_codes(n, state):
+            owner = ids[nb]
+            if owner == -1:
+                ids[nb] = cid
                 todo.append(nb)
-    return seen
+            elif owner != cid:
+                raise InvariantViolation(f"{_decode(n, nb)} is in two orbits")
+    return todo
 
 
 def w2_masks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[int]:
@@ -515,14 +566,18 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     before l; the adjacent swaps reach it, and in that labelling the move
     is one the walk takes, with a conjugate of the same result.
 
-    Seeds are read in `_code` order from a class-id table indexed by
-    `_code`: the first code not yet assigned is the least member of its
-    orbit, so it is the canonical and the classes come out in canonical
-    order.  Each class keeps its members as codes (`ClassMembers`).
+    The walk runs on `_code` ints (`_neighbor_codes`), and the class-id
+    table indexed by `_code` is its visited set: `orbit_raw` writes the
+    class id of a code when it first reaches it.  Seeds are read in code
+    order from the same table: the first code not yet assigned is the least
+    member of its orbit, so it is the canonical and the classes come out in
+    canonical order.  Each class keeps its members as codes
+    (`ClassMembers`).
 
     Orbit invariance of the fingerprint is checked for every member and
-    raises InvariantViolation when it fails, as does a member reached from
-    two seeds or class sizes that do not sum to 2^(n(n-1)/2).
+    raises InvariantViolation when it fails, as do class sizes that do not
+    sum to 2^(n(n-1)/2).  A member reached from two seeds raises in
+    `orbit_raw`, at the edge that leads into the other class.
     """
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
@@ -535,19 +590,13 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
         if ids[code] != -1:
             continue
         seed, cid = _decode(n, code), len(classes)
-        orbit = orbit_raw(n, seed)
-        fp = _fingerprint_raw(seed, orbit[seed])
-        codes = []
-        for rows, cols in orbit.items():
-            slot = _code(n, rows)
-            if ids[slot] != -1:
-                raise InvariantViolation(f"{rows} is in two orbits")
-            ids[slot] = cid
-            codes.append(slot)
-            if _fingerprint_raw(rows, cols) != fp:
+        fp = _fingerprint_raw(seed, transpose_masks(n, seed))
+        codes = orbit_raw(n, code, ids, cid)
+        for slot in codes:
+            rows = _decode(n, slot)
+            if _fingerprint_raw(rows, transpose_masks(n, rows)) != fp:
                 raise InvariantViolation(f"fingerprint not constant on orbit of {seed}: {rows}")
-        codes.sort()
-        members = ClassMembers(n, array("I", codes), ids, cid)
+        members = ClassMembers(n, array("I", sorted(codes)), ids, cid)
         rk, odd, w2 = fp
         fingerprint = ClassFingerprint(orientable=not odd, holonomy_rank=rk,
                                        ghw=n >= 2 and rk == n - 1, w2_zero=not w2)

@@ -168,13 +168,18 @@ def cmd_spin(path: str) -> int:
     oriented = is_orientable(m)
     results["orientable"] = oriented
     results["w1"] = cohomology.format_poly(ring.stiefel_whitney(1))
-    results["w2"] = cohomology.format_poly(ring.stiefel_whitney(2))
+    w2 = ring.stiefel_whitney(2)
+    results["w2"] = cohomology.format_poly(w2)
     if oriented:
         witnesses = [
             w for w in (_witness_dict(spin.odd_overlap_witness(m)), _witness_dict(spin.disjoint_rows_witness(m)))
             if w is not None
         ]
         results["spin"] = spin.has_spin(m)
+        if results["spin"] != w2.is_zero():
+            raise InvariantViolation(
+                f"spin from the rows is {results['spin']} but the ring's w2 is {results['w2']} "
+                f"for {json.dumps(to_json_dict(m))}")
         results["spinc_obstructed"] = spin.spinc_obstructed(m)
         results["witnesses"] = witnesses
         results["lift_found"] = spin.spin_lift_search(m) is not None

@@ -470,24 +470,70 @@ def test_members_view_set_algebra_and_rebuild():
     assert all(a.members != b.members for a, b in zip(rebuilt, rebuilt[1:]))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def _sampled_strict_upper(n, count, seed):
+    # the density varies per matrix, so sparse ones with many equal columns
+    # (Op3) and dense ones with few open swaps both occur
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([0.1, 0.25, 0.5, 0.75])
+        yield BottMatrix.from_rows([[int(j > i and rng.random() < p) for j in range(n)]
+                                    for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_neighbors_are_the_strictly_upper_moves(n):
     # the walk's edges, rebuilt from the list oracles: the adjacent swaps
     # (i i+1) with a[i][i+1] = 0, Op2 at every k, and Op3 adding row l to a
-    # row m_idx < l with an equal column (the matrix itself aside)
-    for m in enumerate_strict_upper(n):
+    # row m_idx < l with an equal column (the matrix itself aside); every
+    # strictly upper matrix for n <= 5, 300 seeded ones each for n = 6..8,
+    # whose masks differ
+    total = 1 << (n * (n - 1) // 2)
+    matrices = enumerate_strict_upper(n) if n <= 5 else _sampled_strict_upper(n, 300, 7000 + n)
+    moved = {"swap": 0, "op2": 0, "op3": 0}
+    for m in matrices:
         mat = lists(m)
-        neighbors = bottmatrix._neighbors_raw(n, m.rows, transpose_masks(n, m.rows))
-        assert all(BottMatrix(n, nb).is_strictly_upper for nb in neighbors)
-        expected = [op2_oracle(mat, k) for k in range(n)]
+        codes = bottmatrix._neighbor_codes(n, bottmatrix._code(n, m.rows))
+        assert all(0 <= c < total for c in codes)
+        neighbors = {bottmatrix._decode(n, c) for c in codes}
+        swaps = []
         for i in range(n - 1):
             if not mat[i][i + 1]:
                 swap = list(range(n))
                 swap[i], swap[i + 1] = i + 1, i
-                expected.append(op1_oracle(mat, swap))
-        expected += [op3_oracle(mat, l, m_idx) for l in range(n) for m_idx in range(l)
-                     if all(mat[i][l] == mat[i][m_idx] for i in range(n))]
-        assert set(neighbors) | {m.rows} == {BottMatrix.from_rows(e).rows for e in expected} | {m.rows}
+                swaps.append(op1_oracle(mat, swap))
+        op2s = [op2_oracle(mat, k) for k in range(n)]
+        op3s = [op3_oracle(mat, l, m_idx) for l in range(n) for m_idx in range(l)
+                if all(mat[i][l] == mat[i][m_idx] for i in range(n))]
+        for kind, found in (("swap", swaps), ("op2", op2s), ("op3", op3s)):
+            moved[kind] += sum(f != mat for f in found)
+        expected = {BottMatrix.from_rows(e).rows for e in swaps + op2s + op3s}
+        assert neighbors | {m.rows} == expected | {m.rows}
+    assert n == 2 or all(moved.values()), moved
+
+
+def test_two_orbits_raises_under_python_O():
+    # a neighbour that already holds another class id stops the walk at
+    # that edge, with InvariantViolation, so the check survives `python -O`
+    code = textwrap.dedent("""
+        from array import array
+        from bottclass import bottmatrix
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        n, seed = 4, 1
+        other = next(c for c in bottmatrix._neighbor_codes(n, seed) if c != seed)
+        ids = array("i", [-1]) * (1 << 6)
+        ids[other] = 7
+        try:
+            bottmatrix.orbit_raw(n, seed, ids, 0)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: ") and "is in two orbits" in proc.stdout
 
 
 def test_dropped_op3_direction_stays_in_class_n6():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog, spin
+from bottclass import catalog, cohomology, spin
 from bottclass.bottmatrix import format_matrix_text, parse_matrix, to_json_dict
 from bottclass.cli import main
 from bottclass.spin import SpinLift
@@ -165,6 +165,22 @@ def test_spin_routes_that_disagree_exit_3_with_the_matrix(monkeypatch, capsys, f
     path = FIXTURES / fixture
     code, out, err = run(capsys, "spin", "--matrix", str(path))
     assert code == 3 and out == ""
+    assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
+
+
+@pytest.mark.parametrize("fixture, w2", [("a29.txt", cohomology.poly_from_vars([1, 2])),
+                                         ("a4.txt", cohomology.Gf2Poly(0))],
+                         ids=["spin-a29", "not-spin-a4"])
+def test_spin_w2_routes_that_disagree_exit_3_with_the_matrix(monkeypatch, capsys, fixture, w2):
+    # a29 is Spin and a4 is not; a ring whose w2 is broken to answer the
+    # other way disagrees with has_spin, which reads w2 from the rows
+    real = cohomology.CohomRing.stiefel_whitney
+    monkeypatch.setattr(cohomology.CohomRing, "stiefel_whitney",
+                        lambda ring, k: w2 if k == 2 else real(ring, k))
+    path = FIXTURES / fixture
+    code, out, err = run(capsys, "spin", "--matrix", str(path))
+    assert code == 3 and out == ""
+    assert "the ring's w2 is" in err
     assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
 
 
