@@ -18,6 +18,7 @@ from .gf2 import (
     BoundExceeded,
     InvariantViolation,
     UsageError,
+    bit_lanes,
     bits,
     parity,
     rank_masks,
@@ -533,9 +534,113 @@ def w2_masks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[int]:
 
 
 def _fingerprint_raw(rows: tuple[int, ...], cols: Sequence[int]) -> tuple[int, bool, bool]:
-    """What `ClassFingerprint` records, checked on every orbit member: the
-    rank, whether some row is odd (w1 != 0), and whether w2 != 0."""
+    """What `ClassFingerprint` records, read off one matrix: the rank,
+    whether some row is odd (w1 != 0), and whether w2 != 0."""
     return rank_masks(rows), any(r.bit_count() & 1 for r in rows), any(w2_masks(rows, cols))
+
+
+def _fingerprint_byte(rank: int, odd: bool, w2: bool) -> int:
+    """The fingerprint as one byte, odd + 2 w2 + 4 rank, as
+    `_fingerprint_blocks` gives it per code."""
+    return odd | w2 << 1 | rank << 2
+
+
+_BLOCK_BITS = 12  # 2^12 codes per block of `_fingerprint_blocks`: 512-byte planes
+_BIT_OF = tuple(bytes((v >> t) & 1 for v in range(256)) for t in range(8))  # translate tables
+
+
+def _bytes_per_code(size: int, planes: list[int]) -> bytearray:
+    """Byte c is the sum over q of bit c of planes[q] times 2^q, for the
+    size codes c.  Bit t of each plane byte is read with one translate and
+    written to every eighth byte from t, so no per-code object is made."""
+    width = (size + 7) >> 3
+    raw = [plane.to_bytes(width, "little") for plane in planes]
+    out = bytearray(8 * width)
+    for t, table in enumerate(_BIT_OF):
+        lane = 0
+        for q, plane in enumerate(raw):
+            lane |= int.from_bytes(plane.translate(table), "little") << q
+        out[t::8] = lane.to_bytes(width, "little")
+    del out[size:]
+    return out
+
+
+def _fingerprint_planes(n: int, rows: list[list[int]]) -> list[int]:
+    """w1 != 0, w2 != 0 and the bits of the rank of every matrix at once:
+    rows[i][j] is the plane of entry a[i][j] (an int whose bit c is the
+    entry in the c-th matrix), and the result is the planes of odd, w2 and
+    the rank's bits, lowest first, by the formulas of `_fingerprint_raw`.
+
+    - par_a is the parity of row a and sq_a the parity of C(|R_a|, 2), the
+      running pair of the elementary symmetric functions e1, e2 of the row;
+    - the coefficient of x_a x_b (a < b) in w2 is `w2_masks`' formula with
+      a[b][a] = 0: (a_ab & sq_b) ^ (par_a & par_b) ^ XOR_j (a_aj & a_bj);
+    - the rank is Gauss-Jordan elimination column by column.  Row r is the
+      pivot of column j where it is the first row, not yet a pivot, with a
+      one there; its later entries (k > j) are added to each other row with
+      a one in column j, whose stale entry in column j `found` masks.  Rows
+      s >= j hold zeros in columns up to s throughout, so only rows below
+      j take part.  A bit-sliced counter sums the `found` planes.
+    """
+    par, sq = [], []
+    odd = w2 = 0
+    for row in rows:
+        s = e2 = 0
+        for x in row:
+            e2 ^= s & x
+            s ^= x
+        par.append(s)
+        sq.append(e2)
+        odd |= s
+    for a in range(n):
+        for b in range(a + 1, n):
+            t = (rows[a][b] & sq[b]) ^ (par[a] & par[b])
+            for j in range(b + 1, n):
+                t ^= rows[a][j] & rows[b][j]
+            w2 |= t
+    m = [list(row) for row in rows]
+    used = [0] * n
+    rank: list[int] = []
+    for j in range(1, n):
+        found = 0
+        for r in range(j):
+            p = m[r][j] & ~used[r] & ~found
+            if not p:
+                continue
+            used[r] |= p
+            found |= p
+            pivot = m[r]
+            for s in range(j):
+                f = p & m[s][j]
+                if f and s != r:
+                    target = m[s]
+                    for k in range(j + 1, n):
+                        target[k] ^= f & pivot[k]
+        for t in range(len(rank)):
+            rank[t], found = rank[t] ^ found, rank[t] & found
+        if found:
+            rank.append(found)
+    return [odd, w2] + rank
+
+
+def _fingerprint_blocks(n: int) -> Iterator[tuple[int, bytearray]]:
+    """The `_fingerprint_byte` of every strictly upper matrix of size n, in
+    `_code` order: (first code, one byte per code) for each block of
+    2^_BLOCK_BITS codes (one block while n <= 5, eight at n = 6).
+
+    Entry a[i][j] is code bit off_i + n-1-j (see `_code`).  Within a block
+    the plane of a low code bit is `bit_lanes`, and that of a high bit is
+    constant, all ones or zero."""
+    width = n * (n - 1) // 2
+    low = min(width, _BLOCK_BITS)
+    size = 1 << low
+    ones = (1 << size) - 1
+    lanes = [bit_lanes(low, p) for p in range(low)]
+    off = [(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)]
+    for block in range(1 << (width - low)):
+        planes = lanes + [ones if (block >> q) & 1 else 0 for q in range(width - low)]
+        rows = [[planes[off[i] + n - 1 - j] if j > i else 0 for j in range(n)] for i in range(n)]
+        yield block << low, _bytes_per_code(size, _fingerprint_planes(n, rows))
 
 
 class _ClassTable(tuple):
@@ -574,9 +679,15 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     canonical order.  Each class keeps its members as codes
     (`ClassMembers`).
 
-    Orbit invariance of the fingerprint is checked for every member and
-    raises InvariantViolation when it fails, as do class sizes that do not
-    sum to 2^(n(n-1)/2).  A member reached from two seeds raises in
+    The fingerprint of a class is read off its canonical by
+    `_fingerprint_raw`.  Orbit invariance is checked for every member at
+    once, with no member decoded: `_fingerprint_blocks` evaluates the same
+    invariants bit-sliced over all codes, and its byte for each code must
+    equal the byte of the code's class in the class-id table.  The
+    canonicals are compared too, so the scalar and the sliced route check
+    each other on every class.  A mismatch raises InvariantViolation
+    naming the first code that differs, as do class sizes that do not sum
+    to 2^(n(n-1)/2).  A member reached from two seeds raises in
     `orbit_raw`, at the edge that leads into the other class.
     """
     if n < 1:
@@ -586,24 +697,27 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     total = 1 << (n * (n - 1) // 2)
     ids = array("i", [-1]) * total
     classes: list[DiffeoClass] = []
+    fps = bytearray()  # the `_fingerprint_byte` of each class
     for code in range(total):
         if ids[code] != -1:
             continue
         seed, cid = _decode(n, code), len(classes)
-        fp = _fingerprint_raw(seed, transpose_masks(n, seed))
-        codes = orbit_raw(n, code, ids, cid)
-        for slot in codes:
-            rows = _decode(n, slot)
-            if _fingerprint_raw(rows, transpose_masks(n, rows)) != fp:
-                raise InvariantViolation(f"fingerprint not constant on orbit of {seed}: {rows}")
-        members = ClassMembers(n, array("I", sorted(codes)), ids, cid)
-        rk, odd, w2 = fp
+        rk, odd, w2 = _fingerprint_raw(seed, transpose_masks(n, seed))
+        fps.append(_fingerprint_byte(rk, odd, w2))
+        members = ClassMembers(n, array("I", sorted(orbit_raw(n, code, ids, cid))), ids, cid)
         fingerprint = ClassFingerprint(orientable=not odd, holonomy_rank=rk,
                                        ghw=n >= 2 and rk == n - 1, w2_zero=not w2)
         classes.append(DiffeoClass(BottMatrix(n, seed), members, fingerprint))
     covered = sum(c.size for c in classes)
     if covered != total:
         raise InvariantViolation(f"class sizes sum to {covered}, not 2^{n * (n - 1) // 2}")
+    by_class, view = fps.__getitem__, memoryview(ids)
+    for start, sliced in _fingerprint_blocks(n):
+        expected = bytes(map(by_class, view[start:start + len(sliced)]))
+        if sliced != expected:
+            code = start + next(i for i, (x, y) in enumerate(zip(sliced, expected)) if x != y)
+            raise InvariantViolation(f"fingerprint not constant on orbit of "
+                                     f"{classes[ids[code]].canonical.rows}: {_decode(n, code)}")
     table = _ClassTable(classes)
     table.class_ids = ids
     return table

@@ -73,8 +73,16 @@ def transpose_masks(n: int, rows: Sequence[int]) -> list[int]:
 def bit_lanes(n: int, i: int) -> int:
     """The s < 2^n holding bit i, as one int with bit s set for each such
     s (one lane per s).  Over the 2^n bits: runs of 2^i zeros and 2^i
-    ones, the all-ones word over blocks of 2^(i+1) bits times the high run."""
-    return ((1 << (1 << n)) - 1) // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+    ones, built by doubling one block of 2^(i+1) bits, so the cost is
+    linear in 2^n."""
+    if i >= n:
+        return 0
+    lanes = ((1 << (1 << i)) - 1) << (1 << i)
+    width = 2 << i
+    while width < 1 << n:
+        lanes |= lanes << width
+        width <<= 1
+    return lanes
 
 
 def subset_sums(gens: Sequence[int]) -> list[int]:

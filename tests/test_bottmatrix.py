@@ -396,29 +396,70 @@ def test_diffeo_class_of_seeded_walks_n6():
 
 def test_broken_fingerprint_raises_under_python_O():
     # The orbit checks raise InvariantViolation, not assert, so they
-    # survive `python -O`.
+    # survive `python -O`.  Two mutants, each caught by the comparison of
+    # the sliced fingerprints with the class fingerprints: one flipped bit
+    # of one code-bit plane, at a member that is not a canonical, and a
+    # scalar route that is wrong on the canonicals only.
     code = textwrap.dedent("""
         from bottclass import bottmatrix
-        from bottclass.gf2 import InvariantViolation
+        from bottclass.gf2 import InvariantViolation, transpose_masks
         assert not __debug__
-        canonicals = {c.canonical.rows for c in bottmatrix.diffeo_classes(3)}
-        bottmatrix.diffeo_classes.cache_clear()
+        n = 3
+        classes = bottmatrix.diffeo_classes(n)
+        canonicals = {c.canonical.rows for c in classes}
+        def fp(code):
+            rows = bottmatrix._decode(n, code)
+            return bottmatrix._fingerprint_raw(rows, transpose_masks(n, rows))
+        member, plane = next((c, p) for c in range(8) for p in range(3)
+                             if bottmatrix._decode(n, c) not in canonicals
+                             and fp(c) != fp(c ^ 1 << p))
+        print(bottmatrix._decode(n, member),
+              classes[classes.class_ids[member]].canonical.rows, sep="|")
+        def attempt():
+            bottmatrix.diffeo_classes.cache_clear()
+            try:
+                bottmatrix.diffeo_classes(n)
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("not raised")
+        real_lanes = bottmatrix.bit_lanes
+        def flipped(width, i):  # one code's entry flipped in one plane
+            return real_lanes(width, i) ^ (1 << member if i == plane else 0)
+        bottmatrix.bit_lanes = flipped
+        attempt()
+        bottmatrix.bit_lanes = real_lanes
         real = bottmatrix._fingerprint_raw
-        def broken(rows, cols):  # right on the seeds, wrong on every other member
+        def broken(rows, cols):  # wrong on the canonicals, the only calls
             rank, odd, w2 = real(rows, cols)
-            return rank, odd, w2 if rows in canonicals else not w2
+            return rank, odd, w2 if rows not in canonicals else not w2
         bottmatrix._fingerprint_raw = broken
-        try:
-            bottmatrix.diffeo_classes(3)
-        except InvariantViolation as exc:
-            print("raised:", exc)
+        attempt()
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: fingerprint not constant on orbit")
+    chosen, flipped, broken = proc.stdout.splitlines()
+    member, canonical = chosen.split("|")
+    assert member != canonical
+    assert flipped == f"raised: fingerprint not constant on orbit of {canonical}: {member}"
+    assert broken == "raised: fingerprint not constant on orbit of (0, 0, 0): (0, 0, 0)"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_sliced_fingerprints_match_the_scalar_route(n):
+    # every code at n <= 6, 2,000 seeded codes at n = 7 (64 blocks)
+    blocks = list(bottmatrix._fingerprint_blocks(n))
+    sliced = b"".join(block for _, block in blocks)
+    assert [start for start, _ in blocks] == list(range(0, len(sliced), len(blocks[0][1])))
+    assert len(sliced) == 1 << (n * (n - 1) // 2)
+    codes = range(len(sliced)) if n <= 6 else random.Random(7).sample(range(len(sliced)), 2000)
+    for code in codes:
+        rows = bottmatrix._decode(n, code)
+        fp = bottmatrix._fingerprint_raw(rows, transpose_masks(n, rows))
+        assert sliced[code] == bottmatrix._fingerprint_byte(*fp), (n, rows)
 
 
 def test_diffeo_class_of_uncovered_matrix_raises():

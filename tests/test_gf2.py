@@ -1,5 +1,6 @@
 """GF(2) linear algebra: examples plus randomized properties."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +78,21 @@ def test_bit_lanes_hold_the_masks_with_the_bit():
     for n in range(1, 8):
         for i in range(n):
             assert bit_lanes(n, i) == sum(1 << s for s in range(1 << n) if (s >> i) & 1), (n, i)
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_bit_lanes_at_large_n(n):
+    # the block-quotient formula at n = 15; the definition at seeded s
+    rng = random.Random(n)
+    samples = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]
+    for i in range(n):
+        lanes = bit_lanes(n, i)
+        if n == 15:
+            assert lanes == ((1 << (1 << n)) - 1) // ((1 << (2 << i)) - 1) * (
+                ((1 << (1 << i)) - 1) << (1 << i)), i
+        assert lanes.bit_length() <= 1 << n and lanes.bit_count() == 1 << (n - 1), i
+        assert all((lanes >> s) & 1 == (s >> i) & 1 for s in samples), i
+    assert bit_lanes(n, n) == 0  # no s < 2^n has bit n
 
 
 @given(st.lists(st.integers(0, (1 << 12) - 1), max_size=7))

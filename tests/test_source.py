@@ -165,3 +165,34 @@ def test_sign_tuples_are_built_only_for_holonomy_rep():
     for module in ("bieberbach.py", "spin.py"):
         visit(module, ast.parse((PACKAGE / module).read_text()), "")
     assert found == ["bieberbach.py:holonomy_rep:_signs()", "spin.py:_verify_lift:lift.signs"]
+
+
+def test_diffeo_classes_decodes_no_member():
+    # the fingerprint is checked on all codes at once: diffeo_classes, and
+    # the module functions it calls, decode or transpose a matrix only once
+    # per class (in the seed loop) or on the way to raising, never in a
+    # loop nested in another
+    tree = ast.parse((PACKAGE / "bottmatrix.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"_decode", "transpose_masks", "_fingerprint_raw"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    found = []
+
+    def visit(name, node, depth):
+        if isinstance(node, ast.Raise):
+            return
+        if isinstance(node, ast.Call) and called(node) in banned and depth > 1:
+            found.append(f"{name}:{node.lineno}:{called(node)}")
+        depth += isinstance(node, loops)
+        for child in ast.iter_child_nodes(node):
+            visit(name, child, depth)
+
+    seen, todo = set(), ["diffeo_classes"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        visit(name, functions[name], 0)
+        todo += {called(node) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                 and called(node) in functions and called(node) not in seen}
+    assert seen >= {"diffeo_classes", "orbit_raw", "_fingerprint_blocks", "_fingerprint_planes"}
+    assert found == []
