@@ -12,7 +12,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2 import (
     BoundExceeded,
@@ -391,7 +391,8 @@ def _code(n: int, rows: Sequence[int]) -> int:
     off_{n-1} = 0 and off_i = off_{i+1} + w_{i+1}; entry a[i][j] is bit
     off_i + n-1-j, so a[i][i+1] is the top bit of the field and the fields
     of all rows hold column j at the same place n-1-j.  The walk's moves
-    (`_neighbor_codes`) read and write the code through this layout."""
+    (`_swap_codes`, `_op23_codes`) read and write the code through this
+    layout."""
     rev = _reversed_bits(n)
     code = 0
     for i, r in enumerate(rows):
@@ -416,14 +417,16 @@ def _renorm_raw(n: int, rows: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
-    """The per-n masks of `_neighbor_codes`, over the `_code` layout.
+    """The per-n masks of `_swap_codes` and `_op23_codes`, over the `_code`
+    layout.
 
     swaps: (top, above, block, w) per adjacent swap (i i+1), with top the
     bit of a[i][i+1], above the lower of the bits of columns i and i+1 in
     every row r < i, block the field of row i+1 and w = w_{i+1} its width.
-    rows: (off_k, field mask, column mask C_k, n-1-k) per k < n-1 (row
-    n-1 is empty).
-    pairs: (l, m, off_m) per Op3 target m < l < n-1.
+    rows: (off_k, field mask, column mask C_k, n-1-k) per k (row n-1 is
+    empty, its field mask 0).
+    pairs: (l, m, off_m, path, off_{m+1}, field mask of m+1) per Op3 pair
+    m < l, with path the swaps (l-1 l), ..., (m m+1) that move l down to m.
     """
     width = [n - 1 - i for i in range(n)]
     off = [0] * n
@@ -437,34 +440,59 @@ def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
         for i in range(n - 1))
     rows = tuple(
         (off[k], (1 << width[k]) - 1, sum(1 << (off[i] + n - 1 - k) for i in range(k)), n - 1 - k)
-        for k in range(n - 1))
-    pairs = tuple((l, m, off[m]) for l in range(1, n - 1) for m in range(l))
+        for k in range(n))
+    pairs = tuple((l, m, off[m], swaps[m:l][::-1], off[m + 1], (1 << width[m + 1]) - 1)
+                  for l in range(1, n) for m in range(l))
     return swaps, rows, pairs
 
 
-def _neighbor_codes(n: int, code: int) -> list[int]:
-    """The `_code`s one move away from the strictly upper matrix with this
-    code (see `diffeo_classes` for why these moves suffice); a swap that
-    fixes the matrix gives the code itself.  Each move is a few int
-    operations on the code:
+def _swapped(code: int, swap: tuple) -> int:
+    """The code after the adjacent swap (i i+1), a[i][i+1] = 0: two delta
+    swaps, columns i and i+1 in every row above i, then the low w_{i+1}
+    bits of row i against row i+1 (the rows trade places)."""
+    _, above, block, w = swap
+    t = ((code >> 1) ^ code) & above
+    code ^= t ^ (t << 1)
+    t = ((code >> w) ^ code) & block
+    return code ^ t ^ (t << w)
 
-    - the adjacent swap (i i+1), when a[i][i+1] = 0, is two delta swaps:
-      columns i and i+1 in every row above i, and the low w_{i+1} bits of
-      row i against row i+1 (the rows trade places);
-    - Op2 at k adds row k's field v to every row i of column k: with
-      s = sum of 2^{off_i} over those i, the result is code ^ v * s, with
-      no carries since the fields are disjoint and v fits in each;
-    - Op3 adds row l to a row m < l whose column equals column l, i.e.
-      whose s equals that of l.
-    """
-    swaps, rows, pairs = _move_masks(n)
+
+def _swap_codes(n: int, code: int) -> list[int]:
+    """The `_code`s one adjacent swap (i i+1) with a[i][i+1] = 0 away from
+    the strictly upper matrix with this code, leaving out the swaps that
+    fix it (rows i and i+1 equal, and columns i and i+1 equal).  This is
+    `_swapped` inlined: the walk calls it once per code."""
     out = []
-    for top, above, block, w in swaps:
+    for top, above, block, w in _move_masks(n)[0]:
         if not code & top:
             t = ((code >> 1) ^ code) & above
             moved = code ^ t ^ (t << 1)
             t = ((moved >> w) ^ moved) & block
-            out.append(moved ^ t ^ (t << w))
+            moved ^= t ^ (t << w)
+            if moved != code:
+                out.append(moved)
+    return out
+
+
+def _op23_codes(n: int, code: int) -> list[int]:
+    """The `_code`s one Op2 or Op3 away from the strictly upper matrix with
+    this code, up to relabelling, leaving out the moves that fix it (see
+    `diffeo_classes` for why this suffices on one member of each Op1
+    orbit):
+
+    - Op2 at k adds row k's field v to every row i of column k: with
+      s = sum of 2^{off_i} over those i, the result is code ^ v * s, with
+      no carries since the fields are disjoint and v fits in each;
+    - Op3 adds row l to a row m < l whose column equals column l, i.e.
+      whose s equals that of l;
+    - the reverse Op3, row m added to row l, is read after the swaps that
+      move l down to m (legal, since the predecessors of l are those of m,
+      all below m): there it adds row m+1 to row m.  When rows l and m are
+      equal too, exchanging l and m fixes the matrix and carries one
+      direction to the other, so only the forward one is listed.
+    """
+    _, rows, pairs = _move_masks(n)
+    out = []
     fields = []
     spreads = []
     for off, fmask, cmask, shift in rows:
@@ -474,31 +502,16 @@ def _neighbor_codes(n: int, code: int) -> list[int]:
             out.append(code ^ v * s)
         fields.append(v)
         spreads.append(s)
-    for l, m, off in pairs:
+    for l, m, off, path, off_next, fmask_next in pairs:
         if spreads[l] == spreads[m]:
-            v = fields[l]
-            if v:
-                out.append(code ^ (v << off))
+            if fields[l]:
+                out.append(code ^ (fields[l] << off))
+            if fields[m] and fields[m] != fields[l]:
+                moved = code
+                for swap in path:
+                    moved = _swapped(moved, swap)
+                out.append(moved ^ ((moved >> off_next) & fmask_next) << off)
     return out
-
-
-def orbit_raw(n: int, code: int, ids: array, cid: int) -> list[int]:
-    """Closure of the strictly upper matrix with this `_code` under the
-    three operations: the member codes, in the order the walk reaches them.
-    Each is marked with cid in the class-id table `ids` when first reached,
-    so the table is the visited set; a neighbour that holds another class
-    id raises InvariantViolation."""
-    ids[code] = cid
-    todo = [code]
-    for state in todo:  # grows while it is walked
-        for nb in _neighbor_codes(n, state):
-            owner = ids[nb]
-            if owner == -1:
-                ids[nb] = cid
-                todo.append(nb)
-            elif owner != cid:
-                raise InvariantViolation(f"{_decode(n, nb)} is in two orbits")
-    return todo
 
 
 def w2_masks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[int]:
@@ -643,6 +656,35 @@ def _fingerprint_blocks(n: int) -> Iterator[tuple[int, bytearray]]:
         yield block << low, _bytes_per_code(size, _fingerprint_planes(n, rows))
 
 
+def _components(ids: array, step: Callable[[int], Iterable[int]],
+                rows_of: Callable[[int], tuple[int, ...]]) -> array:
+    """Label the nodes 0 .. len(ids)-1 with the connected components of the
+    graph whose edges are node -> step(node), by breadth-first search from
+    each node not yet labelled, in node order.  ids is filled in place (-1
+    is unlabelled) and is the visited set; components are numbered by their
+    least node, and the least nodes are returned in that order.  A node
+    reached that already holds another id raises InvariantViolation, naming
+    its matrix rows_of(node); the edges of both phases come with their
+    reverses, so this happens only if a move is missing or wrong."""
+    seeds = array("I")
+    for seed in range(len(ids)):
+        if ids[seed] != -1:
+            continue
+        cid = len(seeds)
+        seeds.append(seed)
+        ids[seed] = cid
+        todo = [seed]
+        for node in todo:  # grows while it is walked
+            for nb in step(node):
+                owner = ids[nb]
+                if owner == -1:
+                    ids[nb] = cid
+                    todo.append(nb)
+                elif owner != cid:
+                    raise InvariantViolation(f"{rows_of(nb)} is in two orbits")
+    return seeds
+
+
 class _ClassTable(tuple):
     """The classes of one dimension, carrying the class-id table that
     `diffeo_class_of` and `ClassMembers` read (the index of the class of
@@ -657,27 +699,39 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     classes (orbits of Op1/Op2/Op3), each with its canonical representative
     and invariant fingerprint.
 
-    The orbit walk stays on strictly upper matrices.  Op1 contributes only
-    the adjacent transpositions (i i+1) with a[i][i+1] = 0, which keep that
-    form.  These reach every strictly upper conjugate, i.e. every linear
-    extension of the edge order: to reach a target order, move its first
-    vertex down past the vertices before it (none is a predecessor, so no
-    edge joins two swapped neighbours), then repeat on the rest.  Op2 keeps
-    the form, and so does Op3 in the one direction the walk takes: row l
-    added to row m with m < l.  The other direction, m > l, reaches no
-    other member.  Equal columns l and m give x_l and x_m the same
-    predecessors, so neither reaches the other (a path l -> ... -> j -> m
-    would give j -> l and close a cycle).  So some linear extension puts m
-    before l; the adjacent swaps reach it, and in that labelling the move
-    is one the walk takes, with a conjugate of the same result.
+    The walk stays on strictly upper matrices, held as `_code` ints, and
+    runs in two phases.
 
-    The walk runs on `_code` ints (`_neighbor_codes`), and the class-id
-    table indexed by `_code` is its visited set: `orbit_raw` writes the
-    class id of a code when it first reaches it.  Seeds are read in code
-    order from the same table: the first code not yet assigned is the least
-    member of its orbit, so it is the canonical and the classes come out in
-    canonical order.  Each class keeps its members as codes
-    (`ClassMembers`).
+    Phase 1 labels every code with its Op1 orbit, the strictly upper
+    conjugates of the matrix.  Op1 contributes only the adjacent
+    transpositions (i i+1) with a[i][i+1] = 0 (`_swap_codes`), which keep
+    the form.  These reach every strictly upper conjugate, i.e. every
+    linear extension of the edge order: to reach a target order, move its
+    first vertex down past the vertices before it (none is a predecessor,
+    so no edge joins two swapped neighbours), then repeat on the rest.  The
+    orbits are numbered by their least codes, the representatives.
+
+    Phase 2 joins the orbits into classes.  Op2 and Op3 commute with
+    relabelling: for a relabelling p, Op2 at k of p.A is p.(Op2 at p^-1(k)
+    of A), and Op3 adding row l to row m of p.A is p.(Op3 adding row
+    p^-1(l) to row p^-1(m) of A), whose columns are equal when those of
+    p.A are.  So every member of an orbit reaches, by one Op2 or Op3, the
+    same orbits as any other, and `_op23_codes` is applied to the
+    representatives alone.  There a pair of equal columns may come in
+    either order, so Op3 runs in both directions: row l added to row m < l
+    keeps the form, and row m added to row l is read after a relabelling,
+    the l - m adjacent swaps that move l down to m.  Those swaps are legal
+    because equal columns give l and m the same predecessors, all below m.
+
+    Both phases are breadth-first searches (`_components`), each filling
+    its own table: `ids` holds the orbit of each code, and `orbit_class`
+    the class of each orbit.  Then one pass in code order turns `ids`
+    into the class-id table and groups the member codes per class.  The
+    least code of a class is the representative of its least orbit, and
+    phase 2 meets the orbits in that order, so classes are numbered by
+    their least codes: the first member of each class is its canonical,
+    and the classes come out in canonical order.  Each class keeps its
+    members as codes (`ClassMembers`).
 
     The fingerprint of a class is read off its canonical by
     `_fingerprint_raw`.  Orbit invariance is checked for every member at
@@ -687,26 +741,34 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     canonicals are compared too, so the scalar and the sliced route check
     each other on every class.  A mismatch raises InvariantViolation
     naming the first code that differs, as do class sizes that do not sum
-    to 2^(n(n-1)/2).  A member reached from two seeds raises in
-    `orbit_raw`, at the edge that leads into the other class.
+    to 2^(n(n-1)/2).  A code or orbit reached from two seeds raises in
+    `_components`, at the edge that leads into the other orbit or class.
     """
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
     if n > CLASSIFY_BOUND:
         raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {CLASSIFY_BOUND}")
     total = 1 << (n * (n - 1) // 2)
-    ids = array("i", [-1]) * total
+    ids = array("i", [-1]) * total  # the Op1 orbit of each code, then its class
+    reps = _components(ids, lambda code: _swap_codes(n, code), lambda code: _decode(n, code))
+    orbit_class = array("i", [-1]) * len(reps)
+    count = len(_components(orbit_class, lambda o: [ids[c] for c in _op23_codes(n, reps[o])],
+                            lambda o: _decode(n, reps[o])))
+    del reps
+    member_codes = [array("I") for _ in range(count)]
+    for code, orbit in enumerate(ids):
+        cid = ids[code] = orbit_class[orbit]
+        member_codes[cid].append(code)
+    del orbit_class
     classes: list[DiffeoClass] = []
     fps = bytearray()  # the `_fingerprint_byte` of each class
-    for code in range(total):
-        if ids[code] != -1:
-            continue
-        seed, cid = _decode(n, code), len(classes)
+    for cid, codes in enumerate(member_codes):
+        seed = _decode(n, codes[0])
         rk, odd, w2 = _fingerprint_raw(seed, transpose_masks(n, seed))
         fps.append(_fingerprint_byte(rk, odd, w2))
-        members = ClassMembers(n, array("I", sorted(orbit_raw(n, code, ids, cid))), ids, cid)
         fingerprint = ClassFingerprint(orientable=not odd, holonomy_rank=rk,
                                        ghw=n >= 2 and rk == n - 1, w2_zero=not w2)
+        members = ClassMembers(n, codes, ids, cid)
         classes.append(DiffeoClass(BottMatrix(n, seed), members, fingerprint))
     covered = sum(c.size for c in classes)
     if covered != total:

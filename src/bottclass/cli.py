@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from . import __version__, bieberbach, cohomology, rigidity, spin
 from .bottmatrix import (
+    CLASSIFY_BOUND,
     BottMatrix,
     MatrixParseError,
     NotBottMatrix,
@@ -95,6 +96,8 @@ def cmd_classify(dim: int) -> int:
 def _table_rows(max_dim: int) -> list[dict]:
     if max_dim < 1:
         raise UsageError(f"max dimension must be >= 1, got {max_dim}")
+    if max_dim > CLASSIFY_BOUND:  # refused before any dimension is classified
+        raise BoundExceeded(f"max dimension {max_dim} exceeds the configured bound {CLASSIFY_BOUND}")
     rows = []
     for n in range(1, max_dim + 1):
         classes = diffeo_classes(n)

@@ -521,65 +521,188 @@ def _sampled_strict_upper(n, count, seed):
                                     for i in range(n)])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-def test_neighbors_are_the_strictly_upper_moves(n):
-    # the walk's edges, rebuilt from the list oracles: the adjacent swaps
-    # (i i+1) with a[i][i+1] = 0, Op2 at every k, and Op3 adding row l to a
-    # row m_idx < l with an equal column (the matrix itself aside); every
-    # strictly upper matrix for n <= 5, 300 seeded ones each for n = 6..8,
-    # whose masks differ
+def _moved_matrices(n):
+    # every strictly upper matrix for n <= 5, 300 seeded ones for n >= 6
+    return enumerate_strict_upper(n) if n <= 5 else _sampled_strict_upper(n, 300, 7000 + n)
+
+
+def _swap_perm(n, i):
+    swap = list(range(n))
+    swap[i], swap[i + 1] = i + 1, i
+    return swap
+
+
+def _cyclic_perm(n, l, m_idx):
+    # the relabelling that moves l down to m_idx and m_idx..l-1 up by one
+    perm = list(range(n))
+    perm[l] = m_idx
+    for j in range(m_idx, l):
+        perm[j] = j + 1
+    return perm
+
+
+def _check_swap_codes(n):
+    # Op1's edges in the walk, rebuilt from the list oracle: the adjacent
+    # swaps (i i+1) with a[i][i+1] = 0 that change the matrix, and no other
     total = 1 << (n * (n - 1) // 2)
-    matrices = enumerate_strict_upper(n) if n <= 5 else _sampled_strict_upper(n, 300, 7000 + n)
-    moved = {"swap": 0, "op2": 0, "op3": 0}
-    for m in matrices:
+    moved = fixed = 0
+    for m in _moved_matrices(n):
         mat = lists(m)
-        codes = bottmatrix._neighbor_codes(n, bottmatrix._code(n, m.rows))
-        assert all(0 <= c < total for c in codes)
-        neighbors = {bottmatrix._decode(n, c) for c in codes}
-        swaps = []
-        for i in range(n - 1):
-            if not mat[i][i + 1]:
-                swap = list(range(n))
-                swap[i], swap[i + 1] = i + 1, i
-                swaps.append(op1_oracle(mat, swap))
-        op2s = [op2_oracle(mat, k) for k in range(n)]
-        op3s = [op3_oracle(mat, l, m_idx) for l in range(n) for m_idx in range(l)
-                if all(mat[i][l] == mat[i][m_idx] for i in range(n))]
-        for kind, found in (("swap", swaps), ("op2", op2s), ("op3", op3s)):
-            moved[kind] += sum(f != mat for f in found)
-        expected = {BottMatrix.from_rows(e).rows for e in swaps + op2s + op3s}
-        assert neighbors | {m.rows} == expected | {m.rows}
+        code = bottmatrix._code(n, m.rows)
+        codes = bottmatrix._swap_codes(n, code)
+        assert all(0 <= c < total for c in codes) and code not in codes
+        swaps = [op1_oracle(mat, _swap_perm(n, i)) for i in range(n - 1) if not mat[i][i + 1]]
+        expected = {BottMatrix.from_rows(s).rows for s in swaps if s != mat}
+        assert {bottmatrix._decode(n, c) for c in codes} == expected
+        moved += len(expected)
+        fixed += sum(s == mat for s in swaps)
+    assert fixed and (n == 2 or moved)
+
+
+def _check_op23_codes(n):
+    # the Op2/Op3 edges of the walk's second phase, rebuilt from the list
+    # oracles: Op2 at every k, Op3 adding row l to a row m_idx < l with an
+    # equal column, and the reverse Op3, row m_idx added to row l, read
+    # under the cyclic relabelling that moves l down to m_idx; each only
+    # where it changes the matrix (the reverse one before the relabelling).
+    # The one reverse move left out, when rows l and m_idx are equal too,
+    # is the forward one under the exchange of l and m_idx.
+    total = 1 << (n * (n - 1) // 2)
+    moved = {"op2": 0, "op3": 0, "reverse": 0, "equal rows": 0}
+    for m in _moved_matrices(n):
+        mat = lists(m)
+        code = bottmatrix._code(n, m.rows)
+        codes = bottmatrix._op23_codes(n, code)
+        assert all(0 <= c < total for c in codes) and code not in codes
+        found = {"op2": [op2_oracle(mat, k) for k in range(n)], "op3": [], "reverse": []}
+        for l in range(n):
+            for m_idx in range(l):
+                if any(mat[i][l] != mat[i][m_idx] for i in range(n)):
+                    continue
+                forward = op3_oracle(mat, l, m_idx)
+                reverse = op3_oracle(mat, m_idx, l)
+                found["op3"].append(forward)
+                if mat[l] == mat[m_idx]:
+                    exchange = list(range(n))
+                    exchange[l], exchange[m_idx] = m_idx, l
+                    assert op1_oracle(forward, exchange) == reverse
+                    moved["equal rows"] += forward != mat
+                elif reverse != mat:
+                    found["reverse"].append(op1_oracle(reverse, _cyclic_perm(n, l, m_idx)))
+        expected = set()
+        for kind, results in found.items():
+            changed = [r for r in results if r != mat]
+            moved[kind] += len(changed)
+            expected |= {BottMatrix.from_rows(r).rows for r in changed}
+        assert {bottmatrix._decode(n, c) for c in codes} == expected
     assert n == 2 or all(moved.values()), moved
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_neighbors_are_the_strictly_upper_moves(n):
+    # the walk's edges, one check per move function against the list
+    # oracles: every strictly upper matrix for n <= 5, 300 seeded ones each
+    # for n = 6..8
+    _check_swap_codes(n)
+    _check_op23_codes(n)
+
+
+def _op1_orbit_label(n, rows):
+    # the least `_code` over every strictly upper conjugate, by brute force
+    # over all relabellings (no adjacent swap involved)
+    conjugates = (bottmatrix._conjugate_raw(n, rows, p) for p in itertools.permutations(range(n)))
+    return min(bottmatrix._code(n, c) for c in conjugates
+               if all(r & ((2 << i) - 1) == 0 for i, r in enumerate(c)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_swap_orbits_are_the_strictly_upper_conjugates(n):
+    # phase 1 of the walk against brute force: the orbit table labels each
+    # code with the orbit whose representative is its least conjugate
+    total = 1 << (n * (n - 1) // 2)
+    ids = array("i", [-1]) * total
+    reps = bottmatrix._components(ids, lambda c: bottmatrix._swap_codes(n, c), None)
+    assert list(reps) == sorted(reps)
+    for code in range(total):
+        assert reps[ids[code]] == _op1_orbit_label(n, bottmatrix._decode(n, code))
+
+
+def test_swap_orbit_counts():
+    # the unlabelled acyclic digraphs on n vertices (OEIS A003087)
+    for n, count in zip(range(1, 7), [1, 2, 6, 31, 302, 5984]):
+        ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
+        reps = bottmatrix._components(ids, lambda c: bottmatrix._swap_codes(n, c), None)
+        assert len(reps) == count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_op23_codes_reach_the_same_orbits_from_every_member(n):
+    # the fact phase 2 rests on: Op2 and Op3 commute with relabelling, so
+    # `_op23_codes` from any member of an Op1 orbit and from its least
+    # member reach the same Op1 orbits; every strictly upper matrix for
+    # n <= 5, 40 seeded ones at n = 6, orbits labelled by brute force
+    if n <= 5:
+        total = 1 << (n * (n - 1) // 2)
+        labels = [_op1_orbit_label(n, bottmatrix._decode(n, c)) for c in range(total)]
+        label = labels.__getitem__
+        codes = range(len(labels))
+    else:
+        label = lambda c: _op1_orbit_label(n, bottmatrix._decode(n, c))
+        codes = [bottmatrix._code(n, m.rows) for m in _sampled_strict_upper(n, 40, 8006)]
+    differ = 0
+    for code in codes:
+        least = label(code)
+        reached = {label(c) for c in bottmatrix._op23_codes(n, code)}
+        assert reached == {label(c) for c in bottmatrix._op23_codes(n, least)}, (n, code)
+        differ += code != least
+    assert differ
+
+
 def test_two_orbits_raises_under_python_O():
-    # a neighbour that already holds another class id stops the walk at
-    # that edge, with InvariantViolation, so the check survives `python -O`
+    # a node that already holds another id stops either phase of the walk at
+    # that edge, with InvariantViolation, so the check survives `python -O`:
+    # a foreign id is put on a code that is not the least of its Op1 orbit
+    # (phase 1, 64 codes at n = 4), then on an orbit that is not the least
+    # of its class (phase 2, 31 orbits)
     code = textwrap.dedent("""
-        from array import array
         from bottclass import bottmatrix
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
-        n, seed = 4, 1
-        other = next(c for c in bottmatrix._neighbor_codes(n, seed) if c != seed)
-        ids = array("i", [-1]) * (1 << 6)
-        ids[other] = 7
-        try:
-            bottmatrix.orbit_raw(n, seed, ids, 0)
-        except InvariantViolation as exc:
-            print("raised:", exc)
+        n = 4
+        real = bottmatrix._components
+        def foreign(size):
+            def components(ids, step, rows_of):
+                if len(ids) == size:
+                    labelled = ids[:]
+                    real(labelled, step, rows_of)
+                    node = next(x for x, c in enumerate(labelled) if labelled.index(c) != x)
+                    ids[node] = 10**6
+                return real(ids, step, rows_of)
+            return components
+        for size in (64, 31):
+            bottmatrix._components = foreign(size)
+            bottmatrix.diffeo_classes.cache_clear()
+            try:
+                bottmatrix.diffeo_classes(n)
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("not raised")
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: ") and "is in two orbits" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("raised: ") and line.endswith(" is in two orbits") for line in lines)
 
 
 def test_dropped_op3_direction_stays_in_class_n6():
-    # the walk never adds row l to a row m_idx > l; every such move, on every
-    # strictly upper n = 6 matrix, still lands in the matrix's own class
+    # Op3 adding row l to a row m_idx > l leaves the strictly upper form, and
+    # the walk reads it only after a relabelling; every such move, on every
+    # strictly upper n = 6 matrix, lands in the matrix's own class
     n, edges = 6, 0
     for m in enumerate_strict_upper(n):
         home = diffeo_class_of(m)

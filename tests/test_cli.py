@@ -277,6 +277,22 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ") and not out
 
 
+def test_table_above_the_classify_bound_exits_2_before_classifying(monkeypatch, capsys):
+    # the bound is checked on --max-dim itself, so no dimension below it is
+    # classified first
+    from bottclass import cli
+    from bottclass.bottmatrix import CLASSIFY_BOUND
+
+    classified = []
+    monkeypatch.setattr(cli, "diffeo_classes", classified.append)
+    for extra in ((), ("--csv",)):
+        code, out, err = run(capsys, "table", "--max-dim", str(CLASSIFY_BOUND + 1), *extra)
+        assert code == 2 and not out
+        assert err == (f"error: max dimension {CLASSIFY_BOUND + 1} exceeds the configured "
+                       f"bound {CLASSIFY_BOUND}\n")
+    assert classified == []
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     # only UsageError (and parse/file errors) exit 2; a stray ValueError
     # from inside the package is a bug and propagates

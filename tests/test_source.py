@@ -194,5 +194,6 @@ def test_diffeo_classes_decodes_no_member():
         visit(name, functions[name], 0)
         todo += {called(node) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
                  and called(node) in functions and called(node) not in seen}
-    assert seen >= {"diffeo_classes", "orbit_raw", "_fingerprint_blocks", "_fingerprint_planes"}
+    assert seen >= {"diffeo_classes", "_components", "_swap_codes", "_op23_codes", "_swapped",
+                    "_fingerprint_blocks", "_fingerprint_planes"}
     assert found == []
