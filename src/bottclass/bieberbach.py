@@ -7,9 +7,10 @@ integers so the group law never needs rational arithmetic.
 A presentation (`GroupPresentation`) comes by one of two routes.
 `from_generators` is the generic one: relators from compose chains and the
 translation lattice as the holonomy closure of their translations, put in
-Hermite form.  It serves Gamma_n and arbitrary generator lists, and it is
-the tests' reference for `generators_of`, which reads the same presentation
-of Gamma(A) in closed form from the rows and columns of A.
+Hermite form by `TransLattice.span`.  It serves Gamma_n and arbitrary
+generator lists, and it is the tests' reference for `generators_of`, which
+reads the same presentation of Gamma(A) in closed form from A.  Either
+lattice is read, after one echelon check, by the same `TransLattice`.
 
 Torsion and holonomy read a presentation on int masks.  A lattice that
 contains Z^n is known by its rows mod 2 (`TransLattice.mod2_rows`), and
@@ -172,59 +173,105 @@ def _mod2(vec: Sequence[int]) -> int:
     return mask
 
 
-class IntLattice:
-    """Row lattice in Z^n kept in echelon form, one pivot per column."""
+def _hermite(n: int, vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Hermite form of the lattice the vectors span in Z^n: an echelon
+    basis with positive pivots and each entry above a pivot reduced into
+    [0, pivot).  It is unique, so the lattice alone decides it, whatever
+    vectors span it and in whatever order.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[list[int]] = []  # sorted by pivot column
-        self.pivot_cols: list[int] = []
-
-    def add(self, vec: Sequence[int]) -> None:
+    Each vector is reduced column by column against the row of that pivot
+    column: by a multiple of the row when the pivot divides the entry, else
+    by the unimodular 2 x 2 step of `_xgcd`, which leaves the gcd as the
+    pivot.  A vector that reaches a column without a row becomes its row."""
+    rows: dict[int, list[int]] = {}  # pivot column -> row
+    for vec in vectors:
         v = list(vec)
-        if len(v) != self.n:
-            raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{self.n}")
-        for j in range(self.n):
+        if len(v) != n:
+            raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{n}")
+        for j in range(n):
             if v[j] == 0:
                 continue
-            if j not in self.pivot_cols:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                where = sum(1 for c in self.pivot_cols if c < j)
-                self.rows.insert(where, v)
-                self.pivot_cols.insert(where, j)
-                return
-            row = self.rows[self.pivot_cols.index(j)]
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v if v[j] > 0 else [-x for x in v]
+                break
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
-                for k in range(j, self.n):
+                for k in range(j, n):
                     v[k] -= q * row[k]
             else:
                 x, y, g = _xgcd(a, b)
                 ag, mbg = a // g, -(b // g)
-                for k in range(j, self.n):
+                for k in range(j, n):
                     rk, vk = row[k], v[k]
                     row[k] = x * rk + y * vk
                     v[k] = mbg * rk + ag * vk
+    cols = sorted(rows)
+    basis = [rows[j] for j in cols]
+    for i, j in enumerate(cols):
+        row = basis[i]
+        for above in basis[:i]:
+            q = above[j] // row[j]
+            if q:
+                for c in range(j, n):
+                    above[c] -= q * row[c]
+    return tuple(tuple(row) for row in basis)
 
-    def quotients(self, vec: Sequence[int]) -> Optional[list[int]]:
-        """The integers q with vec = sum_i q[i] rows[i], or None when vec is
-        not in the lattice.  Column by column, a nonzero entry is divided by
-        the pivot of its column; the rows after that one are zero there, so
-        a remainder, or a nonzero entry off the pivot columns, means vec is
-        not in the lattice.  Zero entries cost one test each."""
+
+@dataclass(frozen=True)
+class TransLattice:
+    """The translation subgroup N = Gamma ∩ R^n; rows of basis2, halved,
+    generate N.  basis2 is an echelon basis with positive pivots, such as
+    the Hermite form that `span` builds and `generators_of` reads off in
+    closed form.  For Gamma(A) and Gamma_n this contains Z^n and has full
+    rank; artificial generator lists may give a smaller lattice."""
+
+    n: int
+    basis2: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def span(cls, n: int, vectors: Iterable[Sequence[int]]) -> "TransLattice":
+        """The lattice the vectors span in Z^n, in Hermite form."""
+        return cls(n, _hermite(n, vectors))
+
+    @cached_property
+    def _pivots(self) -> dict[int, int]:
+        """The row of basis2 whose pivot is in each pivot column, after
+        checking that each row's first nonzero entry (its pivot) is positive
+        and right of the one before; `contains2`, `coords_mod2` and
+        `mod2_rows` all read basis2 through this one check."""
+        n, pivots = self.n, {}
+        j = 0  # the first column right of the last pivot
+        for i, row in enumerate(self.basis2):
+            if len(row) != n:
+                raise gf2.DimensionMismatch(f"vector of length {len(row)} in Z^{n}")
+            start = j
+            while j < n and not row[j]:
+                j += 1
+            if j == n or row[j] < 0 or any(row[:start]):
+                raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
+            pivots[j] = i
+            j += 1
+        return pivots
+
+    def _quotients(self, vec: Sequence[int]) -> Optional[list[int]]:
+        """The integers q with vec = sum_i q[i] basis2[i], or None when vec
+        is not in the lattice.  Column by column, a nonzero entry is divided
+        by the pivot of its column; the rows after that one are zero there,
+        so a remainder, or a nonzero entry off the pivot columns, means vec
+        is not in the lattice.  Zero entries cost one test each."""
+        n, pivots = self.n, self._pivots
         v = list(vec)
-        n = self.n
         if len(v) != n:
             raise gf2.DimensionMismatch(f"vector of length {len(v)} in Z^{n}")
-        qs = [0] * len(self.rows)
+        qs = [0] * len(self.basis2)
         for j in range(n):
             if v[j]:
-                if j not in self.pivot_cols:
+                i = pivots.get(j)
+                if i is None:
                     return None
-                i = self.pivot_cols.index(j)
-                row = self.rows[i]
+                row = self.basis2[i]
                 q = qs[i] = v[j] // row[j]
                 for k in range(j, n):
                     v[k] -= q * row[k]
@@ -232,54 +279,8 @@ class IntLattice:
                     return None
         return qs
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self.quotients(vec) is not None
-
-    def basis_hnf(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical Hermite form: positive pivots, entries above a pivot
-        reduced into [0, pivot)."""
-        rows = [r.copy() for r in self.rows]
-        for i, j in enumerate(self.pivot_cols):
-            for k in range(i):
-                q = rows[k][j] // rows[i][j]
-                if q:
-                    for c in range(j, self.n):
-                        rows[k][c] -= q * rows[i][c]
-        return tuple(tuple(r) for r in rows)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class TransLattice:
-    """The translation subgroup N = Gamma ∩ R^n; rows of basis2, halved,
-    generate N.  basis2 is an echelon basis with positive pivots, such as
-    the Hermite form `from_generators` builds and `generators_of` reads off
-    in closed form.  For Gamma(A) and Gamma_n this contains Z^n and has
-    full rank; artificial generator lists may give a smaller lattice."""
-
-    n: int
-    basis2: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _lattice(self) -> IntLattice:
-        """basis2 as an IntLattice, after checking that each row's first
-        nonzero entry (its pivot) is positive and right of the one before."""
-        lat = IntLattice(self.n)
-        for row in self.basis2:
-            if len(row) != self.n:
-                raise gf2.DimensionMismatch(f"vector of length {len(row)} in Z^{self.n}")
-            j = next((c for c, x in enumerate(row) if x), self.n)
-            if j == self.n or row[j] < 0 or lat.pivot_cols and j <= lat.pivot_cols[-1]:
-                raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
-            lat.rows.append(list(row))
-            lat.pivot_cols.append(j)
-        return lat
-
     def contains2(self, trans2: Sequence[int]) -> bool:
-        return self._lattice.contains(trans2)
+        return self._quotients(trans2) is not None
 
     def mod2_rows(self) -> Optional[list[int]]:
         """The rows of basis2 mod 2, as masks, when N contains Z^n, that is
@@ -290,21 +291,18 @@ class TransLattice:
         both have the same index in Z^n.  The index of 2Z^n + V is
         2^(n - dim V); that of L, for a full-rank echelon basis, is the
         product of its pivots.  Reading this costs no integer elimination."""
-        n = self.n
-        if len(self.basis2) != n:
+        if len(self._pivots) != self.n:
             return None
         index = 1
-        for i, row in enumerate(self.basis2):
-            if len(row) != n or any(row[:i]) or row[i] <= 0:
-                raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
-            index *= row[i]
+        for row, j in zip(self.basis2, self._pivots):
+            index *= row[j]
         rows = [_mod2(row) for row in self.basis2]
-        return rows if index == 1 << (n - gf2.rank_masks(rows)) else None
+        return rows if index == 1 << (self.n - gf2.rank_masks(rows)) else None
 
     def coords_mod2(self, trans2: Sequence[int]) -> int:
         """Coordinates (mod 2) of a lattice vector in basis2, as a mask with
         bit i for row i; InvariantViolation if the vector is not in N."""
-        qs = self._lattice.quotients(trans2)
+        qs = self._quotients(trans2)
         if qs is None:
             raise gf2.InvariantViolation(f"{trans2} is not in the lattice")
         return _mod2(qs)
@@ -397,22 +395,24 @@ def lattice_of(gens: Sequence[AffineIso]) -> TransLattice:
 def from_generators(gens: Sequence[AffineIso]) -> GroupPresentation:
     """The presentation of the group generated by `gens`, by the generic
     route: N is the span of the relators' translations closed under the
-    holonomy action, as a doubled HNF basis (tests check it against
-    brute-force word closure).  It serves Gamma_n, arbitrary generator
-    lists and `lattice_of`, and tests use it as the reference for the
-    closed form of `generators_of`."""
+    holonomy action, as a doubled Hermite basis (tests check it against
+    brute-force word closure): the basis is spanned again with its images
+    under the generators' linear parts until every image lies in it.  It
+    serves Gamma_n, arbitrary generator lists and `lattice_of`, and tests
+    use it as the reference for the closed form of `generators_of`."""
     rels = relators(gens)
     n = gens[0].n
-    lat = IntLattice(n)
-    masks = {g.exponent_mask for g in gens}
-    todo = [rel.trans2 for rel in rels]
-    for v in todo:  # grows while it is walked: the holonomy images of each new vector
-        if not lat.contains(v):
-            lat.add(v)
-            todo += [tuple([-t if (mask >> j) & 1 else t for j, t in enumerate(v)])
-                     for mask in masks]
+    masks = {g.exponent_mask for g in gens} - {0}
+    lat = TransLattice.span(n, [rel.trans2 for rel in rels])
+    while True:
+        images = [tuple([-t if (mask >> j) & 1 else t for j, t in enumerate(row)])
+                  for row in lat.basis2 for mask in masks]
+        missing = [v for v in images if not lat.contains2(v)]
+        if not missing:
+            break
+        lat = TransLattice.span(n, lat.basis2 + tuple(missing))
     point_rank = gf2.rank_masks([g.exponent_mask for g in gens])
-    return GroupPresentation(n, tuple(gens), TransLattice(n, lat.basis_hnf()), point_rank, rels)
+    return GroupPresentation(n, tuple(gens), lat, point_rank, rels)
 
 
 def generators_of(m: BottMatrix) -> GroupPresentation:
@@ -581,27 +581,22 @@ def _torsion_free_over_z(p: GroupPresentation) -> bool:
         if rep.is_translation:
             continue
         fixed = [i for i in range(rep.n) if not (rep.exponent_mask >> i) & 1]
-        proj = IntLattice(len(fixed)) if fixed else None
-        if proj is not None:
-            for row in p.lattice.basis2:
-                proj.add([row[i] for i in fixed])
-            target = [-rep.trans2[i] for i in fixed]
-            if proj.contains(target):
-                return False
-        else:
-            # D = -I: the element squares to the identity outright
+        if not fixed:  # D = -I: the element squares to the identity outright
+            return False
+        proj = TransLattice.span(len(fixed), [[row[i] for i in fixed] for row in p.lattice.basis2])
+        if proj.contains2([-rep.trans2[i] for i in fixed]):
             return False
     return True
 
 
 def squares_lattice_rank(p: GroupPresentation) -> int:
     """Rank of the subgroup generated by the generator squares."""
-    lat = IntLattice(p.n)
+    squares = []
     for g in p.generators:
         sq = g.compose(g)
         _require_translation(sq, "generator square")
-        lat.add(sq.trans2)
-    return lat.rank
+        squares.append(sq.trans2)
+    return len(TransLattice.span(p.n, squares).basis2)
 
 
 def superdiagonal_matrix(n: int) -> BottMatrix:

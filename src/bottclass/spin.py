@@ -238,7 +238,7 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     pres = bieberbach.generators_of(m)
     gens = pres.generators
     basis2 = pres.lattice.basis2
-    coords = pres.lattice.coords_mod2
+    coords = lru_cache(maxsize=None)(pres.lattice.coords_mod2)  # translations recur
 
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     position = {i: pos for pos, i in enumerate(active)}

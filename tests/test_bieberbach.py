@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from bottclass import catalog
 from bottclass.bieberbach import (
     AffineIso,
-    IntLattice,
     NotStrictlyUpper,
     TransLattice,
     _exponent_matrix,
@@ -584,7 +583,10 @@ def test_exponent_matrix_matches_per_coordinate_loop():
 def test_coords_mod2_agree_with_contains_n_le_5():
     # The doubled lattice of Gamma(A) lies between 2Z^n and Z^n, so v is in
     # it iff v mod 2 is in the GF(2) span of the basis rows mod 2: a
-    # membership oracle that shares no code with the HNF reduction.
+    # membership oracle that shares no code with the HNF reduction.  A
+    # vector built as an integer combination of the rows has those
+    # coefficients, mod 2, as coordinates; any lattice vector w has
+    # coordinates c iff w minus the rows in c lies in twice the lattice.
     rng = random.Random(13)
     inside = outside = 0
     for n in range(1, 6):
@@ -596,20 +598,19 @@ def test_coords_mod2_agree_with_contains_n_le_5():
                 coeffs = [rng.randint(-3, 3) for _ in basis2]
                 v = tuple(sum(c * row[k] for c, row in zip(coeffs, basis2)) for k in range(n))
                 assert lat.contains2(v)
-                assert lat._lattice.quotients(v) == coeffs
                 assert lat.coords_mod2(v) == sum((c & 1) << i for i, c in enumerate(coeffs))
                 inside += 1
                 w = tuple(rng.randint(-4, 4) for _ in range(n))
                 w_mod2 = sum((x & 1) << k for k, x in enumerate(w))
                 expected = rank_masks(mod2 + [w_mod2]) == rank_masks(mod2)
                 assert lat.contains2(w) == expected, (m.rows, w)
-                qs = lat._lattice.quotients(w)
                 if expected:
-                    assert tuple(sum(q * row[k] for q, row in zip(qs, basis2))
-                                 for k in range(n)) == w
-                    assert lat.coords_mod2(w) == sum((q & 1) << i for i, q in enumerate(qs))
+                    coords = lat.coords_mod2(w)
+                    rest = [x - sum(row[k] for i, row in enumerate(basis2) if (coords >> i) & 1)
+                            for k, x in enumerate(w)]
+                    assert all(x % 2 == 0 for x in rest), (m.rows, w)
+                    assert lat.contains2([x // 2 for x in rest]), (m.rows, w)
                 else:
-                    assert qs is None
                     with pytest.raises(InvariantViolation):
                         lat.coords_mod2(w)
                     outside += 1
@@ -622,9 +623,22 @@ def test_trans_lattice_refuses_a_basis_out_of_echelon_form():
         lat.contains2((2, 2))
 
 
+def in_echelon_form(n, basis2):
+    """Oracle for the echelon check of TransLattice: no zero row, each
+    row's first nonzero entry positive, those entries' columns strictly
+    increasing."""
+    pivots = []
+    for row in basis2:
+        nonzero = [c for c in range(n) if row[c]]
+        if not nonzero or row[nonzero[0]] < 0:
+            return False
+        pivots.append(nonzero[0])
+    return all(a < b for a, b in zip(pivots, pivots[1:]))
+
+
 def test_trans_lattice_echelon_check_matches_rebuild_oracle():
-    # The check reads basis2 directly.  The oracle adds its rows one by one
-    # to an IntLattice and accepts iff the rows come out as basis2, in order.
+    # The check reads basis2 directly; the oracle is `in_echelon_form`.
+    # An accepted basis is read as a basis: row i has coordinates e_i.
     rng = random.Random(14)
     accepted = refused = 0
     for _ in range(2000):
@@ -635,18 +649,91 @@ def test_trans_lattice_echelon_check_matches_rebuild_oracle():
             basis2.append(tuple(0 if c < pivot else rng.choice((1, 2, -2)) if c == pivot
                                 else rng.randint(-3, 3) for c in range(n)))
         basis2 = tuple(basis2)
-        oracle = IntLattice(n)
-        for row in basis2:
-            oracle.add(row)
         lat = TransLattice(n, basis2)
-        if [tuple(r) for r in oracle.rows] == list(basis2):
-            assert (lat._lattice.rows, lat._lattice.pivot_cols) == (oracle.rows, oracle.pivot_cols)
+        if in_echelon_form(n, basis2):
+            assert lat.contains2((0,) * n)
+            assert [lat.coords_mod2(row) for row in basis2] == [1 << i for i in range(len(basis2))]
             accepted += 1
         else:
             with pytest.raises(InvariantViolation, match="echelon"):
                 lat.contains2((0,) * n)
             refused += 1
     assert accepted > 300 and refused > 300
+
+
+def test_echelon_check_raises_under_python_O():
+    # one check serves every reader, and it raises without `assert`
+    code = textwrap.dedent("""
+        from bottclass.bieberbach import TransLattice
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        for basis2 in (((0, 2), (2, 0)), ((2, 0), (2, 2)), ((-2, 0), (0, 2)),
+                       ((2, 0), (0, 0))):
+            for read in (lambda lat: lat.mod2_rows(), lambda lat: lat.contains2((0, 0))):
+                try:
+                    read(TransLattice(2, basis2))
+                except InvariantViolation as exc:
+                    print("echelon" in str(exc))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True"] * 8
+
+
+def flip(vec, mask):
+    """D v for the diagonal +-1 matrix D with -1 at the bits of mask."""
+    return tuple(-t if (mask >> j) & 1 else t for j, t in enumerate(vec))
+
+
+def worklist_closure(gens):
+    """Oracle for the lattice closure of `from_generators`: the relators'
+    translations, and the holonomy images of every vector that was not
+    yet in the span when it was met, walked as a list that grows."""
+    n = gens[0].n
+    masks = {g.exponent_mask for g in gens}
+    kept = ()
+    todo = [rel.trans2 for rel in relators(gens)]
+    for v in todo:
+        if not TransLattice.span(n, kept).contains2(v):
+            kept += (v,)
+            todo += [flip(v, mask) for mask in masks]
+    return TransLattice.span(n, kept).basis2
+
+
+def affine_orbit_lists(rng, count):
+    """Seeded lists of sign generators with no translation and one
+    translation generator, whose orbit under the signs may take more than
+    one round of images to span."""
+    lists = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        gens = [AffineIso(rng.getrandbits(n), (0,) * n) for _ in range(rng.randint(1, 3))]
+        gens.append(AffineIso(0, tuple(rng.randint(-2, 2) for _ in range(n))))
+        lists.append(gens)
+    return lists
+
+
+def test_fixed_point_closure_equals_the_worklist_closure():
+    rng = random.Random(29)
+    lists = [gamma_n_generators(n).generators for n in range(2, 9)]
+    lists += [random_generators(rng, rng.randint(1, 6), rng.randint(1, 7)) for _ in range(200)]
+    lists += random_affine_lists(random.Random(19), 300)
+    lists += affine_orbit_lists(rng, 300)
+    unspanned = unclosed = 0
+    for gens in lists:
+        basis2 = from_generators(gens).lattice.basis2
+        assert basis2 == worklist_closure(gens), gens
+        # neither the relators' span nor one round of images is always closed
+        n = gens[0].n
+        first = TransLattice.span(n, [rel.trans2 for rel in relators(gens)]).basis2
+        once = TransLattice.span(n, first + tuple(flip(row, g.exponent_mask)
+                                                  for row in first for g in gens)).basis2
+        unspanned += first != basis2
+        unclosed += once != basis2
+    assert unspanned > 100 and unclosed > 5, (unspanned, unclosed)
 
 
 def test_holonomy_torus_trivial():
@@ -707,14 +794,10 @@ def test_iso_text_form():
 
 
 def test_lattice_vector_of_wrong_length_is_a_dimension_mismatch():
-    from bottclass.bieberbach import IntLattice
-    from bottclass.gf2 import DimensionMismatch
-
-    lat = IntLattice(2)
     with pytest.raises(DimensionMismatch):
-        lat.add([1, 2, 3])
+        TransLattice.span(2, [[1, 2, 3]])
     with pytest.raises(DimensionMismatch):
-        lat.contains([1])
+        TransLattice.span(2, [[1, 2]]).contains2([1])
 
 
 def test_non_translation_is_an_invariant_violation():
