@@ -12,12 +12,21 @@ its columns (`cohomology.degree2`): row v passes for x_j with y_j mapped to
 y iff v (v + y) = 0.  Squaring is additive over GF(2) (Frobenius), so
 v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v; the rows that pass
 are its nonzero kernel, listed ascending for each y the search meets
-(`_admissible`).  The span of the rows already chosen is kept as a
-2^n-bit set, so the independence test is one bit test.  Neither changes
-the order in which candidates are met, so the first witness is that of a
-plain ascending walk.  The search builds no ring: the target ring alone is
-built, to re-check a witness it found on normal forms, apart from the
-closed form; the source relations are read from the source columns.
+(`_admissible`).  The rows already chosen are kept as one `gf2.reduce_into`
+basis: a row is independent when it reduces to a new pivot, which stays
+while the level below is walked and is popped to undo it.
+
+A level j whose y_j lies in the span of x_0..x_level has its y-image, and
+so its admissible rows, fixed once row `level` is chosen.  The search then
+checks every such later level (forward check) and cuts the branch when one
+of them has no admissible row outside the span.  This is sound: the span
+only grows as rows are added, so such a level could never be filled, and
+the cut branch holds no witness.  Neither the filter nor the cut changes
+the order in which the remaining candidates are met, so the first witness
+is that of a plain ascending walk.  The search builds no ring: the target
+ring alone is built, to re-check a witness it found on normal forms, apart
+from the closed form; the source relations are read from the source
+columns.
 
 Pairs are first screened by `ring_invariants`, which builds no ring: no
 annihilator of a nonzero degree-1 class has dimension above 1, and which
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .bottmatrix import BottMatrix, diffeo_classes, to_strict_upper
+from .bottmatrix import BottMatrix, diffeo_classes, to_json_dict, to_strict_upper
 from .cohomology import RING_BOUND, CohomRing, degree2, linear
 from .gf2 import (
     BoundExceeded,
@@ -40,7 +49,9 @@ from .gf2 import (
     InvariantViolation,
     UsageError,
     bit_lanes,
+    bits,
     rank_masks,
+    reduce_into,
     subset_sums,
     transpose_masks,
 )
@@ -65,9 +76,17 @@ def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
 
 def _admissible(cols: Sequence[int], y: int) -> list[int]:
     """The nonzero v, ascending, with v (v + y) = sum_{a in v} x_a (x_a + y)
-    = 0 in the ring of the strictly upper matrix with columns `cols`."""
-    images = subset_sums([degree2(cols, 1 << a, (1 << a) ^ y) for a in range(len(cols))])
-    return [v for v in range(1, len(images)) if not images[v]]
+    = 0 in the ring of the strictly upper matrix with columns `cols`.
+
+    The map is linear in v, so its kernel is read off one reduction: row a
+    carries the image of x_a above bit n and x_a itself below, and a row
+    whose image cancels is kept under a key of at most n, holding the v it
+    was reduced to.  Those rows span the kernel.
+    """
+    n = len(cols)
+    pivots: dict[int, int] = {}
+    reduce_into(pivots, ((degree2(cols, 1 << a, (1 << a) ^ y) << n) | 1 << a for a in range(n)))
+    return sorted(subset_sums([v for top, v in pivots.items() if top <= n]))[1:]
 
 
 @lru_cache(maxsize=None)
@@ -129,9 +148,13 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     columns of the strictly upper forms of a and b, with no ring: rows are
     tried in ascending order at each level, restricted to the rows
     `_admissible` for the image of y_j and independent of the rows before
-    them.  A witness found is re-checked on the normal forms of the target
-    ring, the one ring built, and an InvariantViolation is raised if it
-    fails; it is returned in the labels of a and b as given.
+    them.  After row j is chosen, every later level j' > j + 1 whose y_j'
+    lies in the span of x_0..x_j must still have an admissible row outside
+    the span, or the branch is cut; the span only grows, so no witness is
+    cut and the first one is unchanged.  A witness found is re-checked on
+    the normal forms of the target ring, the one ring built, and an
+    InvariantViolation is raised if it fails; it is returned in the labels
+    of a and b as given.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} != {b.n}")
@@ -145,30 +168,44 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     cols_b = transpose_masks(n, upper_b.rows)
     admissible: list[Optional[list[int]]] = [None] * (1 << n)  # listed per y met
     chosen = [0] * n
+    pivots: dict[int, int] = {}  # `reduce_into` basis of the span of the rows chosen
+    # the later levels j > level + 1 whose y_j image is fixed once row `level` is chosen
+    fixed = [[j for j in range(level + 2, n) if cols_a[j] >> (level + 1) == 0]
+             for level in range(n)]
 
-    def rec(level: int, span: int, elems: list[int]) -> Optional[tuple[int, ...]]:
-        # span: bit s set for every s in the span of chosen[:level]; elems
-        # lists them, elems[mask] = XOR of chosen[i] over i in mask
+    def rows_for(j: int) -> list[int]:
+        """The admissible rows for x_j, given the rows chosen for y_j."""
+        image_y = 0
+        for i in bits(cols_a[j]):  # cols_a[j] < 2^j: strictly upper
+            image_y ^= chosen[i]
+        listed = admissible[image_y]
+        if listed is None:
+            listed = admissible[image_y] = _admissible(cols_b, image_y)
+        return listed
+
+    def open_level(j: int) -> bool:
+        """Is some admissible row for x_j outside the span?"""
+        for v in rows_for(j):
+            if reduce_into(pivots, (v,)):
+                pivots.popitem()
+                return True
+        return False
+
+    def rec(level: int) -> Optional[tuple[int, ...]]:
         if level == n:
             return tuple(chosen)
-        image_y = elems[cols_a[level]]  # cols_a[level] < 2^level: strictly upper
-        candidates = admissible[image_y]
-        if candidates is None:
-            candidates = admissible[image_y] = _admissible(cols_b, image_y)
-        for v in candidates:
-            if (span >> v) & 1:
+        for v in rows_for(level):
+            if not reduce_into(pivots, (v,)):
                 continue
             chosen[level] = v
-            moved = [e ^ v for e in elems]
-            grown = span
-            for e in moved:
-                grown |= 1 << e
-            found = rec(level + 1, grown, elems + moved)
-            if found is not None:
-                return found
+            if all(open_level(j) for j in fixed[level]):
+                found = rec(level + 1)
+                if found is not None:
+                    return found
+            pivots.popitem()
         return None
 
-    found = rec(0, 1, [0])
+    found = rec(0)
     if found is None:
         return None
     if not _is_witness(cols_a, CohomRing(b), found):
@@ -215,7 +252,7 @@ def rigidity_experiment(n: int, inter_samples: int = 10, seed: int = 0) -> dict:
         pairs_checked += 1
         if (ring_isomorphic(x, y) is not None) != iso:
             kind = "missing-isomorphism" if iso else "unexpected-isomorphism"
-            violations.append({"kind": kind, "a": str(x).split(), "b": str(y).split()})
+            violations.append({"kind": kind, "a": to_json_dict(x), "b": to_json_dict(y)})
 
     exhaustive = n <= 4
     chosen = classes if exhaustive else [c for c in classes if c.fingerprint.ghw]

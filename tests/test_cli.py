@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog, cohomology, spin
+from bottclass import catalog, cohomology, rigidity, spin
 from bottclass.bottmatrix import format_matrix_text, parse_matrix, to_json_dict
 from bottclass.cli import main
 from bottclass.spin import SpinLift
@@ -197,6 +197,27 @@ def test_rigidity(capsys):
     assert code == 0
     res = last_json(out)["results"]
     assert res["violations"] == []
+
+
+def test_rigidity_violation_exits_3_with_both_matrices(capsys, monkeypatch):
+    # hide the first isomorphism the experiment expects: the report names
+    # the pair in the {"n", "rows"} form and the exit code is 3
+    hidden = []
+    original = rigidity.ring_isomorphic
+
+    def hide_first(a, b):
+        found = original(a, b)
+        if hidden or found is None:
+            return found
+        hidden.append((a, b))
+        return None
+
+    monkeypatch.setattr(rigidity, "ring_isomorphic", hide_first)
+    code, out, _ = run(capsys, "rigidity", "--dim", "3")
+    assert code == 3
+    (a, b), = hidden
+    assert last_json(out)["results"]["violations"] == [
+        {"kind": "missing-isomorphism", "a": to_json_dict(a), "b": to_json_dict(b)}]
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -1,4 +1,6 @@
 """Ring isomorphism search and the rigidity experiment."""
+import collections
+import functools
 import itertools
 import os
 import random
@@ -9,16 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog
+from bottclass import catalog, rigidity
 from bottclass.bottmatrix import (
     BottMatrix,
     diffeo_class_of,
     diffeo_classes,
     enumerate_strict_upper,
     op1,
+    to_strict_upper,
 )
 from bottclass.cohomology import RING_BOUND, CohomRing, linear
-from bottclass.gf2 import BoundExceeded, rank_masks, reduce_into, subset_sums
+from bottclass.gf2 import BoundExceeded, rank_masks, reduce_into, subset_sums, transpose_masks
 from bottclass.rigidity import (
     _admissible,
     _is_witness,
@@ -65,11 +68,20 @@ def brute_force_isomorphic(a, b):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_ring(m):
+    """The ring of m, built once, and a memo of `_relation_holds` verdicts
+    on it keyed by (image of x_j, image of y_j)."""
+    return CohomRing(m), {}
+
+
 def ascending_search(a, b):
     """Oracle: the plain row-by-row search in ascending bitmask order,
     filtering each row by linear independence and by its relation on
-    normal forms, with no product table and no precomputed lists."""
-    ring_a, ring_b = CohomRing(a), CohomRing(b)
+    normal forms, with no product table, no precomputed lists and no
+    pruning."""
+    cols_a = oracle_ring(a)[0].cols
+    ring_b, holds = oracle_ring(b)
     n = a.n
     chosen = [0] * n
     basis = []
@@ -77,17 +89,20 @@ def ascending_search(a, b):
     def rec(level):
         if level == n:
             return tuple(chosen)
+        image_y = 0
+        for i in range(level):
+            if (cols_a[level] >> i) & 1:
+                image_y ^= chosen[i]
         for v in range(1, 1 << n):
             r = v
             for bb in basis:
                 r = min(r, r ^ bb)
             if r == 0:
                 continue
-            image_y = 0
-            for i in range(level):
-                if (ring_a.cols[level] >> i) & 1:
-                    image_y ^= chosen[i]
-            if not _relation_holds(ring_b, v, image_y):
+            verdict = holds.get((v, image_y))
+            if verdict is None:
+                verdict = holds[v, image_y] = _relation_holds(ring_b, v, image_y)
+            if not verdict:
                 continue
             chosen[level] = v
             basis.append(r)
@@ -98,6 +113,49 @@ def ascending_search(a, b):
         return None
 
     return rec(0)
+
+
+def unpruned_search(a, b, counts):
+    """Oracle: the search as it was before the forward check, on the same
+    admissible rows, with the span of the rows chosen kept as a 2^n-bit set.
+    It is not refused by `ring_invariants` and returns the first witness
+    rows in the labels of a and b as given, or None.  counts["nodes"] and
+    counts["tests"] count the calls of the level walk and the independence
+    tests."""
+    n = a.n
+    (pa, upper_a), (pb, upper_b) = to_strict_upper(a), to_strict_upper(b)
+    cols_a = transpose_masks(n, upper_a.rows)
+    cols_b = transpose_masks(n, upper_b.rows)
+    admissible = {}  # listed per y met
+    chosen = [0] * n
+
+    def rec(level, span, elems):
+        # elems[mask] = XOR of chosen[i] over i in mask; span has bit e set
+        # for each of them
+        counts["nodes"] += 1
+        if level == n:
+            return tuple(chosen)
+        image_y = elems[cols_a[level]]
+        if image_y not in admissible:
+            admissible[image_y] = _admissible(cols_b, image_y)
+        for v in admissible[image_y]:
+            counts["tests"] += 1
+            if (span >> v) & 1:
+                continue
+            chosen[level] = v
+            moved = [e ^ v for e in elems]
+            grown = span
+            for e in moved:
+                grown |= 1 << e
+            found = rec(level + 1, grown, elems + moved)
+            if found is not None:
+                return found
+        return None
+
+    found = rec(0, 1, [0])
+    if found is None:
+        return None
+    return tuple(sum(((found[pa[i]] >> pb[k]) & 1) << k for k in range(n)) for i in range(n))
 
 
 def rank_ring_invariants(m):
@@ -323,6 +381,81 @@ def test_square_kernel_4_bucket_cross_pairs_not_isomorphic():
     assert len({id(diffeo_class_of(m)) for m in SQUARE_KERNEL_4_BUCKET}) == 3
     for a, b in itertools.permutations(SQUARE_KERNEL_4_BUCKET, 2):
         assert ring_isomorphic(a, b) is None
+
+
+def ring_isomorphic_rows(a, b):
+    found = ring_isomorphic(a, b)
+    return None if found is None else found.map.rows
+
+
+@pytest.mark.parametrize("a, b", SLOW_ISOMORPHIC_PAIRS)
+def test_forward_check_keeps_the_first_witness_on_slow_pairs(a, b):
+    expected = unpruned_search(a, b, collections.Counter())
+    assert expected is not None and ring_isomorphic_rows(a, b) == expected
+
+
+def test_forward_check_keeps_the_first_witness_n6_same_class_seeded():
+    # members reached by Op2/Op3 and by the adjacent swaps that keep strict
+    # upper form, and every other one relabelled by a random permutation
+    rng = random.Random(606)
+    multi = [cls for cls in diffeo_classes(6) if cls.size > 1]
+    relabelled = 0
+    for i in range(100):
+        members = sorted(rng.choice(multi).members, key=lambda m: m.rows)
+        a, b = rng.choice(members), rng.choice(members)
+        if i % 2:
+            b = op1(b, rng.sample(range(6), 6))
+            relabelled += not b.is_strictly_upper
+        expected = unpruned_search(a, b, collections.Counter())
+        assert expected is not None and ring_isomorphic_rows(a, b) == expected, (a.rows, b.rows)
+    assert relabelled >= 40
+
+
+def test_forward_check_keeps_the_verdict_n6_same_invariants_seeded():
+    rng = random.Random(607)
+    buckets = {}
+    for cls in diffeo_classes(6):
+        buckets.setdefault(ring_invariants(cls.canonical), []).append(cls.canonical)
+    pairs = [(x, y) for group in buckets.values() for x in group for y in group if x != y]
+    for a, b in rng.sample(pairs, 100):
+        assert unpruned_search(a, b, collections.Counter()) is None
+        assert ring_isomorphic(a, b) is None, (a.rows, b.rows)
+
+
+def test_forward_check_prunes_the_worst_pair(monkeypatch):
+    # y_5 of the source is x_0 + x_2 + x_3, fixed once row 3 is chosen: the
+    # rows for 3 whose span already holds every admissible row for x_5 are
+    # cut there, not after level 4 is walked for each of them
+    a, b = SLOW_ISOMORPHIC_PAIRS[0]
+    unpruned = collections.Counter()
+    expected = unpruned_search(a, b, unpruned)
+    assert unpruned["nodes"] == 24634
+
+    tests = []
+    original = rigidity.reduce_into
+
+    def counting(pivots, rows):
+        tests.append(None)
+        return original(pivots, rows)
+
+    nodes = []
+
+    def profile(frame, event, arg):
+        # the level walk of ring_isomorphic is its nested function rec
+        if event == "call" and frame.f_code.co_name == "rec" \
+                and frame.f_code.co_filename == rigidity.__file__:
+            nodes.append(None)
+
+    monkeypatch.setattr(rigidity, "reduce_into", counting)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        found = ring_isomorphic_rows(a, b)
+    finally:
+        sys.setprofile(previous)
+    assert found == expected == (1, 8, 16, 19, 32, 4)
+    assert len(nodes) <= 100
+    assert len(tests) <= unpruned["tests"] // 10
 
 
 def test_ring_invariants_match_rank_oracle_all_strict_upper_n_le_5():
