@@ -102,9 +102,13 @@ class BottMatrix:
         n, rows = self.n, self.rows
         if n < 1:
             raise NotBottMatrix(f"dimension must be at least 1, got {n}")
+        if not isinstance(rows, tuple):
+            raise NotBottMatrix(f"rows must be a tuple of int masks, got {type(rows).__name__}")
         if len(rows) != n:
             raise NotBottMatrix(f"expected {n} rows, got {len(rows)}")
         for i, r in enumerate(rows):
+            if type(r) is not int:  # bools too: they are ints but no masks
+                raise NotBottMatrix(f"row {i + 1} is {r!r}, not an int mask")
             if r < 0 or r >> n:
                 raise NotBottMatrix(f"row {i + 1} does not fit in {n} columns")
             if (r >> i) & 1:

@@ -205,9 +205,9 @@ def cmd_prop1(dim: int) -> int:
     return EXIT_OK
 
 
-def cmd_rigidity(dim: int, sample: int, seed: int) -> int:
-    results = rigidity.rigidity_experiment(dim, inter_samples=sample, seed=seed)
-    _emit(_report("rigidity", {"dim": dim, "sample": sample, "seed": seed}, results))
+def cmd_rigidity(dim: int) -> int:
+    results = rigidity.rigidity_experiment(dim)
+    _emit(_report("rigidity", {"dim": dim}, results))
     return EXIT_OK if not results["violations"] else EXIT_INVARIANT
 
 
@@ -248,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigidity", help="ring-isomorphism vs diffeomorphism partition")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sample", type=int, default=10, help="inter-class pairs at n = 5")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=lambda args: cmd_rigidity(args.dim, args.sample, args.seed))
+    p.set_defaults(run=lambda args: cmd_rigidity(args.dim))
     return parser
 
 

@@ -100,6 +100,16 @@ def test_validate_longer_cycle_named():
         validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
+@pytest.mark.parametrize("n, rows, match", [
+    (3, [0, 0, 0], "tuple"),  # unhashable: the ring_invariants memo would raise TypeError
+    (3, (0, True, 0), "row 2"),
+    (2, (1.0, 0), "row 1"),
+])
+def test_rows_that_are_not_a_tuple_of_int_masks_rejected(n, rows, match):
+    with pytest.raises(NotBottMatrix, match=match):
+        BottMatrix(n, rows)
+
+
 # --- to_strict_upper -------------------------------------------------------
 
 def test_to_strict_upper_fixes_strictly_upper():

@@ -112,6 +112,16 @@ def test_json_flag_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --json" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("option", ["--sample", "--seed"])
+def test_rigidity_takes_only_dim(capsys, option):
+    # the experiment is deterministic: it draws no sample and takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["rigidity", "--dim", "5", option, "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {option} 3" in captured.err and not captured.out
+
+
 def test_invariants_a4(capsys):
     code, out, _ = run(capsys, "invariants", "--matrix", str(FIXTURES / "a4.txt"))
     assert code == 0
@@ -287,7 +297,6 @@ def test_bad_dim_exits_2(capsys):
     ("prop1", "--dim", "1"),
     ("prop1", "--dim", "9"),
     ("rigidity", "--dim", "0"),
-    ("rigidity", "--dim", "5", "--sample", "-1"),
     ("table", "--max-dim", "0"),
     ("table", "--max-dim", "-3"),
     ("table", "--max-dim", "0", "--csv"),

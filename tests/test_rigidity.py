@@ -315,10 +315,12 @@ def test_experiment_n3():
     assert rep["mode"] == "exhaustive"
 
 
-def test_experiment_n5_sampled():
-    rep = rigidity_experiment(5, inter_samples=4, seed=123)
-    assert rep["violations"] == []
-    assert rep["mode"] == "sampled"
+def test_experiment_n5_is_deterministic():
+    # 8 GHW classes: three members after the canonical each, and 28 pairs
+    # of canonicals
+    rep = rigidity_experiment(5)
+    assert rep == {"dim": 5, "classes": 54, "mode": "ghw", "pairs_checked": 52, "violations": []}
+    assert rigidity_experiment(5) == rep
 
 
 def test_experiment_bound():
@@ -546,6 +548,27 @@ def test_pruned_pairs_build_no_ring(monkeypatch):
     c, d = SLOW_ISOMORPHIC_PAIRS[1]
     assert ring_isomorphic(c, d) is not None
     assert built == [a, d]
+
+
+def test_refused_pairs_never_search(monkeypatch):
+    # the ring_invariants refusal is load-bearing: without it the first
+    # pair is searched for minutes
+    calls = []
+    original = rigidity._admissible
+
+    def counting(cols, y):
+        calls.append(y)
+        return original(cols, y)
+
+    monkeypatch.setattr(rigidity, "_admissible", counting)
+    torus = BottMatrix(6, (0,) * 6)
+    for a, b in ((torus, BottMatrix(6, (0, 0, 0, 0, 32, 0))), (torus, SQUARE_KERNEL_4_BUCKET[0])):
+        assert ring_invariants(a) != ring_invariants(b)
+        assert ring_isomorphic(a, b) is None
+    assert calls == []
+    # searched, not isomorphic: the counter sees the search
+    assert ring_isomorphic(A40, A48) is None
+    assert calls
 
 
 def _check_admissible_is_the_normal_form_kernel(m):

@@ -37,9 +37,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_package_imports_only_the_standard_library():
-    # dependency-free: every import is relative or names a stdlib module
-    found = []
+def absolute_imports():
+    """(module file, line, top-level name) of every absolute import."""
     for path, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -48,8 +47,19 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}:{name}" for name in names
-                      if name.partition(".")[0] not in sys.stdlib_module_names]
+            yield from ((path.name, node.lineno, name.partition(".")[0]) for name in names)
+
+
+def test_package_imports_only_the_standard_library():
+    # dependency-free: every import is relative or names a stdlib module
+    found = [f"{module}:{line}:{name}" for module, line, name in absolute_imports()
+             if name not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_package_imports_no_random_number_generator():
+    # every check of the package is deterministic
+    found = [f"{module}:{line}" for module, line, name in absolute_imports() if name == "random"]
     assert found == []
 
 
