@@ -130,8 +130,8 @@ class BottMatrix:
                 raise NotBottMatrix("matrix must be square")
             mask = 0
             for j, b in enumerate(r):
-                if b not in (0, 1):
-                    raise NotBottMatrix(f"entry {b!r} is not binary")
+                if type(b) is not int or b not in (0, 1):  # bools and floats too
+                    raise NotBottMatrix(f"entry {b!r} is not the int 0 or 1")
                 mask |= b << j
             masks.append(mask)
         return cls(n, tuple(masks))

@@ -6,14 +6,17 @@ are square free and stored as int bitmasks over the variable indices
 (0-based).  A polynomial, `Gf2Poly`, is packed: one int with bit s set for
 each square-free monomial s, so addition is XOR.
 
-The ring builds, when it is constructed, the multiply-by-x_i tables
-mul[i][s], the packed normal form of x_i times the monomial s: 2^(s | 1<<i)
-when x_i is not in s, and the XOR of mul[l][s] over the l in y_i when it is
-(x_i^2 = x_i y_i).  For strictly upper A every such l is below i, so the
-rows are built in order of i.  Multiplying a packed polynomial by x_i
-shifts its monomials without x_i by 2^i and reads the table for the
-others.  Stiefel-Whitney classes and products multiply through them;
-`betti_z2` reads them once, to check that every square entry keeps its
+The ring builds, when it is constructed, one multiply-by-x_i table per
+variable, each one int of 2^n lanes of 2^n bits: lane s, the bits
+[s 2^n, (s+1) 2^n), holds the packed normal form of x_i times the monomial
+s.  That is 2^(s | 1<<i) when x_i is not in s, and the XOR of lane s of
+the tables of the l in y_i when it is (x_i^2 = x_i y_i).  For strictly
+upper A every such l is below i, so the tables are built in order of i,
+each by a few whole-int operations against masks that depend only on n
+(`_lane_masks`).  Multiplying a packed polynomial by x_i shifts its
+monomials without x_i by 2^i and reads a lane for the others.
+Stiefel-Whitney classes and products multiply through the tables;
+`betti_z2` checks once, with one AND per table, that every lane keeps its
 degree.
 
 Products of degree-1 classes have a denser form, read straight from the
@@ -25,7 +28,7 @@ independent check of both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import xor
 from typing import Iterable, Sequence
@@ -41,10 +44,11 @@ from .gf2 import (
     transpose_masks,
 )
 
-# The multiply tables and the Betti degree check hold n 2^n packed forms
-# of up to 2^n bits each: n = 12 takes 0.07 s and 33 MiB of peak RSS for
-# `bottclass invariants`, and each step above it about four times the
-# memory (n = 15: 3.8 s, 1.1 GiB).
+# The multiply tables are n ints of 4^n bits, and the per-n masks of
+# `_lane_masks` 2n + 1 more: at n = 12 `bottclass invariants` takes
+# 0.20-0.33 s and 102 MiB of peak RSS (0.12-0.15 s and 34 MiB when the
+# tables were lists of 2^n ints; Python 3.11 on a shared 2-core x86-64 VM),
+# and every int grows fourfold per step.
 RING_BOUND = 12
 
 
@@ -136,6 +140,44 @@ def format_poly(p: Gf2Poly) -> str:
     return " + ".join("*".join(f"x{i + 1}" for i in bits(mask)) or "1" for mask in monomials)
 
 
+@lru_cache(maxsize=None)
+def _lane_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """The masks of the lane layout for n variables, a position s 2^n + t
+    standing for the monomial t in lane s:
+
+    - lane: the 2^n bits of one lane;
+    - keep[i]: the monomials without x_i, over one lane;
+    - squares[i]: every bit of the lanes s holding x_i (`bit_lanes` over
+      the 2n bits of a position);
+    - free[i]: 2^(s | 1<<i) in each lane s without x_i, the diagonal
+      (2^s in lane s) outside squares[i], shifted by 2^i;
+    - bad: the positions with |t| != |s| + 1.
+
+    Each is built by doubling over the bits of s and t, O(n^2) whole-int
+    steps in all, never one step per lane.
+    """
+    full = 1 << n
+    lane = (1 << full) - 1
+    keep = tuple(lane ^ bit_lanes(n, i) for i in range(n))
+    squares = tuple(bit_lanes(2 * n, n + i) for i in range(n))
+    diag = 1
+    for k in range(n):
+        diag |= diag << ((full + 1) << k)
+    free = tuple((diag ^ (diag & sq)) << (1 << i) for i, sq in enumerate(squares))
+    # weight[d]: the t with |t| = d, doubled over the bits of t
+    weight = [1] + [0] * n
+    for k in range(n):
+        weight = weight[:1] + [w | (v << (1 << k)) for w, v in zip(weight[1:], weight)]
+    # up[e - 1]: the positions with |t| = |s| + e.  Each bit added to s
+    # lowers e by one and only e = 1 is wanted, so after j bits of s only
+    # e <= n + 1 - j is kept.
+    up = weight[1:] + [0]
+    for k in range(n):
+        up = [u | (v << (full << k)) for u, v in zip(up, up[1:])]
+    bad = ((1 << (full << n)) - 1) ^ up[0]
+    return lane, keep, squares, free, bad
+
+
 class CohomRing:
     """Multiplication context for H*(M(A); Z2).
 
@@ -154,23 +196,16 @@ class CohomRing:
         # every variable in y_j has index < j, which is what makes the
         # square rewriting terminate.
         self.cols: tuple[int, ...] = tuple(transpose_masks(n, self.matrix.rows))
-        # _mul[i][s]: packed normal form of x_i times the monomial s.  For i
-        # in s, x_i m_s = x_i^2 m_{s - i} = (sum_{l in y_i} x_l) m_s; every l
-        # is below i, so row i is read from rows already built.
-        full = 1 << n
-        self._mul: list[list[int]] = []
+        # _mul[i], lane s: packed normal form of x_i times the monomial s.
+        # For i in s, x_i m_s = x_i^2 m_{s - i} = (sum_{l in y_i} x_l) m_s;
+        # every l is below i, so table i is read from tables already built.
+        self._lane, self._keep, squares, free, self._bad = _lane_masks(n)
+        self._mul: list[int] = []
         for i, col in enumerate(self.cols):
             if col >> i:
                 raise InvariantViolation("rewrite must only introduce smaller indices")
-            square = [0] * full  # y_i m_s, the entry for s holding i
-            for l in bits(col):
-                square = list(map(xor, square, self._mul[l]))
-            bit = 1 << i
-            self._mul.append([square[s] if s & bit else 1 << (s | bit) for s in range(full)])
-        # _free[i]: the monomials s without x_i, the complement of
-        # `bit_lanes` over the 2^n bits s
-        ones = (1 << full) - 1
-        self._free = [ones ^ bit_lanes(n, i) for i in range(n)]
+            square = reduce(xor, [self._mul[l] for l in bits(col)], 0)  # y_i m_s in lane s
+            self._mul.append(square & squares[i] | free[i])
         self._degrees_checked = False
         self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
 
@@ -178,7 +213,7 @@ class CohomRing:
 
     def _times_var(self, i: int, forms: Sequence[int]) -> list[int]:
         """Packed normal forms of x_i times each packed normal form in forms."""
-        keep = self._free[i]
+        n, lane, keep = self.n, self._lane, self._keep[i]
         shift = 1 << i
         row = self._mul[i]
         out = []
@@ -189,7 +224,7 @@ class CohomRing:
             p ^= free
             while p:
                 low = p & -p
-                acc ^= row[low.bit_length() - 1]
+                acc ^= (row >> ((low.bit_length() - 1) << n)) & lane
                 p ^= low
             out.append(acc)
         return out
@@ -245,12 +280,15 @@ class CohomRing:
         made once per ring, that the multiply tables keep degree.
 
         - Degree.  `_times_var` shifts the monomials without x_i by 2^i and
-          reads the square entries mul[i][s] (i in s) for the rest, so by
-          induction every normal form keeps its degree iff every square
-          entry is homogeneous of degree |s| + 1.  All n 2^(n-1) are read,
-          also those with max(s) > i that products and `stiefel_whitney`
-          meet but the normal forms of the monomials, built in order of
-          their largest variable, do not.
+          reads the square entries, lane s of table i (i in s), for the
+          rest, so by induction every normal form keeps its degree iff
+          every square entry is homogeneous of degree |s| + 1.  All
+          n 2^(n-1) are checked, also those with max(s) > i that products
+          and `stiefel_whitney` meet but the normal forms of the monomials,
+          built in order of their largest variable, do not.  The check is
+          one AND per table against a per-n mask of the positions of the
+          wrong degree (`_lane_masks`), so it covers the lanes without x_i
+          too.
         - Rank.  The leading terms x_j^2 are pairwise coprime, so the
           square-free monomials are a basis (the tests count the quotient
           from the ideal side).  With degree kept, the C(n, k) of degree k
@@ -261,16 +299,8 @@ class CohomRing:
         if not 0 <= k <= self.n:
             raise UsageError(f"degree {k} out of range 0..{self.n}")
         if not self._degrees_checked:
-            full = 1 << self.n
-            weight = [0] * (self.n + 2)  # weight[d]: the square-free monomials of size d
-            for s in range(full):
-                weight[s.bit_count()] |= 1 << s
-            outside = [~weight[s.bit_count() + 1] for s in range(full)]
-            for i, row in enumerate(self._mul):
-                bit = 1 << i
-                for s in range(bit, full):
-                    if s & bit and row[s] & outside[s]:
-                        raise InvariantViolation("reduction must preserve degree")
+            if any(row & self._bad for row in self._mul):
+                raise InvariantViolation("reduction must preserve degree")
             self._degrees_checked = True
         return comb(self.n, k)
 

@@ -110,6 +110,13 @@ def test_rows_that_are_not_a_tuple_of_int_masks_rejected(n, rows, match):
         BottMatrix(n, rows)
 
 
+@pytest.mark.parametrize("entry", [True, 1.0, 2, -1, "1"])
+def test_validate_refuses_an_entry_that_is_not_the_int_0_or_1(entry):
+    # 1.0 used to raise TypeError from `1.0 << j`, and True was accepted
+    with pytest.raises(NotBottMatrix, match="int 0 or 1"):
+        validate([[0, entry], [0, 0]])
+
+
 # --- to_strict_upper -------------------------------------------------------
 
 def test_to_strict_upper_fixes_strictly_upper():

@@ -30,7 +30,7 @@ from bottclass.cohomology import (
     ring_of,
     w2_of_rows,
 )
-from bottclass.gf2 import BoundExceeded, InvariantViolation, UsageError, transpose_masks
+from bottclass.gf2 import BoundExceeded, InvariantViolation, UsageError, bits, transpose_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
 A23 = catalog.DIM5_ORIENTED["A23"]
@@ -501,6 +501,75 @@ def test_non_decreasing_rewrite_raises_under_python_O():
     assert proc.stdout.startswith("raised: rewrite must only introduce smaller indices")
 
 
+def _list_tables(m):
+    """The multiply tables of the strictly upper m as lists, entry s of
+    table i the packed normal form of x_i m_s, built one entry at a time:
+    the earlier layout, kept as the oracle of the lanes."""
+    full = 1 << m.n
+    tables = []
+    for i, col in enumerate(_columns(m)):
+        square = [0] * full
+        for l in bits(col):
+            square = [a ^ b for a, b in zip(square, tables[l])]
+        tables.append([square[s] if (s >> i) & 1 else 1 << (s | 1 << i) for s in range(full)])
+    return tables
+
+
+def _check_lanes_against_lists(m):
+    ring = ring_of(m)
+    n, lane = ring.n, (1 << (1 << ring.n)) - 1
+    for i, (row, entries) in enumerate(zip(ring._mul, _list_tables(ring.matrix), strict=True)):
+        assert row >> (len(entries) << n) == 0, (m.rows, i)
+        assert [(row >> (s << n)) & lane for s in range(1 << n)] == entries, (m.rows, i)
+
+
+def test_lanes_match_the_list_tables_n_le_5():
+    for n in range(1, 6):
+        for m in enumerate_strict_upper(n):
+            _check_lanes_against_lists(m)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_lanes_match_the_list_tables_seeded(n):
+    rng = random.Random(200 + n)
+    for _ in range(3):
+        m = _random_strict_upper(rng, n)
+        _check_lanes_against_lists(m)
+        _check_lanes_against_lists(op1(m, rng.sample(range(n), n)))  # normalized first
+
+
+def _naive_lane_masks(n):
+    """`_lane_masks` built one lane and one position at a time."""
+    full = 1 << n
+    lane = (1 << full) - 1
+    without = [[s for s in range(full) if not (s >> i) & 1] for i in range(n)]
+    return (lane,
+            tuple(sum(1 << s for s in without[i]) for i in range(n)),
+            tuple(sum(lane << (s << n) for s in range(full) if (s >> i) & 1) for i in range(n)),
+            tuple(sum(1 << ((s << n) + (s | 1 << i)) for s in without[i]) for i in range(n)),
+            sum(1 << ((s << n) + t) for s in range(full) for t in range(full)
+                if t.bit_count() != s.bit_count() + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lane_masks_match_a_per_lane_build(n):
+    assert cohomology._lane_masks(n) == _naive_lane_masks(n)
+
+
+def test_ring_at_the_bound_n12():
+    # The masks at n = 12 are built by doubling; a per-lane build, one
+    # step per lane or position, would make this test far slower.  The
+    # cache is cleared after, as its n = 12 masks hold about 50 MiB.
+    m = _random_strict_upper(random.Random(12), RING_BOUND)
+    assert any(m.rows)
+    try:
+        ring = ring_of(m)
+        assert ring.stiefel_whitney(2) == w2_of_rows(m.n, m.rows)
+        assert [ring.betti_z2(k) for k in range(13)] == [comb(12, k) for k in range(13)]
+    finally:
+        cohomology._lane_masks.cache_clear()
+
+
 def test_stiefel_whitney_builds_sigma_up_to_k_only():
     ring = ring_of(A4)
     assert str(ring.stiefel_whitney(2)) == "x1*x2 + x1*x3"
@@ -582,7 +651,7 @@ def test_betti_refuses_a_square_entry_that_leaves_its_degree(i, s, monomial):
     # largest variable; the one with max(s) > i only products and
     # Stiefel-Whitney classes meet.
     ring = ring_of(A4)
-    ring._mul[i][s] ^= 1 << monomial
+    ring._mul[i] ^= (1 << monomial) << (s << ring.n)  # lane s of table i
     with pytest.raises(InvariantViolation, match="preserve degree"):
         ring.betti_z2(2)
 
@@ -596,7 +665,7 @@ def test_corrupted_square_entry_raises_under_python_O():
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
         ring = ring_of(catalog.DIM5_ORIENTED["A4"])
-        ring._mul[0][0b00011] ^= 1
+        ring._mul[0] ^= 1 << (0b00011 << 5)
         try:
             ring.betti_z2(2)
         except InvariantViolation as exc:
