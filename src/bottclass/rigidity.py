@@ -35,6 +35,7 @@ the columns, for all 2^n classes at once as bit lanes of one int.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -212,7 +213,8 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
         return None
     if not _is_witness(cols_a, CohomRing(b), found):
         raise InvariantViolation(
-            f"ring_isomorphic({a.rows}, {b.rows}) found {found}, which fails the relation check"
+            f"ring_isomorphic({json.dumps(to_json_dict(a))}, {json.dumps(to_json_dict(b))}) "
+            f"found {found}, which fails the relation check"
         )
     if not pa == pb == tuple(range(n)):
         # x_i of a is x_{pa[i]} of its strictly upper form, x_k of b is x_{pb[k]}

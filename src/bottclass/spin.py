@@ -4,23 +4,25 @@ Two independent routes are implemented: the matrix-level obstruction
 detectors (odd row overlap with a zero entry; disjoint rows of weight
 2 mod 4) together with the w_2 = 0 criterion, and a lift of the holonomy
 through the sign-monomial subgroup of Spin(n), mirroring the
-group-theoretic definition.  Its relations are the relators of
-`bieberbach.generators_of(m)`, the one list of the relations of Gamma(A):
-one affine GF(2) solve over the generator signs and the lattice character
-gives the least solution, and group and Clifford arithmetic re-evaluate
-every relator word on the lift it returns.  Invariance of the character
-under the holonomy follows from the commutator relators (the lemma in
-`spin_lift_search`).  The search and the re-check read lattice coordinates
-by one route, `TransLattice.coords_mod2`.
+group-theoretic definition.  The lift's relations are those of Gamma(A),
+one row per relator of `bieberbach.generators_of(m)`, written in closed
+form from the rows of A: one affine GF(2) solve over the generator signs
+and the lattice character gives the least solution.  Only a lift found
+builds Gamma(A), and group and Clifford arithmetic re-evaluate every
+relator word on it.  Invariance of the character under the holonomy
+follows from the commutator relators (the lemma in `spin_lift_search`).
+Only the re-check reads lattice coordinates, by one route,
+`TransLattice.coords_mod2`.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from . import bieberbach, cohomology, gf2
-from .bottmatrix import BottMatrix, is_orientable, to_strict_upper
+from .bottmatrix import BottMatrix, is_orientable, to_json_dict, to_strict_upper
 from .gf2 import parity, popcount
 
 PART_I = "Part I"
@@ -200,28 +202,54 @@ class SpinLift:
 
 
 def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
-    """Search for a lift of the holonomy to Spin(n), by one GF(2) solve.
+    """Search for a lift of the holonomy to Spin(n), by one GF(2) solve
+    written from the rows of A; Gamma(A) is built only to re-check a lift.
 
-    Each generator with support S (even, by orientability) must map to
-    +-e_{S}; translations must map through a +-1 character chi on N.  The
-    unknowns are the generator signs sigma and the values of chi on the
-    HNF basis, packed as x = (chi << |active|) | sigma.  The constraints
-    are affine over GF(2), one row per relator of `generators_of(m)`: the
-    parity of sigma over its active letters, chi of its translation and of
-    any translation letter (coordinates by `TransLattice.coords_mod2`,
-    which raises InvariantViolation off the lattice), and the word's
-    Clifford sign by `_mul_sign`.  One `gf2.solve` elimination gives the
-    least solution x, the first lift in chi-major counting order, which is
-    returned after `_verify_lift` re-checks it, or None when there is no
-    solution.
+    Let S_i be row i of the strictly upper form (|S_i| even, by
+    orientability).  Each generator s_i with S_i nonzero (active) must map
+    to +-e_{S_i}; translations must map through a +-1 character chi on N.
+    The unknowns are the signs sigma of the active generators and the
+    values of chi on the n rows of the doubled HNF basis `basis2`, packed
+    as x = (chi << |active|) | sigma.  There is one affine row per relator
+    of `generators_of(m)`: the parity of sigma over its active letters plus
+    chi of its translation and of its translation letters equals the sign
+    of its Clifford word, by `_mul_sign`.  One `gf2.solve` elimination gives
+    the least solution x, the first lift in chi-major counting order.  Only
+    then is Gamma(A) built, and `_verify_lift` re-checks the lift on it
+    before it is returned; None when there is no solution.
+
+    Coordinates (translations doubled, as throughout).  N doubled is
+    2Z^n + K, K the span of the kernel vectors with bit n-1 cleared
+    (`generators_of`).  Let R_c be the row of its reduced echelon form with
+    lowest bit c and P the mask of those pivots: row c of basis2 is R_c for
+    c in P, else 2e_c.  The coordinates q_c of 2e_c are then {c} for c not
+    in P.  For c in P, 2e_c = 2 R_c - sum_d 2e_d over the other bits d of
+    R_c, non-pivot columns as the form is reduced: q_c = R_c ^ {c}.
+
+    Rows, for active i < j and each kernel vector kvec:
+    * the square s_i s_i: translation 2e_i, so chi = q_i; its sign is that
+      of e_{S_i}^2, `_mul_sign(S_i, S_i)`, and sigma cancels.
+    * the commutator s_i s_j s_i^-1 s_j^-1: translation -2 a_ij e_j, so
+      chi = a_ij q_j; e_{S_i} and e_{S_j} have even supports, so they
+      commute up to (-1)^|S_i & S_j|, and sigma cancels.
+    * the ascending product over kvec: sigma is its active bits and the
+      sign that of the ascending Clifford product, whose support, the XOR
+      of the S_i, must be 0.  Its translation is w + 2b e_{n-1}, with w
+      the 0/1 vector of kvec without bit n-1, an element of K, and b bit
+      n-1 of kvec.  With P' = kvec & P, the integer sum of the R_p, p in
+      P', has coordinates P' and equals w plus twice the carry vector:
+      column d counts the R_p holding d, at most 1 on a pivot column, and
+      w_d is that count mod 2.  The carry, bit 1 of each count, lies on
+      non-pivot columns, where 2e_d has coordinates {d}, so chi of the
+      translation is P' | carry | b << (n-1).  A translation letter i adds
+      chi of its own translation, coordinates {i}: e_i is in K for i < n-1
+      (so R_i = e_i) and 2e_{n-1} is a basis row.  A word made of one
+      translation letter gives the trivial row 0 = 0.
 
     Lemma: the commutator rows imply that chi is invariant under the
-    holonomy, so no invariance row is added.  Let S_i be row i of A
-    (|S_i| even) and q_c = chi(2e_c), a GF(2) form in x (translations
-    doubled, as throughout).  N doubled is 2Z^n + K (`generators_of`).
-    D_i maps a basis row 2e_c to +-2e_c, of equal chi, and a pivot row v
-    of K to v - 2(v & S_i): for active i (S_i nonzero), invariance asks
-    that the q_c over c in v & S_i sum to 0.
+    holonomy, so no invariance row is added.  D_i maps a basis row 2e_c to
+    +-2e_c, of equal chi, and a pivot row v of K to v - 2(v & S_i): for
+    active i, invariance asks that the q_c over c in v & S_i sum to 0.
     * c in v, c > i: the commutator row (i, c) reads a_ic q_c = |S_i & S_c|
       when c is active.  Else S_c = 0 and q_c = 0 as a form, as e_c, the
       translation of s_c, lies in N (bit n-1, the one inactive c without
@@ -234,34 +262,44 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     side.  The proof holds over GF(2) only.
     """
     _require_orientable(m)
-    _, m = to_strict_upper(m)
-    pres = bieberbach.generators_of(m)
-    gens = pres.generators
-    basis2 = pres.lattice.basis2
-    coords = lru_cache(maxsize=None)(pres.lattice.coords_mod2)  # translations recur
-
-    active = [i for i, g in enumerate(gens) if not g.is_translation]
-    position = {i: pos for pos, i in enumerate(active)}
+    _, upper = to_strict_upper(m)
+    n, rows = upper.n, upper.rows
+    top = 1 << (n - 1)
+    active = [i for i, r in enumerate(rows) if r]
     shift = len(active)
+    inactive = (1 << n) - 1 - sum(1 << i for i in active)
+    kernel = gf2.kernel_basis(n, gf2.transpose_masks(n, rows))
+    reduced = gf2.echelon(kvec & ~top for kvec in kernel)  # R_c, keyed by 1 << c
+    pivots = sum(reduced)
+
+    def q(c: int) -> int:
+        low = 1 << c
+        return reduced[low] ^ low if low in reduced else low
 
     # affine rows (mask over x, required bit); duplicates dropped
     constraints: dict[tuple[int, int], None] = {}
-    for rel in pres.relators:
-        sigma = support = sign = 0
-        chi = coords(rel.trans2)
-        for letter in rel.word:
-            i = letter if letter >= 0 else ~letter
-            if gens[i].is_translation:
-                chi ^= coords(gens[i].trans2)
-                continue
-            s = gens[i].exponent_mask
-            sigma ^= 1 << position[i]
-            if letter < 0:  # e_S^-1 = (e_S e_S) e_S
-                sign ^= _mul_sign(s, s)
-            sign ^= _mul_sign(support, s)
-            support ^= s
+    for k, i in enumerate(active):
+        s = rows[i]
+        constraints[q(i) << shift, _mul_sign(s, s)] = None
+        for j in active[k + 1:]:
+            constraints[(q(j) if (s >> j) & 1 else 0) << shift, parity(s & rows[j])] = None
+    for kvec in kernel:
+        sigma = sign = support = 0
+        for k, i in enumerate(active):
+            if (kvec >> i) & 1:
+                sigma |= 1 << k
+                sign ^= _mul_sign(support, rows[i])
+                support ^= rows[i]
         if support:
-            raise gf2.InvariantViolation(f"relator {rel.word} of sign monomials is not +-1")
+            raise gf2.InvariantViolation(
+                f"kernel word {tuple(gf2.bits(kvec))} of sign monomials is not +-1 "
+                f"for {json.dumps(to_json_dict(m))}")
+        ones = twos = 0  # bits 0 and 1 of the column-wise count of the R_p
+        for low, r in reduced.items():
+            if kvec & low:
+                twos ^= ones & r
+                ones ^= r
+        chi = ((kvec & pivots) | twos | (kvec & top)) ^ (kvec & inactive)
         constraints[sigma | chi << shift, sign] = None
 
     constraints.pop((0, 0), None)
@@ -269,7 +307,7 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     if constraints:
         masks = tuple(mask for mask, _ in constraints)
         rhs = sum(bit << k for k, (_, bit) in enumerate(constraints))
-        solved = gf2.solve(shift + len(basis2), masks, rhs)
+        solved = gf2.solve(shift + n, masks, rhs)
         if solved is None:
             return None
         # Pivots are taken lowest column first, so each pivot variable is
@@ -277,12 +315,12 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         # variable 0, the particular solution is the least one.
         x = solved[0]
     sigma, chi = x & ((1 << shift) - 1), x >> shift
-    signs = sum(((sigma >> pos) & 1) << i for pos, i in enumerate(active))
-    signs |= sum(parity(chi & coords(g.trans2)) << i
-                 for i, g in enumerate(gens) if g.is_translation)
+    # a translation generator's translation has coordinates {i}
+    signs = sum(((sigma >> k) & 1) << i for k, i in enumerate(active)) | (chi & inactive)
     lift = SpinLift(signs, chi)
-    if not _verify_lift(pres, lift):
-        raise gf2.InvariantViolation(f"lift found for {m.rows} fails the relation check")
+    if not _verify_lift(bieberbach.generators_of(upper), lift):
+        raise gf2.InvariantViolation(
+            f"lift found for {json.dumps(to_json_dict(m))} fails the relation check")
     return lift
 
 

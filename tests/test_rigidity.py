@@ -2,6 +2,7 @@
 import collections
 import functools
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -18,6 +19,7 @@ from bottclass.bottmatrix import (
     diffeo_classes,
     enumerate_strict_upper,
     op1,
+    to_json_dict,
     to_strict_upper,
 )
 from bottclass.cohomology import RING_BOUND, CohomRing, linear
@@ -599,7 +601,8 @@ def test_admissible_rows_are_the_normal_form_kernel_n6_seeded():
 
 def test_corrupted_product_table_raises_under_python_O():
     # The final witness check raises InvariantViolation, not assert, so it
-    # survives `python -O`.  A40 and A48 share their ring_invariants, so the
+    # survives `python -O`, and names both matrices in their {"n", "rows"}
+    # form.  A40 and A48 share their ring_invariants, so the
     # pair reaches the search.  With every closed-form product zero every
     # row is admissible and the search returns the identity, which is no
     # ring isomorphism between these two rings.
@@ -621,7 +624,8 @@ def test_corrupted_product_table_raises_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: ring_isomorphic(")
+    pair = ", ".join(json.dumps(to_json_dict(m)) for m in (A40, A48))
+    assert proc.stdout.startswith(f"raised: ring_isomorphic({pair}) found ")
 
 
 def test_enumerate_invertible_n1():

@@ -130,8 +130,9 @@ def test_generators_of_builds_no_compose_chain_and_no_hnf_closure():
 
 
 def test_spin_reads_lattice_coordinates_through_coords_mod2_only():
-    # the lift search and its re-check take coordinates by one route; the
-    # basis rows are read only as the keys of the lattice character
+    # the lift search writes its rows from the rows of A and reads no
+    # lattice; only its re-check reads coordinates, by one route, and the
+    # basis rows only as the keys of the lattice character
     tree = ast.parse((PACKAGE / "spin.py").read_text())
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Attribute) and node.value.attr == "lattice"}

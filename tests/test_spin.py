@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bottclass import catalog
+from bottclass import bieberbach, catalog, gf2, spin as spin_module
 import itertools
+import json
 
 from bottclass.bieberbach import _ordered_product, _require_translation, generators_of
 from bottclass.bottmatrix import (
@@ -19,10 +20,11 @@ from bottclass.bottmatrix import (
     is_orientable,
     op1,
     parse_matrix,
+    to_json_dict,
     to_strict_upper,
 )
 from bottclass.cohomology import h2_real_is_zero, ring_of
-from bottclass.gf2 import kernel_basis, parity, reduce_into, solve
+from bottclass.gf2 import echelon, kernel_basis, parity, reduce_into, solve
 from bottclass.spin import (
     PART_I,
     PART_II,
@@ -480,6 +482,89 @@ def test_lift_matches_the_coords_route_seeded_permuted_n6_to_9():
     assert 0 < found < 400
 
 
+class RecordingGf2:
+    """The gf2 module as `spin` sees it, recording each `solve` call that
+    `spin` makes itself (not those inside `kernel_basis`)."""
+
+    def __init__(self):
+        self.solved = []
+
+    def __getattr__(self, name):
+        return getattr(gf2, name)
+
+    def solve(self, ncols, rows, rhs):
+        self.solved.append((ncols, rows, rhs))
+        return gf2.solve(ncols, rows, rhs)
+
+
+def closed_form_row_space(m):
+    """The augmented row space (reduced echelon form of mask | rhs << width)
+    of the rows `spin_lift_search` hands to `gf2.solve`; no call, as when
+    every row is trivial, gives the zero space."""
+    recorder = RecordingGf2()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spin_module, "gf2", recorder)
+        spin_lift_search(m)
+    assert len(recorder.solved) <= 1
+    if not recorder.solved:
+        return {}
+    width, masks, rhs = recorder.solved[0]
+    return echelon(mask | ((rhs >> k) & 1) << width for k, mask in enumerate(masks))
+
+
+def seeded_permuted_n7_to_9(seed, count):
+    rng = random.Random(seed)
+    for n in (7, 8, 9):
+        for _ in range(count):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield op1(random_oriented_strict_upper(rng, n), perm)
+
+
+def test_closed_form_rows_span_the_relator_rows_n_le_6_and_permuted_n7_to_9():
+    # The rows written from A are those of the relator walk of lift_system
+    # up to the order and duplicates: the same augmented row space, so the
+    # same solutions and the same verdict, inconsistency included.  Teeth: a
+    # wrong row that leaves every least lift unchanged (chi of s_n's own
+    # word forced to 0) still changes the space.
+    def matrices():
+        for n in range(1, 7):
+            yield from (m for m in enumerate_strict_upper(n) if is_orientable(m))
+        yield from seeded_permuted_n7_to_9(11, 60)
+
+    checked = inconsistent = 0
+    for m in matrices():
+        _, width, relator_rows, _ = lift_system(m)
+        expected = echelon(mask | bit << width for _, mask, bit in relator_rows)
+        assert closed_form_row_space(m) == expected, m.rows
+        checked += 1
+        inconsistent += 1 << width in expected
+    assert checked == 1100 + 180
+    assert 0 < inconsistent < checked
+
+
+def test_gamma_is_built_once_per_lift_found_and_never_for_none(monkeypatch):
+    built = []
+    real = bieberbach.generators_of
+    monkeypatch.setattr(bieberbach, "generators_of", lambda m: built.append(m) or real(m))
+
+    def matrices():
+        for n in range(1, 6):
+            yield from (m for m in enumerate_strict_upper(n) if is_orientable(m))
+        yield from seeded_permuted_n7_to_9(12, 20)
+
+    found = checked = 0
+    for m in matrices():
+        before = len(built)
+        lift = spin_lift_search(m)
+        assert len(built) - before == (lift is not None), m.rows
+        if lift is not None:
+            assert built[-1] == to_strict_upper(m)[1]
+            found += 1
+        checked += 1
+    assert 0 < found < checked
+
+
 def in_span(rows, row):
     basis = {}
     reduce_into(basis, rows)
@@ -575,14 +660,28 @@ def test_verify_lift_rejects_a_sign_flipped_inside_a_kernel_relator_n_le_6():
 
 
 def test_failed_lift_recheck_raises_under_python_O():
+    # Both checks of spin_lift_search raise InvariantViolation, not assert,
+    # and name the matrix as given in its {"n", "rows"} form: the kernel
+    # word whose sign monomials do not multiply to +-1 (a kernel basis
+    # broken to return generator 0 alone) and the failed re-check.  The
+    # input is not strictly upper; its strictly upper form is 0011, 0011,
+    # 0000, 0000, which has a lift.
     code = textwrap.dedent("""
-        from bottclass import spin
-        from bottclass.bottmatrix import BottMatrix
+        from bottclass import gf2, spin
+        from bottclass.bottmatrix import parse_matrix
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
+        m = parse_matrix("4\\n0000\\n0000\\n1100\\n1100")
+        kernel_basis = gf2.kernel_basis
+        gf2.kernel_basis = lambda ncols, rows: [1]
+        try:
+            spin.spin_lift_search(m)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        gf2.kernel_basis = kernel_basis
         spin._verify_lift = lambda pres, lift: False
         try:
-            spin.spin_lift_search(BottMatrix(4, (0, 0, 0, 0)))
+            spin.spin_lift_search(m)
         except InvariantViolation as exc:
             print("raised:", exc)
     """)
@@ -591,20 +690,35 @@ def test_failed_lift_recheck_raises_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "raised:" in proc.stdout and "relation check" in proc.stdout
+    given = json.dumps(to_json_dict(parse_matrix("4\n0000\n0000\n1100\n1100")))
+    assert given == '{"n": 4, "rows": ["0000", "0000", "1100", "1100"]}'
+    assert proc.stdout.splitlines() == [
+        f"raised: kernel word (0,) of sign monomials is not +-1 for {given}",
+        f"raised: lift found for {given} fails the relation check",
+    ]
 
 
-def test_lift_matches_w2_sampled_oriented_n7():
-    # The full n = 7 check (all 32,768 oriented strictly upper matrices)
-    # is demos/05_lift_vs_w2.py; this seeded sample keeps tier-1 short.
-    rng = random.Random(7)
-    spin = 0
-    for _ in range(2000):
-        m = random_oriented_strict_upper(rng, 7)
+def all_oriented_strict_upper(n):
+    """Every oriented strictly upper n x n matrix: free entries left of the
+    last column, which fixes each row's parity."""
+    top = 1 << (n - 1)
+    choices = [[r | top if parity(r) else r
+                for r in range(0, top, 2 << i)] for i in range(n - 1)] + [[0]]
+    for rows in itertools.product(*choices):
+        yield BottMatrix(n, rows)
+
+
+def test_lift_matches_w2_all_oriented_n7():
+    # Acceptance 6 checks n <= 5 and the test above n = 6; this runs the
+    # two routes on every oriented n = 7 matrix.
+    checked = spin = 0
+    for m in all_oriented_strict_upper(7):
         w2_zero = ring_of(m).stiefel_whitney(2).is_zero()
         assert (spin_lift_search(m) is not None) == w2_zero, m.rows
+        checked += 1
         spin += w2_zero
-    assert 0 < spin < 2000
+    assert checked == 1 << 15
+    assert spin == 1482
 
 
 def test_has_spin_matches_ring_under_relabelling_n_le_5():
