@@ -7,6 +7,7 @@ stored as tuples of int row masks (bit j of row i is a[i][j], 0-based).
 """
 from __future__ import annotations
 
+import json
 from array import array
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
@@ -64,19 +65,30 @@ def _topo_order(n: int, rows: Sequence[int]) -> list[int]:
     Vertex v may be placed once all its predecessors (k with a[k][v] = 1)
     are placed.  On a cycle the order stops short: the vertices it leaves
     out are the ones no topological sort can place.
+
+    Kahn's algorithm on bit masks: `ready` holds the unplaced vertices
+    whose predecessors are all placed, and the lowest of them is placed
+    next.  That is the vertex a scan of 0..n-1 for the first placeable one
+    would pick, so the order (and where it stops on a cycle) is the scan's.
+    Placing v can make only its successors, the bits of rows[v], ready, so
+    only they are tested: O(n + edges) steps instead of O(n^2).
     """
     cols = transpose_masks(n, rows)
+    ready = sum(1 << v for v in range(n) if not cols[v])
     placed = 0
     order: list[int] = []
-    while len(order) < n:
-        v = next(
-            (u for u in range(n) if not (placed >> u) & 1 and cols[u] & ~placed == 0),
-            None,
-        )
-        if v is None:
-            break
+    while ready:
+        low = ready & -ready
+        ready ^= low
+        placed |= low
+        v = low.bit_length() - 1
         order.append(v)
-        placed |= 1 << v
+        succ = rows[v]
+        while succ:
+            bit = succ & -succ
+            if not cols[bit.bit_length() - 1] & ~placed:
+                ready |= bit
+            succ ^= bit
     return order
 
 
@@ -84,7 +96,7 @@ def _strict_upper_perm(n: int, rows: Sequence[int]) -> list[int]:
     """perm[v] = position of v in the topological order."""
     order = _topo_order(n, rows)
     if len(order) < n:
-        raise InvariantViolation(f"rows {tuple(rows)} left the Bott class (cyclic digraph)")
+        raise InvariantViolation(f"{_named(n, rows)} left the Bott class (cyclic digraph)")
     perm = [0] * n
     for pos, v in enumerate(order):
         perm[v] = pos
@@ -167,8 +179,18 @@ def validate(rows: Sequence[Sequence[int]] | BottMatrix) -> BottMatrix:
 def format_matrix_text(m: BottMatrix) -> str:
     return f"{m.n}\n{m}\n"
 
+def _json_rows(n: int, rows: Sequence[int]) -> dict:
+    return {"n": n, "rows": ["".join(str((r >> j) & 1) for j in range(n)) for r in rows]}
+
+
 def to_json_dict(m: BottMatrix) -> dict:
-    return {"n": m.n, "rows": ["".join(str((r >> j) & 1) for j in range(m.n)) for r in m.rows]}
+    return _json_rows(m.n, m.rows)
+
+
+def _named(n: int, rows: Sequence[int]) -> str:
+    """The rows in `{"n", "rows"}` form, for messages; they need not be a
+    Bott matrix."""
+    return json.dumps(_json_rows(n, rows))
 
 
 def _rows_from_strings(n: int, lines: Sequence[str]) -> BottMatrix:
@@ -193,8 +215,6 @@ def parse_matrix(text: str) -> BottMatrix:
     if not stripped:
         raise MatrixParseError("empty matrix input")
     if stripped.startswith("{"):
-        import json
-
         try:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
@@ -222,12 +242,12 @@ def _conjugate_raw(n: int, rows: Sequence[int], perm: Sequence[int]) -> tuple[in
     # b[perm[i]][perm[j]] = a[i][j]
     out = [0] * n
     for i, r in enumerate(rows):
-        ni = perm[i]
         nr = 0
-        for j in range(n):
-            if (r >> j) & 1:
-                nr |= 1 << perm[j]
-        out[ni] = nr
+        while r:
+            low = r & -r
+            nr |= 1 << perm[low.bit_length() - 1]
+            r ^= low
+        out[perm[i]] = nr
     return tuple(out)
 
 
@@ -274,7 +294,8 @@ def to_strict_upper(m: BottMatrix) -> tuple[tuple[int, ...], BottMatrix]:
     perm = _strict_upper_perm(m.n, m.rows)
     b = BottMatrix(m.n, _conjugate_raw(m.n, m.rows, perm))
     if not b.is_strictly_upper:
-        raise InvariantViolation(f"topological relabelling of {m.rows} is not strictly upper")
+        raise InvariantViolation(
+            f"topological relabelling of {_named(m.n, m.rows)} is not strictly upper")
     return tuple(perm), b
 
 
@@ -409,10 +430,6 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
         rows[i] = rev[code & ((1 << width) - 1)]
         code >>= width
     return tuple(rows)
-
-
-def _renorm_raw(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    return _conjugate_raw(n, rows, _strict_upper_perm(n, rows))
 
 
 @lru_cache(maxsize=None)
@@ -785,12 +802,35 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
 
 
 def diffeo_class_of(m: BottMatrix) -> DiffeoClass:
-    """The class of one matrix (normalized to strictly upper first)."""
-    rows = _renorm_raw(m.n, m.rows)
-    classes = diffeo_classes(m.n)
-    cid = classes.class_ids[_code(m.n, rows)]
+    """The class of one matrix: one read of the class-id table at the
+    `_code` of its strictly upper relabelling.
+
+    The code is read straight from the edges, with no relabelled rows
+    built: with perm the topological relabelling (`_strict_upper_perm`),
+    edge i -> j is entry a[perm i][perm j] of the relabelled matrix, bit
+    off_{perm i} + n-1-perm j of its code (the offsets of `_move_masks`).
+    An edge with perm j <= perm i would not be strictly upper and raises
+    InvariantViolation, as `to_strict_upper` does, since its bit would
+    land in another row's field and name the wrong class."""
+    n, rows = m.n, m.rows
+    classes = diffeo_classes(n)
+    fields = _move_masks(n)[1]
+    perm = _strict_upper_perm(n, rows)
+    code = 0
+    for i, r in enumerate(rows):
+        pi = perm[i]
+        top = fields[pi][0] + n - 1
+        while r:
+            low = r & -r
+            pj = perm[low.bit_length() - 1]
+            if pj <= pi:
+                raise InvariantViolation(
+                    f"topological relabelling of {_named(n, rows)} is not strictly upper")
+            code |= 1 << (top - pj)
+            r ^= low
+    cid = classes.class_ids[code]
     if cid == -1:
-        raise InvariantViolation(f"classification did not cover {rows}")
+        raise InvariantViolation(f"classification did not cover {_named(n, rows)}")
     return classes[cid]
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -140,6 +141,113 @@ def test_to_strict_upper_is_conjugation():
             scrambled = op1(m, perm)
             q, b = to_strict_upper(scrambled)
             assert op1(scrambled, q) == b
+
+
+def scan_order(n, rows):
+    # the quadratic scan the topological order replaced: place the first
+    # unplaced vertex, in index order, whose predecessors are all placed
+    order = []
+    while len(order) < n:
+        v = next((u for u in range(n) if u not in order
+                  and all((rows[k] >> u) & 1 == 0 or k in order for k in range(n))), None)
+        if v is None:
+            break
+        order.append(v)
+    return order
+
+
+def _check_against_the_scan(n, rows):
+    order = scan_order(n, rows)
+    assert bottmatrix._topo_order(n, rows) == order, (n, rows)
+    if len(order) < n:
+        with pytest.raises(InvariantViolation) as exc:
+            bottmatrix._strict_upper_perm(n, rows)
+        assert str(exc.value) == (f"{json.dumps(bottmatrix._json_rows(n, rows))} "
+                                  "left the Bott class (cyclic digraph)")
+        return
+    perm = [order.index(v) for v in range(n)]
+    m = BottMatrix(n, rows)
+    relabelled = op1_oracle(lists(m), perm)
+    assert _strict_upper(relabelled)
+    assert to_strict_upper(m) == (tuple(perm), BottMatrix.from_rows(relabelled)), (n, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_topological_order_is_the_scan_on_every_loop_free_digraph(n):
+    # acyclic ones give the scan's order and `to_strict_upper` its relabelling;
+    # cyclic ones the scan's placed prefix, and the perm refuses them
+    for rows in itertools.product(range(1 << n), repeat=n):
+        if not any((r >> i) & 1 for i, r in enumerate(rows)):
+            _check_against_the_scan(n, rows)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_topological_order_is_the_scan_on_seeded_relabellings(n):
+    # 40 relabelled strictly upper matrices, and each again with one back
+    # edge added before the relabelling (cyclic when it closes a path)
+    rng = random.Random(500 + n)
+    cyclic = 0
+    for m in _sampled_strict_upper(n, 40, 600 + n):
+        perm = rng.sample(range(n), n)
+        _check_against_the_scan(n, op1(m, perm).rows)
+        i, j = sorted(rng.sample(range(n), 2))
+        back = lists(m)
+        back[j][i] = 1
+        rows = tuple(sum(b << k for k, b in enumerate(row)) for row in op1_oracle(back, perm))
+        _check_against_the_scan(n, rows)
+        cyclic += len(scan_order(n, rows)) < n
+    assert 0 < cyclic < 40
+
+
+def test_diffeo_class_of_one_relabelled_member_of_every_class_n6():
+    rng = random.Random(6060)
+    classes = diffeo_classes(6)
+    assert len(classes) == 472
+    for cls in classes:
+        k = rng.randrange(cls.size)
+        m = next(itertools.islice(cls.members, k, k + 1))
+        home = diffeo_class_of(m)
+        assert home is cls
+        assert diffeo_class_of(op1(m, rng.sample(range(6), 6))) is home
+
+
+NOT_UPPER_ROWS = (0, 0b0001, 0b0011, 0b0100)  # edges 1->0, 2->0, 2->1, 3->2
+
+
+def test_broken_relabelling_raises_with_the_matrix(monkeypatch):
+    # an order that does not sort the edges (here the identity) must not
+    # look up a class: the code's bits would land in the wrong rows' fields
+    monkeypatch.setattr(bottmatrix, "_strict_upper_perm", lambda n, rows: list(range(n)))
+    m = BottMatrix(4, NOT_UPPER_ROWS)
+    named = json.dumps(to_json_dict(m))
+    assert named == '{"n": 4, "rows": ["0000", "1000", "1100", "0010"]}'
+    for lookup in (diffeo_class_of, to_strict_upper):
+        with pytest.raises(InvariantViolation) as exc:
+            lookup(m)
+        assert str(exc.value) == f"topological relabelling of {named} is not strictly upper"
+
+
+def test_broken_relabelling_raises_under_python_O():
+    code = textwrap.dedent(f"""
+        from bottclass import bottmatrix
+        from bottclass.bottmatrix import BottMatrix
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        bottmatrix._strict_upper_perm = lambda n, rows: list(range(n))
+        try:
+            bottmatrix.diffeo_class_of(BottMatrix(4, {NOT_UPPER_ROWS}))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("not raised")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    named = json.dumps(bottmatrix._json_rows(4, NOT_UPPER_ROWS))
+    assert proc.stdout == f"raised: topological relabelling of {named} is not strictly upper\n"
 
 
 # --- the three operations ---------------------------------------------------
@@ -484,7 +592,8 @@ def test_diffeo_class_of_uncovered_matrix_raises():
     saved = classes.class_ids[:]
     classes.class_ids[:] = array("i", [-1]) * len(saved)
     try:
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="^classification did not cover "
+                           + re.escape('{"n": 3, "rows": ["000", "000", "000"]}') + "$"):
             diffeo_class_of(BottMatrix(3, (0, 0, 0)))
     finally:
         classes.class_ids[:] = saved
