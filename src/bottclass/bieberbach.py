@@ -21,12 +21,13 @@ is in `is_torsion_free`.  The lift search of `spin` does not read
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import gf2
-from .bottmatrix import BottMatrix
+from .bottmatrix import BottMatrix, to_json_dict
 
 
 class NotStrictlyUpper(ValueError):
@@ -318,15 +319,14 @@ class Relator(NamedTuple):
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators, their relators (built once, in the order `relators`
-    lists them), the lattice N those relators span under the holonomy, and
-    the point-group rank."""
+    """Generators, the translation lattice N of the group they generate,
+    and the point-group rank.  The relators are not stored: `relators`
+    lists them from the generators for the readers that need them."""
 
     n: int
     generators: tuple[AffineIso, ...]
     lattice: TransLattice
     point_rank: int
-    relators: tuple[Relator, ...]
 
 
 def _exponent_matrix(n: int, gens: Sequence[AffineIso]) -> list[int]:
@@ -349,11 +349,21 @@ def _ordered_product(gens: Sequence[AffineIso], subset: Iterable[int]) -> Affine
     return acc
 
 
-def _squares_and_commutators(gens: Sequence[AffineIso]) -> list[Relator]:
-    """The relators `relators` lists first, and `generators_of` writes
-    from the rows of A: the square (i, i) of each non-translation
-    generator, with translation D t + t, then the commutator (i, j, ~i, ~j)
-    of each pair i < j of them."""
+def relators(gens: Sequence[AffineIso]) -> tuple[Relator, ...]:
+    """The relations of the group generated by `gens`, as words that are
+    translations: the square (i, i) of each non-translation generator, with
+    translation D t + t, then the commutator (i, j, ~i, ~j) of each pair
+    i < j of them, then the ascending product over each kernel basis vector
+    of the exponent system (a translation generator is a word on its own).
+    The squares and commutators of translation generators are left out:
+    their translations 2t and D t - t lie in the holonomy closure of t.  An
+    empty list raises UsageError and generators of mixed dimension raise
+    DimensionMismatch."""
+    if not gens:
+        raise gf2.UsageError("a group needs at least one generator")
+    n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise gf2.DimensionMismatch("generators of mixed dimension")
     active = [i for i, g in enumerate(gens) if not g.is_translation]
     out = [Relator((i, i), tuple([0 if (gens[i].exponent_mask >> j) & 1 else 2 * t
                                   for j, t in enumerate(gens[i].trans2)]))
@@ -361,24 +371,6 @@ def _squares_and_commutators(gens: Sequence[AffineIso]) -> list[Relator]:
     for k, i in enumerate(active):
         for j in active[k + 1:]:
             out.append(Relator((i, j, ~i, ~j), commutator_trans2(gens[i], gens[j])))
-    return out
-
-
-def relators(gens: Sequence[AffineIso]) -> tuple[Relator, ...]:
-    """The relations of the group generated by `gens`, as words that are
-    translations: the squares and commutators of the non-translation
-    generators (`_squares_and_commutators`), then the ascending product over
-    each kernel basis vector of the exponent system (a translation generator
-    is a word on its own).  The squares and commutators of translation
-    generators are left out: their translations 2t and D t - t lie in the
-    holonomy closure of t.  An empty list raises UsageError and generators
-    of mixed dimension raise DimensionMismatch."""
-    if not gens:
-        raise gf2.UsageError("a group needs at least one generator")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise gf2.DimensionMismatch("generators of mixed dimension")
-    out = _squares_and_commutators(gens)
     for kvec in gf2.kernel_basis(len(gens), _exponent_matrix(n, gens)):
         word = tuple(gf2.bits(kvec))
         prod = _ordered_product(gens, word)
@@ -412,7 +404,7 @@ def from_generators(gens: Sequence[AffineIso]) -> GroupPresentation:
             break
         lat = TransLattice.span(n, lat.basis2 + tuple(missing))
     point_rank = gf2.rank_masks([g.exponent_mask for g in gens])
-    return GroupPresentation(n, tuple(gens), lat, point_rank, rels)
+    return GroupPresentation(n, tuple(gens), lat, point_rank)
 
 
 def generators_of(m: BottMatrix) -> GroupPresentation:
@@ -425,28 +417,25 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
     exponent matrix of the generators is cols = transpose_masks(n, rows).
     Translations below are doubled.
 
-    * Squares and commutators, in the order `_squares_and_commutators`
-      lists them, come from the rows: the square of a non-translation s_i
-      (row i nonzero) is D t + t = 2 e_i, and the commutator of s_i and
-      s_j, i < j, is (I - D_j) e_i - (I - D_i) e_j = -2 a_{i,j} e_j, as
-      a_{j,i} = 0.
-    * Kernel words: for kvec in kernel_basis(n, cols) the rows over kvec
-      XOR to 0 (checked), and the ascending product of the s_i, i in kvec,
-      is a translation.  Its coordinate c comes from s_c alone, when c is in
+    * Lattice: each square s_i s_i is D t + t, 2 e_i (4 e_{n-1} for s_n),
+      and the commutator of s_i and s_j, i < j, is (I - D_j) t_i -
+      (I - D_i) t_j = -2 a_{i,j} t_j, as a_{j,i} = 0: all lie in 2Z^n, which
+      every D maps onto itself.  So each element of Gamma(A) is an
+      ascending product of distinct generators times a vector of 2Z^n, and
+      a translation iff the rows of its generators XOR to 0, that is iff
+      their index set lies in the span of kernel_basis(n, cols).  The rows
+      over each basis vector kvec are checked to XOR to 0.  Coordinate c
+      of the ascending product over kvec comes from s_c alone, when c is in
       kvec, with the sign prod D_j[c] over j < c in kvec, which is
-      (-1)^|cols[c] & kvec| because A is strictly upper.  The kernel makes
-      that count even, so the word moves by kvec itself: 1 at each of its
-      bits, 2 at bit n-1.
-    * Lattice: the relators give 2 e_i for every i (a square, the word of
-      s_n, or twice the word (i,) of an s_i without signs), commutators in
-      2Z^n, and the kernel words, which add K: the span of the kernel
-      vectors without bit n-1 (only s_n's own vector has that bit), read
-      as 0/1 vectors.  So N, doubled, is 2Z^n + K, and each D maps it onto
-      itself, as D v = v mod 2.  `gf2.echelon` gives the reduced echelon
-      form of K, each vector keyed by its lowest bit; a pivot column c
-      gets its vector as row c of basis2, every other column c gets
-      2 e_c.  Pivots are 1 or 2 and each entry above a pivot lies in
-      [0, pivot), so this is the unique Hermite form, the one
+      (-1)^|cols[c] & kvec| because A is strictly upper; the kernel makes
+      that count even, so the product moves by kvec itself, 1 at each of
+      its bits (2 at bit n-1).  So N, doubled, is 2Z^n + K, K the span of
+      the kernel vectors without bit n-1, read as 0/1 vectors, and each D
+      maps it onto itself, as D v = v mod 2.  `gf2.echelon` gives the
+      reduced echelon form of K, each vector keyed by its lowest bit; a
+      pivot column c gets its vector as row c of basis2, every other
+      column c gets 2 e_c.  Pivots are 1 or 2 and each entry above a pivot
+      lies in [0, pivot), so this is the unique Hermite form, the one
       `from_generators` builds.
     """
     if not m.is_strictly_upper:
@@ -457,27 +446,19 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
     # valid by construction: masks are rows of A, translations 1 at i (2 at n-1)
     gens = [_trusted(r, _unit(n, i, 1)) for i, r in enumerate(rows[:-1])]
     gens.append(_trusted(0, _unit(n, n - 1, 2)))
-    active = [i for i, r in enumerate(rows) if r]
-    rels = [Relator((i, i), _unit(n, i, 2)) for i in active]
-    for k, i in enumerate(active):
-        for j in active[k + 1:]:
-            rels.append(Relator((i, j, ~i, ~j), _unit(n, j, -2 * ((rows[i] >> j) & 1))))
     kernel = gf2.kernel_basis(n, gf2.transpose_masks(n, rows))
     for kvec in kernel:
-        word = tuple(gf2.bits(kvec))
         acc = 0
-        for i in word:
+        for i in gf2.bits(kvec):
             acc ^= rows[i]
         if acc:
-            raise gf2.InvariantViolation(f"rows {word} of {rows} do not sum to 0")
-        rels.append(Relator(word, tuple([(kvec >> c) & 1 for c in range(n - 1)]
-                                        + [2 * (kvec >> (n - 1))])))
+            raise gf2.InvariantViolation(f"rows {tuple(gf2.bits(kvec))} of "
+                                         f"{json.dumps(to_json_dict(m))} do not sum to 0")
     reduced = gf2.echelon(kvec & ~(1 << (n - 1)) for kvec in kernel)
     basis2 = tuple(tuple([(reduced[1 << c] >> j) & 1 for j in range(n)]) if 1 << c in reduced
                    else _unit(n, c, 2)
                    for c in range(n))
-    return GroupPresentation(n, tuple(gens), TransLattice(n, basis2), gf2.rank_masks(rows),
-                             tuple(rels))
+    return GroupPresentation(n, tuple(gens), TransLattice(n, basis2), gf2.rank_masks(rows))
 
 
 def gamma_n_generators(n: int) -> GroupPresentation:

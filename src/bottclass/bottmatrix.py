@@ -681,8 +681,9 @@ def _components(ids: array, step: Callable[[int], Iterable[int]],
     is unlabelled) and is the visited set; components are numbered by their
     least node, and the least nodes are returned in that order.  A node
     reached that already holds another id raises InvariantViolation, naming
-    its matrix rows_of(node); the edges of both phases come with their
-    reverses, so this happens only if a move is missing or wrong."""
+    its matrix rows_of(node) in `{"n", "rows"}` form; the edges of both
+    phases come with their reverses, so this happens only if a move is
+    missing or wrong."""
     seeds = array("I")
     for seed in range(len(ids)):
         if ids[seed] != -1:
@@ -698,7 +699,8 @@ def _components(ids: array, step: Callable[[int], Iterable[int]],
                     ids[nb] = cid
                     todo.append(nb)
                 elif owner != cid:
-                    raise InvariantViolation(f"{rows_of(nb)} is in two orbits")
+                    rows = rows_of(nb)
+                    raise InvariantViolation(f"{_named(len(rows), rows)} is in two orbits")
     return seeds
 
 
@@ -757,7 +759,8 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     equal the byte of the code's class in the class-id table.  The
     canonicals are compared too, so the scalar and the sliced route check
     each other on every class.  A mismatch raises InvariantViolation
-    naming the first code that differs.  A code or orbit reached from two
+    naming the class canonical and the matrix of the first code that
+    differs, in `{"n", "rows"}` form.  A code or orbit reached from two
     seeds raises in `_components`, at the edge that leads into the other
     orbit or class.  The class sizes need no check: the members are
     grouped from every entry of the code table, each into exactly one
@@ -795,7 +798,8 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
         if sliced != expected:
             code = start + next(i for i, (x, y) in enumerate(zip(sliced, expected)) if x != y)
             raise InvariantViolation(f"fingerprint not constant on orbit of "
-                                     f"{classes[ids[code]].canonical.rows}: {_decode(n, code)}")
+                                     f"{_named(n, classes[ids[code]].canonical.rows)}: "
+                                     f"{_named(n, _decode(n, code))}")
     table = _ClassTable(classes)
     table.class_ids = ids
     return table

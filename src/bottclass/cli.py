@@ -50,7 +50,11 @@ def _emit(obj) -> None:
 
 def _load_matrix(path: str) -> BottMatrix:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_matrix(text)

@@ -5,14 +5,15 @@ detectors (odd row overlap with a zero entry; disjoint rows of weight
 2 mod 4) together with the w_2 = 0 criterion, and a lift of the holonomy
 through the sign-monomial subgroup of Spin(n), mirroring the
 group-theoretic definition.  The lift's relations are those of Gamma(A),
-one row per relator of `bieberbach.generators_of(m)`, written in closed
-form from the rows of A: one affine GF(2) solve over the generator signs
-and the lattice character gives the least solution.  Only a lift found
-builds Gamma(A), and group and Clifford arithmetic re-evaluate every
-relator word on it.  Invariance of the character under the holonomy
-follows from the commutator relators (the lemma in `spin_lift_search`).
-Only the re-check reads lattice coordinates, by one route,
-`TransLattice.coords_mod2`.
+one row per relator `bieberbach.relators` lists for the generators of
+`bieberbach.generators_of(m)`, written in closed form from the rows of A:
+one affine GF(2) solve over the generator signs and the lattice character
+gives the least solution.  Only a lift found builds Gamma(A); the re-check
+lists its relators by the generic route, `bieberbach.relators`, and group
+and Clifford arithmetic re-evaluate every relator word on it.  Invariance
+of the character under the holonomy follows from the commutator relators
+(the lemma in `spin_lift_search`).  Only the re-check reads lattice
+coordinates, by one route, `TransLattice.coords_mod2`.
 """
 from __future__ import annotations
 
@@ -211,7 +212,8 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     The unknowns are the signs sigma of the active generators and the
     values of chi on the n rows of the doubled HNF basis `basis2`, packed
     as x = (chi << |active|) | sigma.  There is one affine row per relator
-    of `generators_of(m)`: the parity of sigma over its active letters plus
+    `bieberbach.relators` lists for the generators of `generators_of(m)`,
+    in closed form: the parity of sigma over its active letters plus
     chi of its translation and of its translation letters equals the sign
     of its Clifford word, by `_mul_sign`.  One `gf2.solve` elimination gives
     the least solution x, the first lift in chi-major counting order.  Only
@@ -328,9 +330,11 @@ def _verify_lift(pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
     """Re-check every relation of the found lift with honest Clifford and
     group arithmetic (soundness net under the packed search).
 
-    Every relator word of `pres` is evaluated again letter by letter, with
+    The relators come from the generators of `pres` by the generic route,
+    `bieberbach.relators`, not from the rows of A, from which the search
+    writes its rows.  Every relator word is evaluated letter by letter, with
     `compose`/`inverse` in the group and `clifford_mul`/`clifford_inv` on
-    the images sigma_i e_{S_i}, never read from the stored translation: it
+    the images sigma_i e_{S_i}, never read from the listed translation: it
     must be a translation t whose image is the scalar chi(t).  Then chi
     must be invariant under the holonomy.  The squares and commutators of
     translation generators, which `relators` leaves out, follow from that
@@ -344,7 +348,7 @@ def _verify_lift(pres: bieberbach.GroupPresentation, lift: SpinLift) -> bool:
     def chi(t2: tuple[int, ...]) -> int:
         return -1 if parity(lift.character & pres.lattice.coords_mod2(t2)) else 1
 
-    for rel in pres.relators:
+    for rel in bieberbach.relators(gens):
         g = bieberbach.AffineIso.identity(n)
         cliff = CliffordElement.identity(n)
         for letter in rel.word:

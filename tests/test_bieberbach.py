@@ -1,5 +1,6 @@
 """Bieberbach groups: generators, group law, lattices, torsion, conjugation."""
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bottclass import catalog
+from bottclass import catalog, gf2
 from bottclass.bieberbach import (
     AffineIso,
     NotStrictlyUpper,
@@ -36,7 +37,7 @@ from bottclass.bieberbach import (
     superdiagonal_matrix,
     verify_tower_conjugation,
 )
-from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper
+from bottclass.bottmatrix import BottMatrix, enumerate_strict_upper, to_json_dict
 from bottclass.gf2 import DimensionMismatch, InvariantViolation, UsageError, rank_masks
 
 A4 = catalog.DIM5_ORIENTED["A4"]
@@ -519,8 +520,7 @@ def evaluate_word(gens, word):
 
 def test_relators_evaluate_to_their_stored_translations():
     for p in oracle_presentations():
-        assert p.relators == relators(p.generators)
-        for rel in p.relators:
+        for rel in relators(p.generators):
             w = evaluate_word(p.generators, rel.word)
             assert w.is_translation and w.trans2 == rel.trans2, (p.generators, rel)
 
@@ -558,15 +558,46 @@ def test_generators_of_equals_the_generic_route_seeded_n6_to_8():
 def test_relators_listed_in_order():
     # A4: generators 0..2 flip signs with independent exponent vectors, so
     # the kernel words are the translation generators 3 and 4 alone
-    words = [rel.word for rel in generators_of(A4).relators]
+    words = [rel.word for rel in relators(generators_of(A4).generators)]
     assert words == [(0, 0), (1, 1), (2, 2), (0, 1, ~0, ~1), (0, 2, ~0, ~2), (1, 2, ~1, ~2),
                      (3,), (4,)]
     # rows 0011, 0011: generators 0 and 1 share a sign pattern, so their
     # product is a kernel word, a translation by (1/2, 1/2, 0, 0)
     pres = generators_of(BottMatrix(4, (0b1100, 0b1100, 0, 0)))
-    assert pres.relators == (((0, 0), (2, 0, 0, 0)), ((1, 1), (0, 2, 0, 0)),
-                             ((0, 1, ~0, ~1), (0, 0, 0, 0)), ((0, 1), (1, 1, 0, 0)),
-                             ((2,), (0, 0, 1, 0)), ((3,), (0, 0, 0, 2)))
+    assert relators(pres.generators) == (
+        ((0, 0), (2, 0, 0, 0)), ((1, 1), (0, 2, 0, 0)),
+        ((0, 1, ~0, ~1), (0, 0, 0, 0)), ((0, 1), (1, 1, 0, 0)),
+        ((2,), (0, 0, 1, 0)), ((3,), (0, 0, 0, 2)))
+
+
+def test_kernel_check_names_the_matrix(monkeypatch):
+    # a kernel basis broken to return generator 0 alone, whose row is not 0
+    monkeypatch.setattr(gf2, "kernel_basis", lambda ncols, rows: [1])
+    with pytest.raises(InvariantViolation) as exc:
+        generators_of(A4)
+    named = json.dumps(to_json_dict(A4))
+    assert str(exc.value) == f"rows (0,) of {named} do not sum to 0"
+
+
+def test_kernel_check_raises_under_python_O():
+    code = textwrap.dedent("""
+        from bottclass import bieberbach, catalog, gf2
+        from bottclass.gf2 import InvariantViolation
+        assert not __debug__
+        gf2.kernel_basis = lambda ncols, rows: [1]
+        try:
+            bieberbach.generators_of(catalog.DIM5_ORIENTED["A4"])
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    named = json.dumps(to_json_dict(A4))
+    assert named.startswith('{"n": 5, "rows": [')
+    assert proc.stdout.splitlines() == [f"raised: rows (0,) of {named} do not sum to 0"]
 
 
 def test_exponent_matrix_matches_per_coordinate_loop():

@@ -526,6 +526,7 @@ def test_broken_fingerprint_raises_under_python_O():
     # of one code-bit plane, at a member that is not a canonical, and a
     # scalar route that is wrong on the canonicals only.
     code = textwrap.dedent("""
+        import json
         from bottclass import bottmatrix
         from bottclass.gf2 import InvariantViolation, transpose_masks
         assert not __debug__
@@ -538,8 +539,9 @@ def test_broken_fingerprint_raises_under_python_O():
         member, plane = next((c, p) for c in range(8) for p in range(3)
                              if bottmatrix._decode(n, c) not in canonicals
                              and fp(c) != fp(c ^ 1 << p))
-        print(bottmatrix._decode(n, member),
-              classes[classes.class_ids[member]].canonical.rows, sep="|")
+        named = lambda rows: json.dumps(bottmatrix.to_json_dict(bottmatrix.BottMatrix(n, rows)))
+        print(named(bottmatrix._decode(n, member)),
+              named(classes[classes.class_ids[member]].canonical.rows), sep="|")
         def attempt():
             bottmatrix.diffeo_classes.cache_clear()
             try:
@@ -569,8 +571,10 @@ def test_broken_fingerprint_raises_under_python_O():
     chosen, flipped, broken = proc.stdout.splitlines()
     member, canonical = chosen.split("|")
     assert member != canonical
+    assert json.loads(member)["n"] == json.loads(canonical)["n"] == 3
     assert flipped == f"raised: fingerprint not constant on orbit of {canonical}: {member}"
-    assert broken == "raised: fingerprint not constant on orbit of (0, 0, 0): (0, 0, 0)"
+    zero = '{"n": 3, "rows": ["000", "000", "000"]}'
+    assert broken == f"raised: fingerprint not constant on orbit of {zero}: {zero}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -822,7 +826,11 @@ def test_two_orbits_raises_under_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
-    assert all(line.startswith("raised: ") and line.endswith(" is in two orbits") for line in lines)
+    for line in lines:
+        assert line.startswith("raised: ") and line.endswith(" is in two orbits")
+        named = json.loads(line[len("raised: "):-len(" is in two orbits")])
+        assert named["n"] == 4 and len(named["rows"]) == 4
+        assert all(len(row) == 4 and set(row) <= {"0", "1"} for row in named["rows"])
 
 
 def test_dropped_op3_direction_stays_in_class_n6():

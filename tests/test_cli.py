@@ -1,8 +1,10 @@
 """CLI behaviour: reports, filters, exit codes, determinism."""
+import gc
 import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,16 @@ def test_invariants_a4(capsys):
     assert res["rank"] == 3
     assert res["ghw"] is False
     assert res["w2"] == "x1*x2 + x1*x3"
+
+
+def test_matrix_file_is_closed_after_reading(capsys):
+    # an unclosed file emits ResourceWarning when it is collected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _, _ = run(capsys, "invariants", "--matrix", str(FIXTURES / "a4.txt"))
+        gc.collect()
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
 
 
 def test_spin_a23(capsys):

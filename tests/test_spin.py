@@ -13,7 +13,7 @@ from bottclass import bieberbach, catalog, gf2, spin as spin_module
 import itertools
 import json
 
-from bottclass.bieberbach import _ordered_product, _require_translation, generators_of
+from bottclass.bieberbach import _ordered_product, _require_translation, generators_of, relators
 from bottclass.bottmatrix import (
     BottMatrix,
     enumerate_strict_upper,
@@ -389,7 +389,8 @@ def test_lift_solve_matches_brute_force_permuted_n6_to_8():
 def lift_system(m):
     """The GF(2) system of the lift search with every invariance row, each
     coordinate read by `TransLattice.coords_mod2`: the presentation of the
-    strictly upper form of m, the number of unknowns, the relator rows as
+    strictly upper form of m, the number of unknowns, the rows of the
+    relators the generic route `relators` lists for its generators as
     (word, mask over x, required bit), and the invariance rows (mask over
     x, required bit 0), one per (basis row, active generator) pair."""
     _, m = to_strict_upper(m)
@@ -401,7 +402,7 @@ def lift_system(m):
     position = {i: pos for pos, i in enumerate(active)}
     shift = len(active)
     relator_rows = []
-    for rel in pres.relators:
+    for rel in relators(gens):
         sigma = support = sign = 0
         chi = coords(rel.trans2)
         for letter in rel.word:
@@ -632,7 +633,7 @@ def kernel_words(pres):
     distinct generators.  Squares repeat a letter, commutators hold inverse
     letters, and a translation generator alone has no active letter."""
     gens = pres.generators
-    return [rel.word for rel in pres.relators
+    return [rel.word for rel in relators(gens)
             if all(letter >= 0 for letter in rel.word) and len(set(rel.word)) == len(rel.word)
             and any(not gens[letter].is_translation for letter in rel.word)]
 
