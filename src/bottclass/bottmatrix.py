@@ -412,8 +412,10 @@ def _code(n: int, rows: Sequence[int]) -> int:
     off_{n-1} = 0 and off_i = off_{i+1} + w_{i+1}; entry a[i][j] is bit
     off_i + n-1-j, so a[i][i+1] is the top bit of the field and the fields
     of all rows hold column j at the same place n-1-j.  The walk's moves
-    (`_swap_codes`, `_op23_codes`) read and write the code through this
-    layout."""
+    read and write the code through this layout: Op2 and Op3 add fields
+    (`_op23_codes`), and a relabelling that keeps the form strictly upper
+    moves each entry to a fixed place, a permutation of the code bits
+    that `_move_masks` tabulates per 8-bit chunk of the code."""
     rev = _reversed_bits(n)
     code = 0
     for i, r in enumerate(rows):
@@ -432,63 +434,119 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _chunk_tables(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The lookup tables of the code bit permutation sending bit b to bit
+    perm[b]: table t maps each value of the bits [8t, 8t + 8) to the OR of
+    their images, so the image of a code is the OR of one read per table
+    (`_permuted`), and a table holds at most 256 ints."""
+    tables = []
+    for start in range(0, len(perm), 8):
+        table = [0]
+        for b in perm[start:start + 8]:
+            table += [t | 1 << b for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _permuted(code: int, tables: Sequence[Sequence[int]]) -> int:
+    """The image of a code under the bit permutation with these
+    `_chunk_tables`."""
+    out = 0
+    for table in tables:
+        out |= table[code & 255]
+        code >>= 8
+    return out
+
+
 @lru_cache(maxsize=None)
 def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
-    """The per-n masks of `_swap_codes` and `_op23_codes`, over the `_code`
-    layout.
+    """The per-n masks and lookup tables of the walk's moves, over the
+    `_code` layout.
 
-    swaps: (top, above, block, w) per adjacent swap (i i+1), with top the
-    bit of a[i][i+1], above the lower of the bits of columns i and i+1 in
-    every row r < i, block the field of row i+1 and w = w_{i+1} its width.
+    swaps: (top, tables) per adjacent swap (i i+1), with top the bit of
+    a[i][i+1] and tables the swap's `_chunk_tables`.  When a[i][i+1] = 0
+    the swap is a fixed permutation of the code bits: the relabelling p =
+    (i i+1) carries each entry a[r][c] above the diagonal, other than
+    a[i][i+1], to a[p r][p c], still above it, so columns i and i+1 trade
+    places in every row above i, the fields of rows i and i+1 trade places
+    (the low w_{i+1} bits of row i against row i+1), and a[i][i+1] stays.
+    A bit permutation maps a code to the OR of the images of its bits, so
+    one read per 8 code bits gives the image: 2 reads at n = 6, 3 at n = 7.
     rows: (off_k, field mask, column mask C_k, n-1-k) per k (row n-1 is
     empty, its field mask 0).
     pairs: (l, m, off_m, path, off_{m+1}, field mask of m+1) per Op3 pair
-    m < l, with path the swaps (l-1 l), ..., (m m+1) that move l down to m.
+    m < l, with path the tables of the swaps (l-1 l), ..., (m m+1)
+    composed in that order: the relabelling that moves l down to m, one
+    bit permutation too.
     """
     width = [n - 1 - i for i in range(n)]
     off = [0] * n
     for i in reversed(range(n - 1)):
         off[i] = off[i + 1] + width[i + 1]
-    swaps = tuple(
-        (1 << (off[i] + width[i] - 1),
-         sum(1 << (off[r] + n - 2 - i) for r in range(i)),
-         ((1 << width[i + 1]) - 1) << off[i + 1],
-         width[i + 1])
-        for i in range(n - 1))
+    size = n * (n - 1) // 2
+    perms = []  # perms[i][b]: where the swap (i i+1) sends code bit b
+    for i in range(n - 1):
+        p = list(range(n))
+        p[i], p[i + 1] = i + 1, i
+        perm = [0] * size
+        for r in range(n):
+            for c in range(r + 1, n):
+                perm[off[r] + n - 1 - c] = off[min(p[r], p[c])] + n - 1 - max(p[r], p[c])
+        perms.append(perm)
+    swaps = tuple((1 << (off[i] + width[i] - 1), _chunk_tables(perm))
+                  for i, perm in enumerate(perms))
     rows = tuple(
         (off[k], (1 << width[k]) - 1, sum(1 << (off[i] + n - 1 - k) for i in range(k)), n - 1 - k)
         for k in range(n))
-    pairs = tuple((l, m, off[m], swaps[m:l][::-1], off[m + 1], (1 << width[m + 1]) - 1)
-                  for l in range(1, n) for m in range(l))
-    return swaps, rows, pairs
+    pairs = []
+    for l in range(1, n):
+        for m in range(l):
+            path = list(range(size))
+            for i in reversed(range(m, l)):
+                path = [perms[i][b] for b in path]
+            pairs.append((l, m, off[m], _chunk_tables(path), off[m + 1], (1 << width[m + 1]) - 1))
+    return swaps, rows, tuple(pairs)
 
 
-def _swapped(code: int, swap: tuple) -> int:
-    """The code after the adjacent swap (i i+1), a[i][i+1] = 0: two delta
-    swaps, columns i and i+1 in every row above i, then the low w_{i+1}
-    bits of row i against row i+1 (the rows trade places)."""
-    _, above, block, w = swap
-    t = ((code >> 1) ^ code) & above
-    code ^= t ^ (t << 1)
-    t = ((code >> w) ^ code) & block
-    return code ^ t ^ (t << w)
+def _swap_orbits(n: int, ids: array) -> array:
+    """Phase 1 of `diffeo_classes`: label every code with its Op1 orbit.
 
-
-def _swap_codes(n: int, code: int) -> list[int]:
-    """The `_code`s one adjacent swap (i i+1) with a[i][i+1] = 0 away from
-    the strictly upper matrix with this code, leaving out the swaps that
-    fix it (rows i and i+1 equal, and columns i and i+1 equal).  This is
-    `_swapped` inlined: the walk calls it once per code."""
-    out = []
-    for top, above, block, w in _move_masks(n)[0]:
-        if not code & top:
-            t = ((code >> 1) ^ code) & above
-            moved = code ^ t ^ (t << 1)
-            t = ((moved >> w) ^ moved) & block
-            moved ^= t ^ (t << w)
-            if moved != code:
-                out.append(moved)
-    return out
+    Breadth-first search over the adjacent swaps (i i+1) with
+    a[i][i+1] = 0, from each code not yet labelled, in code order, with
+    the contract of `_components`: ids is filled in place (-1 is
+    unlabelled) and is the visited set, orbits are numbered by their least
+    codes, the representatives, which are returned in that order, and a
+    code reached that already holds another id raises InvariantViolation
+    naming its matrix in `{"n", "rows"}` form.  Each swap reads its
+    `_move_masks` tables inline, with no neighbour list: three reads, the
+    third of a one-entry table while the code has at most 16 bits
+    (n <= 6); a swap that fixes the matrix lands on the code itself,
+    which holds the current id.  Three 8-bit reads cover n <= 7, whose
+    2^21 codes are the most the walk keeps a table for.
+    """
+    if n > 7:
+        raise BoundExceeded(f"the Op1 orbit table at n = {n} holds 2^{n * (n - 1) // 2} codes")
+    swaps = [(top, *tables, *((0,),) * (3 - len(tables))) for top, tables in _move_masks(n)[0]]
+    seeds = array("I")
+    for seed in range(len(ids)):
+        if ids[seed] != -1:
+            continue
+        cid = len(seeds)
+        seeds.append(seed)
+        ids[seed] = cid
+        todo = [seed]
+        for code in todo:  # grows while it is walked
+            low, mid, high = code & 255, code >> 8 & 255, code >> 16
+            for top, t0, t1, t2 in swaps:
+                if not code & top:
+                    nb = t0[low] | t1[mid] | t2[high]
+                    owner = ids[nb]
+                    if owner == -1:
+                        ids[nb] = cid
+                        todo.append(nb)
+                    elif owner != cid:
+                        raise InvariantViolation(f"{_named(n, _decode(n, nb))} is in two orbits")
+    return seeds
 
 
 def _op23_codes(n: int, code: int) -> list[int]:
@@ -504,7 +562,8 @@ def _op23_codes(n: int, code: int) -> list[int]:
       whose s equals that of l;
     - the reverse Op3, row m added to row l, is read after the swaps that
       move l down to m (legal, since the predecessors of l are those of m,
-      all below m): there it adds row m+1 to row m.  When rows l and m are
+      all below m), one read of the pair's path tables per code chunk
+      (`_permuted`): there it adds row m+1 to row m.  When rows l and m are
       equal too, exchanging l and m fixes the matrix and carries one
       direction to the other, so only the forward one is listed.
     """
@@ -524,9 +583,7 @@ def _op23_codes(n: int, code: int) -> list[int]:
             if fields[l]:
                 out.append(code ^ (fields[l] << off))
             if fields[m] and fields[m] != fields[l]:
-                moved = code
-                for swap in path:
-                    moved = _swapped(moved, swap)
+                moved = _permuted(code, path)
                 out.append(moved ^ ((moved >> off_next) & fmask_next) << off)
     return out
 
@@ -722,13 +779,17 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     runs in two phases.
 
     Phase 1 labels every code with its Op1 orbit, the strictly upper
-    conjugates of the matrix.  Op1 contributes only the adjacent
-    transpositions (i i+1) with a[i][i+1] = 0 (`_swap_codes`), which keep
-    the form.  These reach every strictly upper conjugate, i.e. every
-    linear extension of the edge order: to reach a target order, move its
-    first vertex down past the vertices before it (none is a predecessor,
-    so no edge joins two swapped neighbours), then repeat on the rest.  The
-    orbits are numbered by their least codes, the representatives.
+    conjugates of the matrix (`_swap_orbits`).  Op1 contributes only the
+    adjacent transpositions (i i+1) with a[i][i+1] = 0, which keep the
+    form.  These reach every strictly upper conjugate, i.e. every linear
+    extension of the edge order: to reach a target order, move its first
+    vertex down past the vertices before it (none is a predecessor, so no
+    edge joins two swapped neighbours), then repeat on the rest.  Each such
+    swap moves every other entry above the diagonal to a fixed place, so
+    it is a permutation of the code bits, and a bit permutation maps a
+    code to the OR of the images of its 8-bit chunks: one lookup per chunk
+    in the tables `_move_masks` builds per n (256 ints each).  The orbits
+    are numbered by their least codes, the representatives.
 
     Phase 2 joins the orbits into classes.  Op2 and Op3 commute with
     relabelling: for a relabelling p, Op2 at k of p.A is p.(Op2 at p^-1(k)
@@ -739,13 +800,15 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     representatives alone.  There a pair of equal columns may come in
     either order, so Op3 runs in both directions: row l added to row m < l
     keeps the form, and row m added to row l is read after a relabelling,
-    the l - m adjacent swaps that move l down to m.  Those swaps are legal
-    because equal columns give l and m the same predecessors, all below m.
+    the l - m adjacent swaps that move l down to m, composed into one bit
+    permutation with its own tables.  Those swaps are legal because equal
+    columns give l and m the same predecessors, all below m.
 
-    Both phases are breadth-first searches (`_components`), each filling
-    its own table: `ids` holds the orbit of each code, and `orbit_class`
-    the class of each orbit.  Then one pass in code order turns `ids`
-    into the class-id table and groups the member codes per class.  The
+    Both phases are breadth-first searches (`_swap_orbits` with the swaps
+    inline, `_components` over `_op23_codes`), each filling its own table:
+    `ids` holds the orbit of each code, and `orbit_class` the class of each
+    orbit.  Then one pass in code order turns `ids` into the class-id
+    table and groups the member codes per class.  The
     least code of a class is the representative of its least orbit, and
     phase 2 meets the orbits in that order, so classes are numbered by
     their least codes: the first member of each class is its canonical,
@@ -761,10 +824,11 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     each other on every class.  A mismatch raises InvariantViolation
     naming the class canonical and the matrix of the first code that
     differs, in `{"n", "rows"}` form.  A code or orbit reached from two
-    seeds raises in `_components`, at the edge that leads into the other
-    orbit or class.  The class sizes need no check: the members are
-    grouped from every entry of the code table, each into exactly one
-    class, so they sum to 2^(n(n-1)/2) whatever the walk labelled.
+    seeds raises in `_swap_orbits` or `_components`, at the edge that leads
+    into the other orbit or class.  The class sizes need no check: the
+    members are grouped from every entry of the code table, each into
+    exactly one class, so they sum to 2^(n(n-1)/2) whatever the walk
+    labelled.
     """
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
@@ -772,7 +836,7 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
         raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {CLASSIFY_BOUND}")
     # the Op1 orbit of each code, then its class
     ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
-    reps = _components(ids, lambda code: _swap_codes(n, code), lambda code: _decode(n, code))
+    reps = _swap_orbits(n, ids)
     orbit_class = array("i", [-1]) * len(reps)
     count = len(_components(orbit_class, lambda o: [ids[c] for c in _op23_codes(n, reps[o])],
                             lambda o: _decode(n, reps[o])))

@@ -182,14 +182,15 @@ def cmd_spin(path: str) -> int:
             w for w in (_witness_dict(spin.odd_overlap_witness(m)), _witness_dict(spin.disjoint_rows_witness(m)))
             if w is not None
         ]
-        results["spin"] = spin.has_spin(m)
+        # the strictly upper form the ring was built on: no second relabelling
+        results["spin"] = spin.has_spin(ring.matrix)
         if results["spin"] != w2.is_zero():
             raise InvariantViolation(
                 f"spin from the rows is {results['spin']} but the ring's w2 is {results['w2']} "
                 f"for {json.dumps(to_json_dict(m))}")
         results["spinc_obstructed"] = spin.spinc_obstructed(m)
         results["witnesses"] = witnesses
-        results["lift_found"] = spin.spin_lift_search(m) is not None
+        results["lift_found"] = spin.spin_lift_search(ring.matrix) is not None
         if results["lift_found"] != results["spin"]:
             raise InvariantViolation(
                 f"spin from w2 is {results['spin']} but lift_found is {results['lift_found']} "

@@ -671,22 +671,86 @@ def _cyclic_perm(n, l, m_idx):
     return perm
 
 
+def _upper_code(n, mat):
+    return bottmatrix._code(n, BottMatrix.from_rows(mat).rows)
+
+
+def _check_tables(n, tables, expected, free):
+    # every entry of a move's chunk tables against the list oracles: the
+    # code made of one chunk value is mapped to expected(matrix) when it
+    # holds none of the bits in free (entries the move never reads on a
+    # legal code), and the tables are OR-linear, so the map of any code is
+    # the OR of its chunks' entries and each entry is one oracle image
+    width = n * (n - 1) // 2
+    assert len(tables) == -(-width // 8) and all(len(t) <= 256 for t in tables)
+    checked = 0
+    for t, table in enumerate(tables):
+        assert len(table) == 1 << min(8, width - 8 * t)
+        for value, image in enumerate(table):
+            code = value << (8 * t)
+            if not code & free:
+                mat = lists(BottMatrix(n, bottmatrix._decode(n, code)))
+                assert image == _upper_code(n, expected(mat)), (n, t, value)
+                checked += 1
+    return checked
+
+
 def _check_swap_codes(n):
-    # Op1's edges in the walk, rebuilt from the list oracle: the adjacent
-    # swaps (i i+1) with a[i][i+1] = 0 that change the matrix, and no other
+    # Op1's edges in the walk, rebuilt from the list oracle: each swap
+    # (i i+1) is legal where a[i][i+1] = 0, and its tables map a code to the
+    # code of the swapped matrix, on every table entry and on the matrices
+    # of `_moved_matrices`, where the swaps that fix the matrix map the code
+    # to itself
     total = 1 << (n * (n - 1) // 2)
+    swaps = bottmatrix._move_masks(n)[0]
+    assert len(swaps) == n - 1
+    for i, (top, tables) in enumerate(swaps):
+        assert top == _upper_code(n, [[int((r, c) == (i, i + 1)) for c in range(n)]
+                                      for r in range(n)])
+        assert _check_tables(n, tables, lambda mat: op1_oracle(mat, _swap_perm(n, i)), top)
     moved = fixed = 0
     for m in _moved_matrices(n):
         mat = lists(m)
         code = bottmatrix._code(n, m.rows)
-        codes = bottmatrix._swap_codes(n, code)
-        assert all(0 <= c < total for c in codes) and code not in codes
-        swaps = [op1_oracle(mat, _swap_perm(n, i)) for i in range(n - 1) if not mat[i][i + 1]]
-        expected = {BottMatrix.from_rows(s).rows for s in swaps if s != mat}
-        assert {bottmatrix._decode(n, c) for c in codes} == expected
-        moved += len(expected)
-        fixed += sum(s == mat for s in swaps)
+        for i, (top, tables) in enumerate(swaps):
+            if mat[i][i + 1]:
+                assert code & top
+                continue
+            image = bottmatrix._permuted(code, tables)
+            swapped = op1_oracle(mat, _swap_perm(n, i))
+            assert 0 <= image < total
+            assert bottmatrix._decode(n, image) == BottMatrix.from_rows(swapped).rows
+            moved += swapped != mat
+            fixed += swapped == mat
     assert fixed and (n == 2 or moved)
+
+
+def _check_op3_paths(n):
+    # the relabelling the reverse Op3 of the pair (l, m_idx) is read after,
+    # one table per pair, against the list oracle under the cyclic
+    # relabelling that moves l down to m_idx: on every table entry whose
+    # code has a[j][l] = 0 for m_idx <= j < l (true wherever columns l and
+    # m_idx are equal) and on every matrix of `_moved_matrices` with
+    # columns l and m_idx equal
+    pairs = bottmatrix._move_masks(n)[2]
+    assert [(l, m_idx) for l, m_idx, *_ in pairs] == [(l, m_idx) for l in range(1, n)
+                                                     for m_idx in range(l)]
+    for l, m_idx, _, path, _, _ in pairs:
+        free = _upper_code(n, [[int(c == l and m_idx <= r < l) for c in range(n)]
+                               for r in range(n)])
+        perm = _cyclic_perm(n, l, m_idx)
+        assert _check_tables(n, path, lambda mat: op1_oracle(mat, perm), free)
+    equal = 0
+    for m in _moved_matrices(n):
+        mat = lists(m)
+        code = bottmatrix._code(n, m.rows)
+        for l, m_idx, _, path, _, _ in pairs:
+            if all(mat[i][l] == mat[i][m_idx] for i in range(n)):
+                relabelled = op1_oracle(mat, _cyclic_perm(n, l, m_idx))
+                assert bottmatrix._decode(n, bottmatrix._permuted(code, path)) == \
+                    BottMatrix.from_rows(relabelled).rows, (n, m.rows, l, m_idx)
+                equal += l - m_idx > 1 and relabelled != mat
+    assert n <= 2 or equal
 
 
 def _check_op23_codes(n):
@@ -730,10 +794,11 @@ def _check_op23_codes(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_neighbors_are_the_strictly_upper_moves(n):
-    # the walk's edges, one check per move function against the list
-    # oracles: every strictly upper matrix for n <= 5, 300 seeded ones each
-    # for n = 6..8
+    # the walk's edges against the list oracles: every entry of the swap and
+    # path tables, then each move on every strictly upper matrix for n <= 5
+    # and 300 seeded ones each for n = 6..8
     _check_swap_codes(n)
+    _check_op3_paths(n)
     _check_op23_codes(n)
 
 
@@ -745,24 +810,37 @@ def _op1_orbit_label(n, rows):
                if all(r & ((2 << i) - 1) == 0 for i, r in enumerate(c)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def _swap_orbits(n):
+    ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
+    return ids, bottmatrix._swap_orbits(n, ids)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_swap_orbits_are_the_strictly_upper_conjugates(n):
     # phase 1 of the walk against brute force: the orbit table labels each
-    # code with the orbit whose representative is its least conjugate
-    total = 1 << (n * (n - 1) // 2)
-    ids = array("i", [-1]) * total
-    reps = bottmatrix._components(ids, lambda c: bottmatrix._swap_codes(n, c), None)
+    # code with the orbit whose representative is its least conjugate; every
+    # code for n <= 5, 60 seeded matrices at n = 6
+    ids, reps = _swap_orbits(n)
     assert list(reps) == sorted(reps)
-    for code in range(total):
+    if n <= 5:
+        codes = range(len(ids))
+    else:
+        codes = [bottmatrix._code(n, m.rows) for m in _sampled_strict_upper(n, 60, 9006)]
+    for code in codes:
         assert reps[ids[code]] == _op1_orbit_label(n, bottmatrix._decode(n, code))
 
 
 def test_swap_orbit_counts():
     # the unlabelled acyclic digraphs on n vertices (OEIS A003087)
     for n, count in zip(range(1, 7), [1, 2, 6, 31, 302, 5984]):
-        ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
-        reps = bottmatrix._components(ids, lambda c: bottmatrix._swap_codes(n, c), None)
-        assert len(reps) == count
+        assert len(_swap_orbits(n)[1]) == count
+
+
+def test_swap_orbits_refuse_n8():
+    # three 8-bit reads per swap cover the 21 code bits of n = 7; the
+    # orbit table of n = 8 would hold 2^28 ids
+    with pytest.raises(BoundExceeded):
+        bottmatrix._swap_orbits(8, array("i"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -792,28 +870,30 @@ def test_two_orbits_raises_under_python_O():
     # a node that already holds another id stops either phase of the walk at
     # that edge, with InvariantViolation, so the check survives `python -O`:
     # a foreign id is put on a code that is not the least of its Op1 orbit
-    # (phase 1, 64 codes at n = 4), then on an orbit that is not the least
-    # of its class (phase 2, 31 orbits)
+    # (phase 1, `_swap_orbits`), then on an orbit that is not the least of
+    # its class (phase 2, `_components`), at n = 4
     code = textwrap.dedent("""
         from bottclass import bottmatrix
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
-        n = 4
-        real = bottmatrix._components
-        def foreign(size):
-            def components(ids, step, rows_of):
-                if len(ids) == size:
-                    labelled = ids[:]
-                    real(labelled, step, rows_of)
-                    node = next(x for x, c in enumerate(labelled) if labelled.index(c) != x)
-                    ids[node] = 10**6
-                return real(ids, step, rows_of)
-            return components
-        for size in (64, 31):
-            bottmatrix._components = foreign(size)
+        real_swaps, real_components = bottmatrix._swap_orbits, bottmatrix._components
+        def mislabel(ids, walk):
+            labelled = ids[:]
+            walk(labelled)
+            node = next(x for x, c in enumerate(labelled) if labelled.index(c) != x)
+            ids[node] = 10**6
+        def swap_orbits(n, ids):
+            mislabel(ids, lambda table: real_swaps(n, table))
+            return real_swaps(n, ids)
+        def components(ids, step, rows_of):
+            mislabel(ids, lambda table: real_components(table, step, rows_of))
+            return real_components(ids, step, rows_of)
+        for name, patched in (("_swap_orbits", swap_orbits), ("_components", components)):
+            bottmatrix._swap_orbits, bottmatrix._components = real_swaps, real_components
+            setattr(bottmatrix, name, patched)
             bottmatrix.diffeo_classes.cache_clear()
             try:
-                bottmatrix.diffeo_classes(n)
+                bottmatrix.diffeo_classes(4)
             except InvariantViolation as exc:
                 print("raised:", exc)
             else:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog, cohomology, rigidity, spin
-from bottclass.bottmatrix import format_matrix_text, parse_matrix, to_json_dict
+from bottclass import bottmatrix, catalog, cohomology, rigidity, spin
+from bottclass.bottmatrix import format_matrix_text, op1, parse_matrix, to_json_dict
 from bottclass.cli import main
 from bottclass.spin import SpinLift
 
@@ -204,6 +204,26 @@ def test_spin_w2_routes_that_disagree_exit_3_with_the_matrix(monkeypatch, capsys
     assert code == 3 and out == ""
     assert "the ring's w2 is" in err
     assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
+
+
+@pytest.mark.parametrize("name", ["A29", "A4"])
+def test_spin_relabels_once(monkeypatch, capsys, tmp_path, name):
+    # the report builds the strictly upper form once, for the ring, and
+    # hands that form to has_spin and the lift search; their verdicts are
+    # those of the form the catalog gives
+    m = catalog.DIM5_ORIENTED[name]
+    moved = op1(m, (4, 2, 0, 3, 1))
+    assert not moved.is_strictly_upper
+    f = tmp_path / "moved.txt"
+    f.write_text(format_matrix_text(moved))
+    calls = []
+    real = bottmatrix._strict_upper_perm
+    monkeypatch.setattr(bottmatrix, "_strict_upper_perm",
+                        lambda n, rows: calls.append(rows) or real(n, rows))
+    code, out, _ = run(capsys, "spin", "--matrix", str(f))
+    assert code == 0 and calls == [moved.rows]
+    res = last_json(out)["results"]
+    assert res["spin"] is spin.has_spin(m) and res["lift_found"] is res["spin"]
 
 
 def test_prop1(capsys):

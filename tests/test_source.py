@@ -207,6 +207,7 @@ def test_diffeo_classes_decodes_no_member():
         visit(name, functions[name], 0)
         todo += {called(node) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
                  and called(node) in functions and called(node) not in seen}
-    assert seen >= {"diffeo_classes", "_components", "_swap_codes", "_op23_codes", "_swapped",
-                    "_fingerprint_blocks", "_fingerprint_planes"}
+    assert seen >= {"diffeo_classes", "_swap_orbits", "_move_masks", "_chunk_tables",
+                    "_components", "_op23_codes", "_permuted", "_fingerprint_blocks",
+                    "_fingerprint_planes"}
     assert found == []
