@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
+from math import comb
+from operator import xor
 from typing import Optional, Sequence
 
 from . import __version__, bieberbach, cohomology, rigidity, spin
@@ -27,12 +30,17 @@ from .bottmatrix import (
     is_orientable,
     parse_matrix,
     to_json_dict,
+    to_strict_upper,
 )
-from .gf2 import BoundExceeded, InvariantViolation, UsageError, rank_masks
+from .gf2 import BoundExceeded, InvariantViolation, UsageError, bits, rank_masks, transpose_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
+
+# `invariants` and `spin` read every field from the rows, with no object of
+# 2^n size; this is the input range they are tested on, n = 64 included.
+REPORT_BOUND = 64
 
 
 def _report(command: str, inputs: dict, results) -> dict:
@@ -132,65 +140,54 @@ def cmd_table(max_dim: int, csv: bool) -> int:
     return EXIT_OK
 
 
-def _matrix_context(m: BottMatrix) -> tuple[dict, cohomology.CohomRing]:
-    ring = cohomology.ring_of(m)
+def _matrix_context(m: BottMatrix) -> tuple[dict, BottMatrix]:
+    """The report's opening fields and the one strictly upper form of m
+    that every later field is read from."""
+    if m.n > REPORT_BOUND:
+        raise BoundExceeded(f"report at n={m.n} exceeds the configured bound {REPORT_BOUND}")
+    perm, strict = to_strict_upper(m)
     info: dict = {"matrix": to_json_dict(m)}
-    if ring.permutation != tuple(range(m.n)):
-        info["normalization"] = {
-            "permutation": [p + 1 for p in ring.permutation],
-            "matrix": to_json_dict(ring.matrix),
-        }
-    return info, ring
+    if perm != tuple(range(m.n)):
+        info["normalization"] = {"permutation": [p + 1 for p in perm], "matrix": to_json_dict(strict)}
+    return info, strict
+
+
+def _w1_w2(strict: BottMatrix) -> tuple[str, frozenset[int]]:
+    """w1, printed, and the monomials of w2, from the rows of a strictly upper
+    matrix: w1 is the XOR of the columns, as `CohomRing.stiefel_whitney(1)`."""
+    w1 = reduce(xor, transpose_masks(strict.n, strict.rows), 0)
+    return cohomology.format_terms(1 << i for i in bits(w1)), cohomology.w2_of_rows(strict.n, strict.rows)
 
 
 def cmd_invariants(path: str) -> int:
     m = _load_matrix(path)
-    info, ring = _matrix_context(m)
-    results = dict(info)
-    results.update(
-        {
-            "orientable": is_orientable(m),
-            "rank": rank_masks(m.rows),
-            "ghw": is_ghw_rbm(m),
-            "w1": cohomology.format_poly(ring.stiefel_whitney(1)),
-            "w2": cohomology.format_poly(ring.stiefel_whitney(2)),
-            "h2_real_zero": cohomology.h2_real_is_zero(m),
-            "betti": [ring.betti_z2(k) for k in range(m.n + 1)],
-        }
-    )
+    results, strict = _matrix_context(m)
+    w1, w2 = _w1_w2(strict)
+    results.update(orientable=is_orientable(m), rank=rank_masks(m.rows), ghw=is_ghw_rbm(m),
+                   w1=w1, w2=cohomology.format_terms(w2), h2_real_zero=cohomology.h2_real_is_zero(m),
+                   # the square-free monomials are a basis (`CohomRing.betti_z2`)
+                   betti=[comb(m.n, k) for k in range(m.n + 1)])
     _emit(_report("invariants", {"matrix_file": path}, results))
     return EXIT_OK
 
 
-def _witness_dict(w: Optional[spin.ObstructionWitness]) -> Optional[dict]:
-    if w is None:
-        return None
+def _witness_dict(w: spin.ObstructionWitness) -> dict:
     return {"kind": w.kind, "i": w.i + 1, "j": w.j + 1, "data": list(w.data)}
 
 
 def cmd_spin(path: str) -> int:
     m = _load_matrix(path)
-    info, ring = _matrix_context(m)
-    results = dict(info)
-    oriented = is_orientable(m)
-    results["orientable"] = oriented
-    results["w1"] = cohomology.format_poly(ring.stiefel_whitney(1))
-    w2 = ring.stiefel_whitney(2)
-    results["w2"] = cohomology.format_poly(w2)
+    results, strict = _matrix_context(m)
+    results["orientable"] = oriented = is_orientable(m)
+    results["w1"], w2 = _w1_w2(strict)
+    results["w2"] = cohomology.format_terms(w2)
     if oriented:
-        witnesses = [
-            w for w in (_witness_dict(spin.odd_overlap_witness(m)), _witness_dict(spin.disjoint_rows_witness(m)))
-            if w is not None
-        ]
-        # the strictly upper form the ring was built on: no second relabelling
-        results["spin"] = spin.has_spin(ring.matrix)
-        if results["spin"] != w2.is_zero():
-            raise InvariantViolation(
-                f"spin from the rows is {results['spin']} but the ring's w2 is {results['w2']} "
-                f"for {json.dumps(to_json_dict(m))}")
+        found = (spin.odd_overlap_witness(m), spin.disjoint_rows_witness(m))
+        results["spin"] = not w2
         results["spinc_obstructed"] = spin.spinc_obstructed(m)
-        results["witnesses"] = witnesses
-        results["lift_found"] = spin.spin_lift_search(ring.matrix) is not None
+        results["witnesses"] = [_witness_dict(w) for w in found if w is not None]
+        # the strictly upper form w2 was read from: no second relabelling
+        results["lift_found"] = spin.spin_lift_search(strict) is not None
         if results["lift_found"] != results["spin"]:
             raise InvariantViolation(
                 f"spin from w2 is {results['spin']} but lift_found is {results['lift_found']} "

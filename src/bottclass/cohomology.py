@@ -44,11 +44,9 @@ from .gf2 import (
     transpose_masks,
 )
 
-# The multiply tables are n ints of 4^n bits, and the per-n masks of
-# `_lane_masks` 2n + 1 more: at n = 12 `bottclass invariants` takes
-# 0.20-0.33 s and 102 MiB of peak RSS (0.12-0.15 s and 34 MiB when the
-# tables were lists of 2^n ints; Python 3.11 on a shared 2-core x86-64 VM),
-# and every int grows fourfold per step.
+# The multiply tables are n ints of 4^n bits, and `_lane_masks` 2n + 1 more:
+# one n = 12 ring and its w2 take 0.10-0.12 s and 100-102 MiB of peak RSS
+# (Python 3.11, shared 2-core x86-64 VM), and every int grows fourfold per step.
 RING_BOUND = 12
 
 
@@ -132,12 +130,16 @@ def poly_from_vars(*one_based_vars: Iterable[int]) -> Gf2Poly:
     return Gf2Poly(packed)
 
 
+def format_terms(terms: Iterable[int]) -> str:
+    """The '+'-separated product form of a set of monomial masks, e.g.
+    "x1*x3 + x2*x5"; "0" for none, "1" for the empty monomial."""
+    monomials = sorted(terms, key=lambda mask: (popcount(mask), tuple(bits(mask))))
+    return " + ".join("*".join(f"x{i + 1}" for i in bits(mask)) or "1" for mask in monomials) or "0"
+
+
 def format_poly(p: Gf2Poly) -> str:
-    """The '+'-separated product form, e.g. "x1*x3 + x2*x5"; "0", "1"."""
-    if p.is_zero():
-        return "0"
-    monomials = sorted(bits(p.packed), key=lambda mask: (popcount(mask), tuple(bits(mask))))
-    return " + ".join("*".join(f"x{i + 1}" for i in bits(mask)) or "1" for mask in monomials)
+    """`format_terms` of the monomials of p."""
+    return format_terms(bits(p.packed))
 
 
 @lru_cache(maxsize=None)
@@ -310,14 +312,13 @@ def ring_of(m: BottMatrix) -> CohomRing:
     return CohomRing(m)
 
 
-def w2_of_rows(n: int, rows: Sequence[int]) -> Gf2Poly:
-    """Normal form of w_2 = sum_{i<j} y_i y_j straight from the row
-    masks, with no ring (`bottmatrix.w2_masks`)."""
-    acc = 0
-    for a, coeffs in enumerate(w2_masks(rows, transpose_masks(n, rows))):
-        for b in bits(coeffs):
-            acc |= 1 << ((1 << a) | (1 << b))
-    return Gf2Poly(acc)
+def w2_of_rows(n: int, rows: Sequence[int]) -> frozenset[int]:
+    """The monomial masks of the normal form of w_2 = sum_{i<j} y_i y_j,
+    as `Gf2Poly.terms` gives them, straight from the row masks with no ring
+    (`bottmatrix.w2_masks`): one pair x_a x_b per bit b of the mask of a,
+    so nothing of 2^n size is built."""
+    masks = w2_masks(rows, transpose_masks(n, rows))
+    return frozenset((1 << a) | (1 << b) for a, coeffs in enumerate(masks) for b in bits(coeffs))
 
 
 def h2_real_is_zero(m: BottMatrix) -> bool:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import bieberbach, cohomology, gf2
-from .bottmatrix import BottMatrix, is_orientable, to_json_dict, to_strict_upper
+from .bottmatrix import BottMatrix, is_orientable, to_json_dict, to_strict_upper, w2_masks
 from .gf2 import parity, popcount
 
 PART_I = "Part I"
@@ -171,10 +171,11 @@ def disjoint_rows_witness(m: BottMatrix) -> Optional[ObstructionWitness]:
 
 def has_spin(m: BottMatrix) -> bool:
     """Spin structure exists iff w_2 = 0 (oriented input required), read
-    from the rows of the strictly upper normalisation without a ring."""
+    from the rows of the strictly upper normalisation without a ring: the
+    first nonzero pair mask of `w2_masks` settles it."""
     _require_orientable(m)
     _, m = to_strict_upper(m)
-    return cohomology.w2_of_rows(m.n, m.rows).is_zero()
+    return not any(w2_masks(m.rows, gf2.transpose_masks(m.n, m.rows)))
 
 
 def spinc_obstructed(m: BottMatrix) -> bool:

@@ -2,14 +2,18 @@
 import gc
 import io
 import json
+import os
+import random
 import subprocess
 import sys
+import textwrap
 import warnings
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from bottclass import bottmatrix, catalog, cohomology, rigidity, spin
+from bottclass import bottmatrix, catalog, cli, cohomology, rigidity, spin
 from bottclass.bottmatrix import format_matrix_text, op1, parse_matrix, to_json_dict
 from bottclass.cli import main
 from bottclass.spin import SpinLift
@@ -190,27 +194,45 @@ def test_spin_routes_that_disagree_exit_3_with_the_matrix(monkeypatch, capsys, f
     assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
 
 
-@pytest.mark.parametrize("fixture, w2", [("a29.txt", cohomology.poly_from_vars([1, 2])),
-                                         ("a4.txt", cohomology.Gf2Poly(0))],
+@pytest.mark.parametrize("fixture, w2", [("a29.txt", frozenset({0b11})), ("a4.txt", frozenset())],
                          ids=["spin-a29", "not-spin-a4"])
 def test_spin_w2_routes_that_disagree_exit_3_with_the_matrix(monkeypatch, capsys, fixture, w2):
-    # a29 is Spin and a4 is not; a ring whose w2 is broken to answer the
-    # other way disagrees with has_spin, which reads w2 from the rows
-    real = cohomology.CohomRing.stiefel_whitney
-    monkeypatch.setattr(cohomology.CohomRing, "stiefel_whitney",
-                        lambda ring, k: w2 if k == 2 else real(ring, k))
+    # a29 is Spin and a4 is not; a rows' w2 route broken to answer the
+    # other way disagrees with the lift search, which solves its own
+    # GF(2) system from the rows
+    monkeypatch.setattr(cohomology, "w2_of_rows", lambda n, rows: w2)
     path = FIXTURES / fixture
     code, out, err = run(capsys, "spin", "--matrix", str(path))
     assert code == 3 and out == ""
-    assert "the ring's w2 is" in err
+    assert f"spin from w2 is {not w2} but lift_found is {bool(w2)}" in err
+    assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
+
+
+def test_spin_w2_routes_that_disagree_exit_3_under_python_O():
+    # the lift-vs-w2 guard raises InvariantViolation, not assert, so a
+    # disagreement still exits 3 with the matrix under `python -O`
+    path = FIXTURES / "a29.txt"
+    code = textwrap.dedent(f"""
+        import sys
+        from bottclass import cli, cohomology
+        assert not __debug__
+        cohomology.w2_of_rows = lambda n, rows: frozenset({{0b11}})
+        sys.exit(cli.main(["spin", "--matrix", {str(path)!r}]))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    err = proc.stderr
     assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
 
 
 @pytest.mark.parametrize("name", ["A29", "A4"])
 def test_spin_relabels_once(monkeypatch, capsys, tmp_path, name):
-    # the report builds the strictly upper form once, for the ring, and
-    # hands that form to has_spin and the lift search; their verdicts are
-    # those of the form the catalog gives
+    # the report builds the strictly upper form once, reads w1 and w2 from
+    # its rows and hands it to the lift search; the verdicts are those of
+    # the form the catalog gives
     m = catalog.DIM5_ORIENTED[name]
     moved = op1(m, (4, 2, 0, 3, 1))
     assert not moved.is_strictly_upper
@@ -302,15 +324,126 @@ def test_dimension_below_one_is_named(capsys, tmp_path, command, content, n):
 
 
 @pytest.mark.parametrize("command", ["invariants", "spin"])
-def test_matrix_above_the_ring_bound_exits_2(capsys, tmp_path, command):
-    from bottclass.cohomology import RING_BOUND
+def test_matrix_above_the_report_bound_exits_2(capsys, tmp_path, command):
+    from bottclass.cli import REPORT_BOUND
 
-    n = RING_BOUND + 1
+    n = REPORT_BOUND + 1
     f = tmp_path / "m.json"
     f.write_text(json.dumps({"n": n, "rows": ["0" * n] * n}))
     code, out, err = run(capsys, command, "--matrix", str(f))
     assert code == 2 and not out
-    assert err == f"error: cohomology ring at n={n} exceeds the configured bound {RING_BOUND}\n"
+    assert err == f"error: report at n={n} exceeds the configured bound {REPORT_BOUND}\n"
+
+
+MATRIX_FIXTURES = sorted(p for p in FIXTURES.glob("*.txt") if p.name != "star_family_7.txt")
+
+
+def report_of(monkeypatch, capsys, command, m):
+    """The results of one report on m, read from stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(to_json_dict(m))))
+    code, out, err = run(capsys, command, "--matrix", "-")
+    assert code == 0, err
+    return last_json(out)["results"]
+
+
+def _random_strict_upper(rng, n):
+    return bottmatrix.BottMatrix(n, tuple(rng.getrandbits(n) & -(2 << i) & ((1 << n) - 1)
+                                          for i in range(n)))
+
+
+def _random_oriented(rng, n):
+    """A strictly upper matrix with even rows: bit n-1 evens each row."""
+    rows = _random_strict_upper(rng, n).rows
+    return bottmatrix.BottMatrix(n, tuple(r ^ (r.bit_count() & 1) << (n - 1) for r in rows))
+
+
+def _command_results(monkeypatch, capsys, command, m):
+    """`report_of` without the argument parser, which costs more than a
+    report at these n."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(to_json_dict(m))))
+    assert getattr(cli, f"cmd_{command}")("-") == 0
+    return last_json(capsys.readouterr().out)["results"]
+
+
+def _check_reports_against_the_ring(monkeypatch, capsys, m):
+    # the reports read w1, w2 and betti from the rows; the ring is the oracle
+    ring = cohomology.ring_of(m)
+    expected = {"w1": cohomology.format_poly(ring.stiefel_whitney(1)),
+                "w2": cohomology.format_poly(ring.stiefel_whitney(2))}
+    res = _command_results(monkeypatch, capsys, "invariants", m)
+    assert {k: res[k] for k in expected} == expected, m.rows
+    assert res["betti"] == [ring.betti_z2(k) for k in range(m.n + 1)], m.rows
+    res = _command_results(monkeypatch, capsys, "spin", m)
+    assert {k: res[k] for k in expected} == expected, m.rows
+    if res["orientable"]:
+        assert res["spin"] is ring.stiefel_whitney(2).is_zero(), m.rows
+
+
+def test_reports_equal_the_ring_on_fixtures_and_every_strict_n_le_5(monkeypatch, capsys):
+    mats = [parse_matrix(p.read_text()) for p in MATRIX_FIXTURES] + list(catalog.star_family())
+    mats += [m for n in range(1, 6) for m in bottmatrix.enumerate_strict_upper(n)]
+    assert len(mats) == 8 + 512 + 1 + 2 + 8 + 64 + 1024
+    for m in mats:
+        _check_reports_against_the_ring(monkeypatch, capsys, m)
+
+
+def test_reports_equal_the_ring_on_seeded_permuted_n6_to_12(monkeypatch, capsys):
+    # the n = 12 ring holds about 100 MiB, with its lane masks cached
+    rng = random.Random(612)
+    try:
+        for n in range(6, 13):
+            for k in range(4 if n < 12 else 2):
+                m = _random_oriented(rng, n) if k % 2 else _random_strict_upper(rng, n)
+                moved = op1(m, rng.sample(range(n), n))
+                _check_reports_against_the_ring(monkeypatch, capsys, moved)
+    finally:
+        cohomology._lane_masks.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["invariants", "spin"])
+def test_reports_build_no_ring(monkeypatch, capsys, command):
+    def refuse(ring, matrix):
+        raise AssertionError("a report built a CohomRing")
+
+    monkeypatch.setattr(cohomology.CohomRing, "__init__", refuse)
+    for path in MATRIX_FIXTURES:
+        code, out, err = run(capsys, command, "--matrix", str(path))
+        assert code == 0 and "w2" in last_json(out)["results"], (path.name, err)
+
+
+@pytest.mark.parametrize("command", ["invariants", "spin"])
+def test_matrix_above_the_ring_bound_is_reported(monkeypatch, capsys, command):
+    # n = 13 was refused while the reports built the ring
+    rng = random.Random(13)
+    res = report_of(monkeypatch, capsys, command, op1(_random_oriented(rng, 13), rng.sample(range(13), 13)))
+    assert res["orientable"] is True and res["w1"] == "0" and "normalization" in res
+    if command == "spin":
+        assert res["lift_found"] is res["spin"] is (res["w2"] == "0")
+
+
+def _spin_factor_product():
+    """Twelve copies of the Spin n = 5 factor with rows 18, 0, 0, 0, 0 (x2
+    and x5 in row 1), then four zero rows: n = 64."""
+    rows = sum(((18 << 5 * k, 0, 0, 0, 0) for k in range(12)), ()) + (0,) * 4
+    return bottmatrix.BottMatrix(64, rows)
+
+
+@pytest.mark.parametrize("is_spin", [True, False], ids=["spin", "not-spin"])
+def test_reports_at_n64(monkeypatch, capsys, is_spin):
+    factor = bottmatrix.BottMatrix(5, (18, 0, 0, 0, 0))
+    assert cohomology.ring_of(factor).stiefel_whitney(2).is_zero()
+    rng = random.Random(64)
+    m = _spin_factor_product() if is_spin else _random_oriented(rng, 64)
+    moved = op1(m, rng.sample(range(64), 64))
+    res = report_of(monkeypatch, capsys, "invariants", moved)
+    assert res["normalization"]["matrix"] == to_json_dict(bottmatrix.to_strict_upper(moved)[1])
+    assert res["orientable"] is True and res["w1"] == "0"
+    assert (res["w2"] == "0") is is_spin
+    assert res["betti"] == [comb(64, k) for k in range(65)]
+    w2 = res["w2"]
+    res = report_of(monkeypatch, capsys, "spin", moved)
+    assert res["w2"] == w2
+    assert res["spin"] is res["lift_found"] is spin.has_spin(moved) is is_spin
 
 
 def test_missing_file_exits_2(capsys):

@@ -13,6 +13,7 @@ import pytest
 from bottclass import catalog, cohomology
 from bottclass.bottmatrix import (
     BottMatrix,
+    diffeo_classes,
     enumerate_strict_upper,
     is_orientable,
     op1,
@@ -24,6 +25,7 @@ from bottclass.cohomology import (
     Gf2Poly,
     degree2,
     format_poly,
+    format_terms,
     h2_real_is_zero,
     linear,
     poly_from_vars,
@@ -160,7 +162,7 @@ def test_w1_zero_iff_orientable_exhaustive_n4():
 def test_w2_fast_path_matches_ring():
     for n in range(1, 6):
         for m in enumerate_strict_upper(n):
-            assert w2_of_rows(m.n, m.rows) == ring_of(m).stiefel_whitney(2)
+            assert w2_of_rows(m.n, m.rows) == ring_of(m).stiefel_whitney(2).terms
 
 
 def test_w2_fast_path_follows_relabelling():
@@ -170,9 +172,9 @@ def test_w2_fast_path_follows_relabelling():
 
     for n in range(1, 5):
         for m in enumerate_strict_upper(n):
-            monomials = w2_of_rows(n, m.rows).terms
+            monomials = w2_of_rows(n, m.rows)
             for perm in itertools.permutations(range(n)):
-                expected = _poly(rename(t, perm) for t in monomials)
+                expected = frozenset(rename(t, perm) for t in monomials)
                 assert w2_of_rows(n, op1(m, perm).rows) == expected
 
 
@@ -280,6 +282,16 @@ def test_format_poly():
     assert format_poly(poly_from_vars([3, 1], [2, 5])) == "x1*x3 + x2*x5"
     assert format_poly(poly_from_vars([2])) == "x2"
     assert format_poly(poly_from_vars([1, 2], [])) == "1 + x1*x2"
+
+
+def test_format_terms_prints_the_masks_as_format_poly_does():
+    # the reports print sets of monomial masks, with no packed int
+    assert format_terms(()) == "0" and format_terms([0]) == "1"
+    assert format_terms([1 << 63 | 1, 0b110, 1 << 40]) == "x41 + x1*x64 + x2*x3"
+    rng = random.Random(5)
+    for _ in range(200):
+        p = Gf2Poly(rng.getrandbits(1 << 6))
+        assert format_terms(p.terms) == format_poly(p)
 
 
 def test_gf2poly_refuses_anything_but_a_nonnegative_int():
@@ -564,10 +576,62 @@ def test_ring_at_the_bound_n12():
     assert any(m.rows)
     try:
         ring = ring_of(m)
-        assert ring.stiefel_whitney(2) == w2_of_rows(m.n, m.rows)
+        assert ring.stiefel_whitney(2).terms == w2_of_rows(m.n, m.rows)
         assert [ring.betti_z2(k) for k in range(13)] == [comb(12, k) for k in range(13)]
     finally:
         cohomology._lane_masks.cache_clear()
+
+
+def _partitions(n, largest):
+    """The partitions of n with parts at most largest, non-increasing."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _classes_with_a_nonzero_sw_number(n, make_ring):
+    """How many n-dimensional classes have a nonzero Stiefel-Whitney number
+    w_lambda[M], on the ring make_ring builds on the class canonical: the
+    product of the w_k, k in lambda, through `CohomRing.multiply`.  It has
+    degree n, so its normal form is c x_1...x_n, and c is the number."""
+    top = 1 << ((1 << n) - 1)
+    count = 0
+    for cls in diffeo_classes(n):
+        ring = make_ring(cls.canonical)
+        w = [ring.stiefel_whitney(k) for k in range(n + 1)]
+        numbers = []
+        for parts in _partitions(n, n):
+            product = Gf2Poly(1)
+            for k in parts:
+                product = ring.multiply(product, w[k])
+            assert not product.packed & ~top, (cls.canonical.rows, parts)
+            numbers.append(product.packed & top)
+        count += any(numbers)
+    return count
+
+
+def test_stiefel_whitney_numbers_vanish_n_le_6():
+    # Every flat manifold bounds (Hamrick-Royster, "Flat Riemannian
+    # manifolds are boundaries", Invent. Math. 66, 1982), so all its
+    # Stiefel-Whitney numbers are 0: a check of the ring that reads no
+    # other route.  For M(A) it also holds as each stage is a circle bundle
+    # with linear O(2) structure over the last, so it bounds its disk bundle.
+    assert [len(list(_partitions(n, n))) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
+    assert [_classes_with_a_nonzero_sw_number(n, ring_of) for n in range(1, 7)] == [0] * 6
+
+
+def test_stiefel_whitney_numbers_catch_a_total_class_read_from_the_rows():
+    # The mutant reads y_j from row j instead of column j, with the
+    # relations kept; the vanishing numbers catch it in every n >= 2.
+    def from_rows(m):
+        ring = ring_of(m)
+        ring.cols = ring.matrix.rows
+        return ring
+
+    counts = [_classes_with_a_nonzero_sw_number(n, from_rows) for n in range(1, 7)]
+    assert counts == [0, 1, 1, 6, 29, 344]
 
 
 def test_stiefel_whitney_builds_sigma_up_to_k_only():

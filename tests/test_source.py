@@ -143,7 +143,8 @@ def test_spin_reads_lattice_coordinates_through_coords_mod2_only():
 
 def test_cohomology_builds_a_frozenset_only_in_gf2poly_terms():
     # a polynomial is one packed int; the set of its monomial masks is
-    # built only on request, by the read-only Gf2Poly.terms
+    # built only on request, by the read-only Gf2Poly.terms, and by
+    # w2_of_rows, whose packed form would take 2^n bits
     tree = ast.parse((PACKAGE / "cohomology.py").read_text())
     found = []
 
@@ -156,7 +157,17 @@ def test_cohomology_builds_a_frozenset_only_in_gf2poly_terms():
             visit(child, scope)
 
     visit(tree, "")
-    assert found == ["Gf2Poly.terms"]
+    assert found == ["Gf2Poly.terms", "w2_of_rows"]
+
+
+def test_cli_builds_no_ring():
+    # the reports read every field from the rows of one strictly upper
+    # form; the ring, of 4^n bits per table, is the tests' oracle
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [f"{node.lineno}:{name}" for node in ast.walk(tree)
+             for name in [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+             if name in ("ring_of", "CohomRing")]
+    assert found == []
 
 
 def test_sign_tuples_are_built_only_for_holonomy_rep():
