@@ -10,7 +10,7 @@ translation lattice as the holonomy closure of their translations, put in
 Hermite form by `TransLattice.span`.  It serves Gamma_n and arbitrary
 generator lists, and it is the tests' reference for `generators_of`, which
 reads the same presentation of Gamma(A) in closed form from A.  Either
-lattice is read, after one echelon check, by the same `TransLattice`.
+lattice is read by the same `TransLattice`, echelon-checked when built.
 
 Torsion and holonomy read a presentation on int masks.  A lattice that
 contains Z^n is known by its rows mod 2 (`TransLattice.mod2_rows`), and
@@ -21,13 +21,11 @@ is in `is_torsion_free`.  The lift search of `spin` does not read
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import gf2
-from .bottmatrix import BottMatrix, to_json_dict
+from .bottmatrix import BottMatrix, named
 
 
 class NotStrictlyUpper(ValueError):
@@ -236,12 +234,11 @@ class TransLattice:
         """The lattice the vectors span in Z^n, in Hermite form."""
         return cls(n, _hermite(n, vectors))
 
-    @cached_property
-    def _pivots(self) -> dict[int, int]:
-        """The row of basis2 whose pivot is in each pivot column, after
-        checking that each row's first nonzero entry (its pivot) is positive
-        and right of the one before; `contains2`, `coords_mod2` and
-        `mod2_rows` all read basis2 through this one check."""
+    def __post_init__(self) -> None:
+        """Check that each row's first nonzero entry (its pivot) is positive
+        and right of the one before, and keep `_pivots`, the row whose pivot
+        is in each pivot column; `contains2`, `coords_mod2` and `mod2_rows`
+        all read basis2 through it."""
         n, pivots = self.n, {}
         j = 0  # the first column right of the last pivot
         for i, row in enumerate(self.basis2):
@@ -254,7 +251,7 @@ class TransLattice:
                 raise gf2.InvariantViolation(f"basis {self.basis2} is not in echelon form")
             pivots[j] = i
             j += 1
-        return pivots
+        object.__setattr__(self, "_pivots", pivots)
 
     def _quotients(self, vec: Sequence[int]) -> Optional[list[int]]:
         """The integers q with vec = sum_i q[i] basis2[i], or None when vec
@@ -453,7 +450,7 @@ def generators_of(m: BottMatrix) -> GroupPresentation:
             acc ^= rows[i]
         if acc:
             raise gf2.InvariantViolation(f"rows {tuple(gf2.bits(kvec))} of "
-                                         f"{json.dumps(to_json_dict(m))} do not sum to 0")
+                                         f"{named(m.n, m.rows)} do not sum to 0")
     reduced = gf2.echelon(kvec & ~(1 << (n - 1)) for kvec in kernel)
     basis2 = tuple(tuple([(reduced[1 << c] >> j) & 1 for j in range(n)]) if 1 << c in reduced
                    else _unit(n, c, 2)

@@ -96,7 +96,7 @@ def _strict_upper_perm(n: int, rows: Sequence[int]) -> list[int]:
     """perm[v] = position of v in the topological order."""
     order = _topo_order(n, rows)
     if len(order) < n:
-        raise InvariantViolation(f"{_named(n, rows)} left the Bott class (cyclic digraph)")
+        raise InvariantViolation(f"{named(n, rows)} left the Bott class (cyclic digraph)")
     perm = [0] * n
     for pos, v in enumerate(order):
         perm[v] = pos
@@ -187,7 +187,7 @@ def to_json_dict(m: BottMatrix) -> dict:
     return _json_rows(m.n, m.rows)
 
 
-def _named(n: int, rows: Sequence[int]) -> str:
+def named(n: int, rows: Sequence[int]) -> str:
     """The rows in `{"n", "rows"}` form, for messages; they need not be a
     Bott matrix."""
     return json.dumps(_json_rows(n, rows))
@@ -295,7 +295,7 @@ def to_strict_upper(m: BottMatrix) -> tuple[tuple[int, ...], BottMatrix]:
     b = BottMatrix(m.n, _conjugate_raw(m.n, m.rows, perm))
     if not b.is_strictly_upper:
         raise InvariantViolation(
-            f"topological relabelling of {_named(m.n, m.rows)} is not strictly upper")
+            f"topological relabelling of {named(m.n, m.rows)} is not strictly upper")
     return tuple(perm), b
 
 
@@ -545,7 +545,7 @@ def _swap_orbits(n: int, ids: array) -> array:
                         ids[nb] = cid
                         todo.append(nb)
                     elif owner != cid:
-                        raise InvariantViolation(f"{_named(n, _decode(n, nb))} is in two orbits")
+                        raise InvariantViolation(f"{named(n, _decode(n, nb))} is in two orbits")
     return seeds
 
 
@@ -757,7 +757,7 @@ def _components(ids: array, step: Callable[[int], Iterable[int]],
                     todo.append(nb)
                 elif owner != cid:
                     rows = rows_of(nb)
-                    raise InvariantViolation(f"{_named(len(rows), rows)} is in two orbits")
+                    raise InvariantViolation(f"{named(len(rows), rows)} is in two orbits")
     return seeds
 
 
@@ -862,8 +862,8 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
         if sliced != expected:
             code = start + next(i for i, (x, y) in enumerate(zip(sliced, expected)) if x != y)
             raise InvariantViolation(f"fingerprint not constant on orbit of "
-                                     f"{_named(n, classes[ids[code]].canonical.rows)}: "
-                                     f"{_named(n, _decode(n, code))}")
+                                     f"{named(n, classes[ids[code]].canonical.rows)}: "
+                                     f"{named(n, _decode(n, code))}")
     table = _ClassTable(classes)
     table.class_ids = ids
     return table
@@ -893,12 +893,12 @@ def diffeo_class_of(m: BottMatrix) -> DiffeoClass:
             pj = perm[low.bit_length() - 1]
             if pj <= pi:
                 raise InvariantViolation(
-                    f"topological relabelling of {_named(n, rows)} is not strictly upper")
+                    f"topological relabelling of {named(n, rows)} is not strictly upper")
             code |= 1 << (top - pj)
             r ^= low
     cid = classes.class_ids[code]
     if cid == -1:
-        raise InvariantViolation(f"classification did not cover {_named(n, rows)}")
+        raise InvariantViolation(f"classification did not cover {named(n, rows)}")
     return classes[cid]
 
 

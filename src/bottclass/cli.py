@@ -28,6 +28,7 @@ from .bottmatrix import (
     enumerate_strict_upper,
     is_ghw_rbm,
     is_orientable,
+    named,
     parse_matrix,
     to_json_dict,
     to_strict_upper,
@@ -165,7 +166,7 @@ def cmd_invariants(path: str) -> int:
     w1, w2 = _w1_w2(strict)
     results.update(orientable=is_orientable(m), rank=rank_masks(m.rows), ghw=is_ghw_rbm(m),
                    w1=w1, w2=cohomology.format_terms(w2), h2_real_zero=cohomology.h2_real_is_zero(m),
-                   # the square-free monomials are a basis (`CohomRing.betti_z2`)
+                   # the square-free monomials are a basis (`CohomRing.__init__`)
                    betti=[comb(m.n, k) for k in range(m.n + 1)])
     _emit(_report("invariants", {"matrix_file": path}, results))
     return EXIT_OK
@@ -191,7 +192,7 @@ def cmd_spin(path: str) -> int:
         if results["lift_found"] != results["spin"]:
             raise InvariantViolation(
                 f"spin from w2 is {results['spin']} but lift_found is {results['lift_found']} "
-                f"for {json.dumps(to_json_dict(m))}")
+                f"for {named(m.n, m.rows)}")
     else:
         results["spin"] = None
         results["spinc_obstructed"] = None
@@ -254,8 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: building takes most of a small report's time
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except (MatrixParseError, NotBottMatrix, BoundExceeded, UsageError, OSError) as exc:

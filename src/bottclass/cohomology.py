@@ -15,8 +15,8 @@ upper A every such l is below i, so the tables are built in order of i,
 each by a few whole-int operations against masks that depend only on n
 (`_lane_masks`).  Multiplying a packed polynomial by x_i shifts its
 monomials without x_i by 2^i and reads a lane for the others.
-Stiefel-Whitney classes and products multiply through the tables;
-`betti_z2` checks once, with one AND per table, that every lane keeps its
+Stiefel-Whitney classes and products multiply through the tables; the
+constructor checks, with one AND per table, that every lane keeps its
 degree.
 
 Products of degree-1 classes have a denser form, read straight from the
@@ -33,7 +33,7 @@ from math import comb
 from operator import xor
 from typing import Iterable, Sequence
 
-from .bottmatrix import BottMatrix, to_strict_upper, w2_masks
+from .bottmatrix import BottMatrix, named, to_strict_upper, w2_masks
 from .gf2 import (
     BoundExceeded,
     InvariantViolation,
@@ -45,8 +45,7 @@ from .gf2 import (
 )
 
 # The multiply tables are n ints of 4^n bits, and `_lane_masks` 2n + 1 more:
-# one n = 12 ring and its w2 take 0.10-0.12 s and 100-102 MiB of peak RSS
-# (Python 3.11, shared 2-core x86-64 VM), and every int grows fourfold per step.
+# 2 MiB each at n = 12, and every int grows fourfold per step.
 RING_BOUND = 12
 
 
@@ -189,6 +188,27 @@ class CohomRing:
     """
 
     def __init__(self, matrix: BottMatrix):
+        """Build the multiply tables and check that they keep degree.
+
+        - Degree.  `_times_var` shifts the monomials without x_i by 2^i and
+          reads the square entries, lane s of table i (i in s), for the
+          rest, so by induction every normal form keeps its degree iff
+          every square entry is homogeneous of degree |s| + 1.  All
+          n 2^(n-1) are checked, also those with max(s) > i that products
+          and `stiefel_whitney` meet but the normal forms of the monomials,
+          built in order of their largest variable, do not.  The check is
+          one AND per table against a per-n mask of the positions of the
+          wrong degree (`_lane_masks`), so it covers the lanes without x_i
+          too.
+        - Rank.  The leading terms x_j^2 are pairwise coprime, so the
+          square-free monomials are a basis (the tests count the quotient
+          from the ideal side).  With degree kept, the C(n, k) of degree k
+          are their own normal forms and span degree k: no elimination,
+          so `betti_z2` reads C(n, k).
+
+        Raises InvariantViolation, naming the matrix, if a square entry
+        leaves its degree.
+        """
         if matrix.n > RING_BOUND:
             raise BoundExceeded(f"cohomology ring at n={matrix.n} exceeds the configured bound "
                                 f"{RING_BOUND}")
@@ -201,15 +221,16 @@ class CohomRing:
         # _mul[i], lane s: packed normal form of x_i times the monomial s.
         # For i in s, x_i m_s = x_i^2 m_{s - i} = (sum_{l in y_i} x_l) m_s;
         # every l is below i, so table i is read from tables already built.
-        self._lane, self._keep, squares, free, self._bad = _lane_masks(n)
+        self._lane, self._keep, squares, free, bad = _lane_masks(n)
         self._mul: list[int] = []
         for i, col in enumerate(self.cols):
             if col >> i:
-                raise InvariantViolation("rewrite must only introduce smaller indices")
+                raise InvariantViolation("rewrite must only introduce smaller indices "
+                                         f"for {named(n, matrix.rows)}")
             square = reduce(xor, [self._mul[l] for l in bits(col)], 0)  # y_i m_s in lane s
             self._mul.append(square & squares[i] | free[i])
-        self._degrees_checked = False
-        self._sigma: list[Gf2Poly] = []  # sigma_0..sigma_k for the largest k built
+        if any(row & bad for row in self._mul):
+            raise InvariantViolation(f"reduction must preserve degree for {named(n, matrix.rows)}")
 
     # -- normal form ------------------------------------------------------
 
@@ -264,46 +285,22 @@ class CohomRing:
         if k == 1:
             # sigma_1 = y_1 + ... + y_n is linear: the XOR of the columns
             return linear(reduce(xor, self.cols, 0))
-        if k >= len(self._sigma):
-            # sigma_0..sigma_k of y_1..y_j, one y_j at a time: sigma_d gains
-            # y_j sigma_{d-1}, each x_l of y_j times all of sigma_0..sigma_{k-1}
-            # in one call.
-            sigma = [1] + [0] * k
-            for col in self.cols:
-                lower = sigma[:k]
-                for l in bits(col):
-                    for d, p in enumerate(self._times_var(l, lower), 1):
-                        sigma[d] ^= p
-            self._sigma = [Gf2Poly(s) for s in sigma]
-        return self._sigma[k]
+        # sigma_0..sigma_k of y_1..y_j, one y_j at a time: sigma_d gains
+        # y_j sigma_{d-1}, each x_l of y_j times all of sigma_0..sigma_{k-1}
+        # in one call.
+        sigma = [1] + [0] * k
+        for col in self.cols:
+            lower = sigma[:k]
+            for l in bits(col):
+                for d, p in enumerate(self._times_var(l, lower), 1):
+                    sigma[d] ^= p
+        return Gf2Poly(sigma[k])
 
     def betti_z2(self, k: int) -> int:
-        """GF(2) dimension of the degree-k part: C(n, k), after a check,
-        made once per ring, that the multiply tables keep degree.
-
-        - Degree.  `_times_var` shifts the monomials without x_i by 2^i and
-          reads the square entries, lane s of table i (i in s), for the
-          rest, so by induction every normal form keeps its degree iff
-          every square entry is homogeneous of degree |s| + 1.  All
-          n 2^(n-1) are checked, also those with max(s) > i that products
-          and `stiefel_whitney` meet but the normal forms of the monomials,
-          built in order of their largest variable, do not.  The check is
-          one AND per table against a per-n mask of the positions of the
-          wrong degree (`_lane_masks`), so it covers the lanes without x_i
-          too.
-        - Rank.  The leading terms x_j^2 are pairwise coprime, so the
-          square-free monomials are a basis (the tests count the quotient
-          from the ideal side).  With degree kept, the C(n, k) of degree k
-          are their own normal forms and span degree k: no elimination.
-
-        Raises InvariantViolation if a square entry leaves its degree.
-        """
+        """GF(2) dimension of the degree-k part: C(n, k), as the tables,
+        checked when the ring was built, keep degree (`__init__`)."""
         if not 0 <= k <= self.n:
             raise UsageError(f"degree {k} out of range 0..{self.n}")
-        if not self._degrees_checked:
-            if any(row & self._bad for row in self._mul):
-                raise InvariantViolation("reduction must preserve degree")
-            self._degrees_checked = True
         return comb(self.n, k)
 
 

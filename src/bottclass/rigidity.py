@@ -35,13 +35,12 @@ the columns, for all 2^n classes at once as bit lanes of one int.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence
 
-from .bottmatrix import BottMatrix, diffeo_classes, to_json_dict, to_strict_upper
+from .bottmatrix import BottMatrix, diffeo_classes, named, to_json_dict, to_strict_upper
 from .cohomology import RING_BOUND, CohomRing, degree2, linear
 from .gf2 import (
     BoundExceeded,
@@ -211,9 +210,9 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     found = rec(0)
     if found is None:
         return None
-    if not _is_witness(cols_a, CohomRing(b), found):
+    if not _is_witness(cols_a, CohomRing(upper_b), found):
         raise InvariantViolation(
-            f"ring_isomorphic({json.dumps(to_json_dict(a))}, {json.dumps(to_json_dict(b))}) "
+            f"ring_isomorphic({named(a.n, a.rows)}, {named(b.n, b.rows)}) "
             f"found {found}, which fails the relation check"
         )
     if not pa == pb == tuple(range(n)):

@@ -17,13 +17,12 @@ coordinates, by one route, `TransLattice.coords_mod2`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from . import bieberbach, cohomology, gf2
-from .bottmatrix import BottMatrix, is_orientable, to_json_dict, to_strict_upper, w2_masks
+from .bottmatrix import BottMatrix, is_orientable, named, to_strict_upper, w2_masks
 from .gf2 import parity, popcount
 
 PART_I = "Part I"
@@ -296,7 +295,7 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
         if support:
             raise gf2.InvariantViolation(
                 f"kernel word {tuple(gf2.bits(kvec))} of sign monomials is not +-1 "
-                f"for {json.dumps(to_json_dict(m))}")
+                f"for {named(m.n, m.rows)}")
         ones = twos = 0  # bits 0 and 1 of the column-wise count of the R_p
         for low, r in reduced.items():
             if kvec & low:
@@ -323,7 +322,7 @@ def spin_lift_search(m: BottMatrix) -> Optional[SpinLift]:
     lift = SpinLift(signs, chi)
     if not _verify_lift(bieberbach.generators_of(upper), lift):
         raise gf2.InvariantViolation(
-            f"lift found for {json.dumps(to_json_dict(m))} fails the relation check")
+            f"lift found for {named(m.n, m.rows)} fails the relation check")
     return lift
 
 

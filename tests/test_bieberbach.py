@@ -649,9 +649,9 @@ def test_coords_mod2_agree_with_contains_n_le_5():
 
 
 def test_trans_lattice_refuses_a_basis_out_of_echelon_form():
-    lat = TransLattice(2, ((0, 2), (2, 0)))
+    # refused when it is built, before anything reads it
     with pytest.raises(InvariantViolation, match="echelon"):
-        lat.contains2((2, 2))
+        TransLattice(2, ((0, 2), (2, 0)))
 
 
 def in_echelon_form(n, basis2):
@@ -680,38 +680,37 @@ def test_trans_lattice_echelon_check_matches_rebuild_oracle():
             basis2.append(tuple(0 if c < pivot else rng.choice((1, 2, -2)) if c == pivot
                                 else rng.randint(-3, 3) for c in range(n)))
         basis2 = tuple(basis2)
-        lat = TransLattice(n, basis2)
         if in_echelon_form(n, basis2):
+            lat = TransLattice(n, basis2)
             assert lat.contains2((0,) * n)
             assert [lat.coords_mod2(row) for row in basis2] == [1 << i for i in range(len(basis2))]
             accepted += 1
         else:
             with pytest.raises(InvariantViolation, match="echelon"):
-                lat.contains2((0,) * n)
+                TransLattice(n, basis2)
             refused += 1
     assert accepted > 300 and refused > 300
 
 
 def test_echelon_check_raises_under_python_O():
-    # one check serves every reader, and it raises without `assert`
+    # the lattice is checked when it is built, and without `assert`
     code = textwrap.dedent("""
         from bottclass.bieberbach import TransLattice
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
         for basis2 in (((0, 2), (2, 0)), ((2, 0), (2, 2)), ((-2, 0), (0, 2)),
                        ((2, 0), (0, 0))):
-            for read in (lambda lat: lat.mod2_rows(), lambda lat: lat.contains2((0, 0))):
-                try:
-                    read(TransLattice(2, basis2))
-                except InvariantViolation as exc:
-                    print("echelon" in str(exc))
+            try:
+                TransLattice(2, basis2)
+            except InvariantViolation as exc:
+                print("echelon" in str(exc))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True"] * 8
+    assert proc.stdout.splitlines() == ["True"] * 4
 
 
 def flip(vec, mask):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import bottmatrix, catalog, cli, cohomology, rigidity, spin
+from bottclass import bottmatrix, catalog, cohomology, rigidity, spin
 from bottclass.bottmatrix import format_matrix_text, op1, parse_matrix, to_json_dict
 from bottclass.cli import main
 from bottclass.spin import SpinLift
@@ -357,23 +357,15 @@ def _random_oriented(rng, n):
     return bottmatrix.BottMatrix(n, tuple(r ^ (r.bit_count() & 1) << (n - 1) for r in rows))
 
 
-def _command_results(monkeypatch, capsys, command, m):
-    """`report_of` without the argument parser, which costs more than a
-    report at these n."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(to_json_dict(m))))
-    assert getattr(cli, f"cmd_{command}")("-") == 0
-    return last_json(capsys.readouterr().out)["results"]
-
-
 def _check_reports_against_the_ring(monkeypatch, capsys, m):
     # the reports read w1, w2 and betti from the rows; the ring is the oracle
     ring = cohomology.ring_of(m)
     expected = {"w1": cohomology.format_poly(ring.stiefel_whitney(1)),
                 "w2": cohomology.format_poly(ring.stiefel_whitney(2))}
-    res = _command_results(monkeypatch, capsys, "invariants", m)
+    res = report_of(monkeypatch, capsys, "invariants", m)
     assert {k: res[k] for k in expected} == expected, m.rows
     assert res["betti"] == [ring.betti_z2(k) for k in range(m.n + 1)], m.rows
-    res = _command_results(monkeypatch, capsys, "spin", m)
+    res = report_of(monkeypatch, capsys, "spin", m)
     assert {k: res[k] for k in expected} == expected, m.rows
     if res["orientable"]:
         assert res["spin"] is ring.stiefel_whitney(2).is_zero(), m.rows

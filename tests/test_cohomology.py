@@ -16,6 +16,7 @@ from bottclass.bottmatrix import (
     diffeo_classes,
     enumerate_strict_upper,
     is_orientable,
+    named,
     op1,
     to_strict_upper,
 )
@@ -176,21 +177,6 @@ def test_w2_fast_path_follows_relabelling():
             for perm in itertools.permutations(range(n)):
                 expected = frozenset(rename(t, perm) for t in monomials)
                 assert w2_of_rows(n, op1(m, perm).rows) == expected
-
-
-def test_sigma1_of_degree1_build_equals_degree2_build():
-    # sigma_1 in closed form (the XOR of the columns, no pass) equals the
-    # sigma_1 that the pass up to sigma_2 keeps; n = 1 has no degree-2 pass
-    rng = random.Random(11)
-    permuted = [op1(_random_strict_upper(rng, n), rng.sample(range(n), n))
-                for n in (6, 7, 8) for _ in range(40)]
-    for m in itertools.chain(*(enumerate_strict_upper(n) for n in range(2, 6)), permuted):
-        ring = ring_of(m)
-        w1 = ring.stiefel_whitney(1)
-        assert not ring._sigma  # no pass
-        ring.stiefel_whitney(2)
-        assert len(ring._sigma) == 3
-        assert ring._sigma[1] == w1, m.rows
 
 
 def test_stiefel_whitney_degree_bounds():
@@ -449,7 +435,8 @@ def _random_strict_upper(rng, n):
 
 
 def _check_against_recursive_oracle(m, max_degree):
-    ring, oracle = CohomRing(m), _RecursiveReducer(m)
+    # the ring relabels m itself; the oracle takes its strictly upper form
+    ring, oracle = CohomRing(m), _RecursiveReducer(to_strict_upper(m)[1])
     for exps in _exponents(m.n, max_degree):
         assert ring._reduce_exp(exps).terms == oracle.reduce(exps), (m.rows, exps)
     sigma = oracle.sigma()
@@ -472,6 +459,17 @@ def test_packed_engine_matches_recursive_oracle_seeded(n):
     rng = random.Random(100 + n)
     for _ in range(2):
         _check_against_recursive_oracle(_random_strict_upper(rng, n), n + 1)
+
+
+def test_sigma_matches_recursive_oracle_strict_n_le_5_and_permuted_n6_to_8():
+    # every sigma_k, sigma_1 in closed form (the XOR of the columns) among
+    # them, on every strictly upper n = 2..5 matrix and on permuted
+    # n = 6..8 ones, which the ring relabels first
+    rng = random.Random(11)
+    permuted = [op1(_random_strict_upper(rng, n), rng.sample(range(n), n))
+                for n in (6, 7, 8) for _ in range(40)]
+    for m in itertools.chain(*(enumerate_strict_upper(n) for n in range(2, 6)), permuted):
+        _check_against_recursive_oracle(m, 2)
 
 
 def test_multiply_matches_recursive_oracle():
@@ -634,16 +632,6 @@ def test_stiefel_whitney_numbers_catch_a_total_class_read_from_the_rows():
     assert counts == [0, 1, 1, 6, 29, 344]
 
 
-def test_stiefel_whitney_builds_sigma_up_to_k_only():
-    ring = ring_of(A4)
-    assert str(ring.stiefel_whitney(2)) == "x1*x2 + x1*x3"
-    assert len(ring._sigma) == 3
-    ring.stiefel_whitney(1)
-    assert len(ring._sigma) == 3  # served from the sigmas already built
-    ring.stiefel_whitney(4)
-    assert len(ring._sigma) == 5
-
-
 def _ideal_side_dims(m, max_degree):
     """dim S_k - rank I_k for k = 0..max_degree, with S = Z2[x_1..x_n] over
     exponent vectors and I the ideal of the x_j^2 + x_j y_j; uses neither
@@ -707,37 +695,53 @@ def test_betti_matches_ideal_side_count_n6_seeded_and_n7():
     _check_betti_from_ideal_side(_random_strict_upper(random.Random(77), 7))
 
 
+def _lane_masks_with_one_more_bit(i, s, monomial):
+    """`cohomology._lane_masks` with the monomial set at lane s of table i's
+    `free` mask, so the table built from it holds the monomial in its square
+    entry x_i m_s (i in s): a table corrupted while it is built."""
+    clean = cohomology._lane_masks
+
+    def corrupted(n):
+        lane, keep, squares, free, bad = clean(n)
+        free = free[:i] + (free[i] | (1 << monomial) << (s << n),) + free[i + 1:]
+        return lane, keep, squares, free, bad
+
+    return corrupted
+
+
 @pytest.mark.parametrize("monomial", [0, 0b01111])  # 1 and x1*x2*x3*x4: degrees 0 and 4
 @pytest.mark.parametrize("i, s", [(1, 0b00011), (0, 0b00011)])
-def test_betti_refuses_a_square_entry_that_leaves_its_degree(i, s, monomial):
+def test_betti_refuses_a_square_entry_that_leaves_its_degree(monkeypatch, i, s, monomial):
     # x_i m_s (i in s) has degree |s| + 1 = 3.  The entry with i = max(s) is
     # one the normal forms of the monomials meet, built in order of their
     # largest variable; the one with max(s) > i only products and
-    # Stiefel-Whitney classes meet.
-    ring = ring_of(A4)
-    ring._mul[i] ^= (1 << monomial) << (s << ring.n)  # lane s of table i
-    with pytest.raises(InvariantViolation, match="preserve degree"):
-        ring.betti_z2(2)
+    # Stiefel-Whitney classes meet.  The ring refuses it when it is built.
+    monkeypatch.setattr(cohomology, "_lane_masks", _lane_masks_with_one_more_bit(i, s, monomial))
+    with pytest.raises(InvariantViolation, match="preserve degree") as raised:
+        ring_of(A4)
+    assert named(A4.n, A4.rows) in str(raised.value)
 
 
 def test_corrupted_square_entry_raises_under_python_O():
     # The degree check raises InvariantViolation, not assert, so it survives
     # `python -O`.  The entry x_1 * x_1 x_2 leaves degree 3 for the monomial 1.
     code = textwrap.dedent("""
-        from bottclass import catalog
-        from bottclass.cohomology import ring_of
+        from bottclass import catalog, cohomology
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
-        ring = ring_of(catalog.DIM5_ORIENTED["A4"])
-        ring._mul[0] ^= 1 << (0b00011 << 5)
+        clean = cohomology._lane_masks
+        def corrupted(n):
+            lane, keep, squares, free, bad = clean(n)
+            return lane, keep, squares, (free[0] | 1 << (0b00011 << n),) + free[1:], bad
+        cohomology._lane_masks = corrupted
         try:
-            ring.betti_z2(2)
+            cohomology.ring_of(catalog.DIM5_ORIENTED["A4"])
         except InvariantViolation as exc:
             print("raised:", exc)
     """)
     proc = _run_under_python_O(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: reduction must preserve degree")
+    assert proc.stdout == f"raised: reduction must preserve degree for {named(A4.n, A4.rows)}\n"
 
 
 def _run_under_python_O(code):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bottclass import catalog, rigidity
+from bottclass import catalog, cohomology, rigidity
 from bottclass.bottmatrix import (
     BottMatrix,
     diffeo_class_of,
@@ -23,7 +23,14 @@ from bottclass.bottmatrix import (
     to_strict_upper,
 )
 from bottclass.cohomology import RING_BOUND, CohomRing, degree2, linear, pair_bit
-from bottclass.gf2 import BoundExceeded, rank_masks, reduce_into, subset_sums, transpose_masks
+from bottclass.gf2 import (
+    BoundExceeded,
+    InvariantViolation,
+    rank_masks,
+    reduce_into,
+    subset_sums,
+    transpose_masks,
+)
 from bottclass.rigidity import (
     _admissible,
     _is_witness,
@@ -645,7 +652,7 @@ def test_corrupted_product_table_raises_under_python_O():
     # row is admissible and the search returns the identity, which is no
     # ring isomorphism between these two rings.
     code = textwrap.dedent("""
-        from bottclass import catalog, rigidity
+        from bottclass import catalog, cohomology, rigidity
         from bottclass.gf2 import InvariantViolation
         from bottclass.rigidity import ring_invariants, ring_isomorphic
         assert not __debug__
@@ -664,6 +671,58 @@ def test_corrupted_product_table_raises_under_python_O():
     assert proc.returncode == 0, proc.stderr
     pair = ", ".join(json.dumps(to_json_dict(m)) for m in (A40, A48))
     assert proc.stdout.startswith(f"raised: ring_isomorphic({pair}) found ")
+
+
+# A same-class n = 6 pair, the target strictly upper, and a square entry
+# of the target ring that the degree-2 relations never read: x_1 * x_1 x_2
+# (lane s = {0, 1}, |s| = 2 of table 0) holding the monomial 1 of degree 0.
+# The witness re-check multiplies degree-1 classes, so it reads the lanes
+# with |s| = 1 only; the ring refuses the entry when it is built.
+CORRUPTED_PAIR_TARGET = ("011010", "000101", "000011", "000001", "000000", "000000")
+CORRUPTED_PAIR_PERM = (3, 0, 5, 1, 4, 2)
+
+
+def test_ring_isomorphic_refuses_a_corrupted_target_ring(monkeypatch):
+    b = matrix(*CORRUPTED_PAIR_TARGET)
+    a = op1(b, CORRUPTED_PAIR_PERM)
+    assert ring_isomorphic(a, b) is not None
+    clean = cohomology._lane_masks
+
+    def corrupted(n):
+        lane, keep, squares, free, bad = clean(n)
+        return lane, keep, squares, (free[0] | 1 << (0b11 << n),) + free[1:], bad
+
+    monkeypatch.setattr(cohomology, "_lane_masks", corrupted)
+    with pytest.raises(InvariantViolation, match="preserve degree") as raised:
+        ring_isomorphic(a, b)
+    assert str(raised.value) == f"reduction must preserve degree for {json.dumps(to_json_dict(b))}"
+
+
+def test_corrupted_target_ring_raises_under_python_O():
+    code = textwrap.dedent(f"""
+        from bottclass import cohomology
+        from bottclass.bottmatrix import BottMatrix, op1
+        from bottclass.gf2 import InvariantViolation
+        from bottclass.rigidity import ring_isomorphic
+        assert not __debug__
+        clean = cohomology._lane_masks
+        def corrupted(n):
+            lane, keep, squares, free, bad = clean(n)
+            return lane, keep, squares, (free[0] | 1 << (0b11 << n),) + free[1:], bad
+        cohomology._lane_masks = corrupted
+        b = BottMatrix(6, {matrix(*CORRUPTED_PAIR_TARGET).rows})
+        try:
+            ring_isomorphic(op1(b, {CORRUPTED_PAIR_PERM}), b)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    b = matrix(*CORRUPTED_PAIR_TARGET)
+    assert proc.stdout == f"raised: reduction must preserve degree for {json.dumps(to_json_dict(b))}\n"
 
 
 def test_enumerate_invertible_n1():

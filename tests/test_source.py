@@ -222,3 +222,72 @@ def test_diffeo_classes_decodes_no_member():
                     "_components", "_op23_codes", "_permuted", "_fingerprint_blocks",
                     "_fingerprint_planes"}
     assert found == []
+
+
+def test_no_message_names_a_matrix_but_through_named():
+    # one {"n", "rows"} form for every message: `bottmatrix.named`
+    found = [f"{path.name}:{node.lineno}" for path, tree in package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Call) and called(node) == "dumps"
+             and any(isinstance(arg, ast.Call) and called(arg) == "to_json_dict"
+                     for arg in node.args)]
+    assert found == []
+
+
+def decorator_name(node):
+    """The name of a decorator: `@f`, `@m.f` and `@f(...)` all give f."""
+    if isinstance(node, ast.Call):
+        return called(node)
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_package_memos_are_the_listed_ones():
+    # every memo of the package, each a cache that a workload needs; a new
+    # one is added to this list with the reason it pays for itself
+    found = []
+
+    def visit(module, node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if {decorator_name(d) for d in node.decorator_list} & {"lru_cache", "cache",
+                                                                     "cached_property"}:
+                found.append(f"{module}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, scope)
+
+    for path, tree in package_trees():
+        visit(path.name, tree, "")
+    assert found == [
+        "bottmatrix.py:_reversed_bits",
+        "bottmatrix.py:_move_masks",
+        "bottmatrix.py:diffeo_classes",
+        "cohomology.py:_lane_masks",
+        "rigidity.py:ring_invariants",
+        "spin.py:_verify_lift.chi",
+    ]
+
+
+def test_checked_types_set_attributes_only_in_their_constructor():
+    # CohomRing and TransLattice are checked once, when they are built, so
+    # no later call may add or change their state
+    found = []
+    for module, name in (("cohomology.py", "CohomRing"), ("bieberbach.py", "TransLattice")):
+        tree = ast.parse((PACKAGE / module).read_text())
+        cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name in ("__init__", "__post_init__"):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    targets = []
+                for target in targets:
+                    while isinstance(target, ast.Subscript):  # self.x[k] = ... too
+                        target = target.value
+                    if isinstance(target, ast.Attribute):
+                        found.append(f"{name}.{method.name}:{node.lineno}")
+                if isinstance(node, ast.Call) and called(node) in ("setattr", "__setattr__"):
+                    found.append(f"{name}.{method.name}:{node.lineno}")
+    assert found == []
