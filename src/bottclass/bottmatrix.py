@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -92,23 +92,17 @@ def _topo_order(n: int, rows: Sequence[int]) -> list[int]:
     return order
 
 
-def _strict_upper_perm(n: int, rows: Sequence[int]) -> list[int]:
-    """perm[v] = position of v in the topological order."""
-    order = _topo_order(n, rows)
-    if len(order) < n:
-        raise InvariantViolation(f"{named(n, rows)} left the Bott class (cyclic digraph)")
-    perm = [0] * n
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    return perm
-
-
 @dataclass(frozen=True, slots=True)
 class BottMatrix:
-    """Binary square matrix encoding one real Bott manifold."""
+    """Binary square matrix encoding one real Bott manifold.
+
+    `_perm` keeps the relabelling found by validation: None when the rows
+    are strictly upper, else perm[v] = position of v in `_topo_order`.
+    Only the constructor sets it; equality, hashing and repr ignore it."""
 
     n: int
     rows: tuple[int, ...]
+    _perm: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, rows = self.n, self.rows
@@ -125,13 +119,18 @@ class BottMatrix:
                 raise NotBottMatrix(f"row {i + 1} does not fit in {n} columns")
             if (r >> i) & 1:
                 raise NotBottMatrix(f"nonzero diagonal entry at ({i + 1},{i + 1})")
-        if self.is_strictly_upper:
+        if all(r & ((1 << (i + 1)) - 1) == 0 for i, r in enumerate(rows)):
+            object.__setattr__(self, "_perm", None)
             return  # acyclic by construction
         order = _topo_order(n, rows)
         if len(order) < n:
             cycle = _find_cycle(n, rows, ((1 << n) - 1) & ~sum(1 << v for v in order))
             pretty = " -> ".join(str(v + 1) for v in cycle + cycle[:1])
             raise NotBottMatrix(f"edge digraph has a cycle: {pretty}")
+        perm = [0] * n
+        for pos, v in enumerate(order):
+            perm[v] = pos
+        object.__setattr__(self, "_perm", tuple(perm))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BottMatrix":
@@ -156,7 +155,7 @@ class BottMatrix:
 
     @property
     def is_strictly_upper(self) -> bool:
-        return all(r & ((1 << (i + 1)) - 1) == 0 for i, r in enumerate(self.rows))
+        return self._perm is None
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
@@ -285,18 +284,18 @@ def op3(m: BottMatrix, l: int, m_idx: int) -> BottMatrix:
 def to_strict_upper(m: BottMatrix) -> tuple[tuple[int, ...], BottMatrix]:
     """Permutation p and strictly upper B with B = P m P^-1.
 
-    p[i] is the new position of index i; ties in the topological sort are
-    broken by smallest original index first, so strictly upper input maps
-    to itself under the identity, which is returned at once.
-    """
-    if m.is_strictly_upper:
+    p is the order m's validation kept: p[i] is the new position of index
+    i, ties broken by smallest original index first, so strictly upper
+    input maps to itself under the identity.  A wrong kept order raises
+    InvariantViolation."""
+    perm = m._perm
+    if perm is None:
         return tuple(range(m.n)), m
-    perm = _strict_upper_perm(m.n, m.rows)
     b = BottMatrix(m.n, _conjugate_raw(m.n, m.rows, perm))
     if not b.is_strictly_upper:
         raise InvariantViolation(
             f"topological relabelling of {named(m.n, m.rows)} is not strictly upper")
-    return tuple(perm), b
+    return perm, b
 
 
 # ---------------------------------------------------------------------------
@@ -874,16 +873,17 @@ def diffeo_class_of(m: BottMatrix) -> DiffeoClass:
     `_code` of its strictly upper relabelling.
 
     The code is read straight from the edges, with no relabelled rows
-    built: with perm the topological relabelling (`_strict_upper_perm`),
-    edge i -> j is entry a[perm i][perm j] of the relabelled matrix, bit
-    off_{perm i} + n-1-perm j of its code (the offsets of `_move_masks`).
-    An edge with perm j <= perm i would not be strictly upper and raises
+    built: with perm the relabelling m's validation kept (`_perm`, the
+    identity when m is strictly upper), edge i -> j is entry
+    a[perm i][perm j] of the relabelled matrix, bit off_{perm i} + n-1-perm j
+    of its code (the offsets of `_move_masks`).  An edge with
+    perm j <= perm i would not be strictly upper and raises
     InvariantViolation, as `to_strict_upper` does, since its bit would
     land in another row's field and name the wrong class."""
     n, rows = m.n, m.rows
     classes = diffeo_classes(n)
     fields = _move_masks(n)[1]
-    perm = _strict_upper_perm(n, rows)
+    perm = range(n) if m._perm is None else m._perm
     code = 0
     for i, r in enumerate(rows):
         pi = perm[i]

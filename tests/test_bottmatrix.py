@@ -1,7 +1,10 @@
 """Bott matrices: validation, the three moves, enumeration, classification."""
+import copy
+import dataclasses
 import itertools
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -160,13 +163,20 @@ def _check_against_the_scan(n, rows):
     order = scan_order(n, rows)
     assert bottmatrix._topo_order(n, rows) == order, (n, rows)
     if len(order) < n:
-        with pytest.raises(InvariantViolation) as exc:
-            bottmatrix._strict_upper_perm(n, rows)
-        assert str(exc.value) == (f"{json.dumps(bottmatrix._json_rows(n, rows))} "
-                                  "left the Bott class (cyclic digraph)")
+        # the constructor refuses the digraph and names a cycle of it, made
+        # of vertices the scan could not place
+        with pytest.raises(NotBottMatrix, match="^edge digraph has a cycle: ") as exc:
+            BottMatrix(n, rows)
+        cycle = [int(v) - 1 for v in str(exc.value).rpartition(": ")[2].split(" -> ")]
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1, (n, rows)
+        assert all((rows[k] >> v) & 1 for k, v in zip(cycle, cycle[1:])), (n, rows)
+        assert not set(cycle) & set(order), (n, rows)
         return
     perm = [order.index(v) for v in range(n)]
     m = BottMatrix(n, rows)
+    upper = _strict_upper(lists(m))
+    assert m.is_strictly_upper is upper
+    assert m._perm == (None if upper else tuple(perm)), (n, rows)
     relabelled = op1_oracle(lists(m), perm)
     assert _strict_upper(relabelled)
     assert to_strict_upper(m) == (tuple(perm), BottMatrix.from_rows(relabelled)), (n, rows)
@@ -174,8 +184,9 @@ def _check_against_the_scan(n, rows):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_topological_order_is_the_scan_on_every_loop_free_digraph(n):
-    # acyclic ones give the scan's order and `to_strict_upper` its relabelling;
-    # cyclic ones the scan's placed prefix, and the perm refuses them
+    # acyclic ones give the scan's order, the kept `_perm` and `to_strict_upper`
+    # its relabelling; cyclic ones the scan's placed prefix, and the
+    # constructor refuses them
     for rows in itertools.product(range(1 << n), repeat=n):
         if not any((r >> i) & 1 for i, r in enumerate(rows)):
             _check_against_the_scan(n, rows)
@@ -215,10 +226,11 @@ NOT_UPPER_ROWS = (0, 0b0001, 0b0011, 0b0100)  # edges 1->0, 2->0, 2->1, 3->2
 
 
 def test_broken_relabelling_raises_with_the_matrix(monkeypatch):
-    # an order that does not sort the edges (here the identity) must not
+    # a kept order that does not sort the edges (here the identity) must not
     # look up a class: the code's bits would land in the wrong rows' fields
-    monkeypatch.setattr(bottmatrix, "_strict_upper_perm", lambda n, rows: list(range(n)))
+    monkeypatch.setattr(bottmatrix, "_topo_order", lambda n, rows: list(range(n)))
     m = BottMatrix(4, NOT_UPPER_ROWS)
+    assert m._perm == (0, 1, 2, 3)
     named = json.dumps(to_json_dict(m))
     assert named == '{"n": 4, "rows": ["0000", "1000", "1100", "0010"]}'
     for lookup in (diffeo_class_of, to_strict_upper):
@@ -233,13 +245,15 @@ def test_broken_relabelling_raises_under_python_O():
         from bottclass.bottmatrix import BottMatrix
         from bottclass.gf2 import InvariantViolation
         assert not __debug__
-        bottmatrix._strict_upper_perm = lambda n, rows: list(range(n))
-        try:
-            bottmatrix.diffeo_class_of(BottMatrix(4, {NOT_UPPER_ROWS}))
-        except InvariantViolation as exc:
-            print("raised:", exc)
-        else:
-            print("not raised")
+        bottmatrix._topo_order = lambda n, rows: list(range(n))
+        m = BottMatrix(4, {NOT_UPPER_ROWS})
+        for lookup in (bottmatrix.diffeo_class_of, bottmatrix.to_strict_upper):
+            try:
+                lookup(m)
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("not raised")
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -247,7 +261,75 @@ def test_broken_relabelling_raises_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     named = json.dumps(bottmatrix._json_rows(4, NOT_UPPER_ROWS))
-    assert proc.stdout == f"raised: topological relabelling of {named} is not strictly upper\n"
+    assert proc.stdout == f"raised: topological relabelling of {named} is not strictly upper\n" * 2
+
+
+MOVED_A4 = op1(A4, (4, 2, 0, 3, 1))
+
+
+def test_the_kept_relabelling_is_no_part_of_the_value():
+    assert MOVED_A4._perm is not None and A4._perm is None
+    twin = BottMatrix(5, MOVED_A4.rows)
+    object.__setattr__(twin, "_perm", (0, 1, 2, 3, 4))
+    assert twin == MOVED_A4 and hash(twin) == hash(MOVED_A4)
+    assert repr(twin) == repr(MOVED_A4) == f"BottMatrix(n=5, rows={MOVED_A4.rows!r})"
+    assert BottMatrix.__match_args__ == ("n", "rows")
+    match MOVED_A4:
+        case BottMatrix(n, rows):
+            assert (n, rows) == (5, MOVED_A4.rows)
+
+
+def test_copies_keep_the_relabelling_and_replace_sorts_again(monkeypatch):
+    def refuse(n, rows):
+        raise AssertionError("sorted again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bottmatrix, "_topo_order", refuse)
+        for m in (A4, MOVED_A4):
+            clones = [copy.copy(m), copy.deepcopy(m)]
+            clones += [pickle.loads(pickle.dumps(m, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for clone in clones:
+                assert clone == m and clone._perm == m._perm
+    assert dataclasses.replace(A4, rows=MOVED_A4.rows)._perm == MOVED_A4._perm
+    assert dataclasses.replace(MOVED_A4, rows=A4.rows)._perm is None
+    with pytest.raises(ValueError, match="_perm"):
+        dataclasses.replace(A4, _perm=(0, 1, 2, 3, 4))
+
+
+def _benchmark_inputs(name, kind, seed):
+    """The matrices of one benchmark workload's operations of one kind, as
+    its set-up makes them; each such operation holds its matrix as its one
+    default."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    from bottclass import bieberbach, cli, cohomology, rigidity, spin
+    pkg = {"bottmatrix": bottmatrix, "bieberbach": bieberbach, "cli": cli,
+           "cohomology": cohomology, "rigidity": rigidity, "spin": spin}
+    ops = workloads.WORKLOADS[name](pkg).setup(random.Random(seed))
+    return [op.run.__defaults__[0] for op in ops if op.kind == kind]
+
+
+def test_workload_lookups_and_relabellings_sort_nothing(monkeypatch):
+    # the seed-0 `classify` lookups and `census` reports read the order kept
+    # when their matrices were built; neither reader sorts again
+    lookups = _benchmark_inputs("classify", "lookup", 0)
+    permuted = [m for m in _benchmark_inputs("census", "report", 0) if not m.is_strictly_upper]
+    assert len(lookups) == 2000 and len(permuted) > 100
+    assert sum(not m.is_strictly_upper for m in lookups) > 1000
+    calls = []
+    real = bottmatrix._topo_order
+    monkeypatch.setattr(bottmatrix, "_topo_order",
+                        lambda n, rows: calls.append(rows) or real(n, rows))
+    for m in lookups:
+        diffeo_class_of(m)
+    for m in permuted:
+        perm, b = to_strict_upper(m)
+        assert perm == m._perm and op1(m, perm) == b
+    assert calls == []
 
 
 # --- the three operations ---------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from bottclass import bottmatrix, catalog, cohomology, rigidity, spin
 from bottclass.bottmatrix import format_matrix_text, op1, parse_matrix, to_json_dict
 from bottclass.cli import main
+from bottclass.gf2 import rank_masks
 from bottclass.spin import SpinLift
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -228,24 +229,42 @@ def test_spin_w2_routes_that_disagree_exit_3_under_python_O():
     assert json.loads(err[err.index('{"n"'):]) == to_json_dict(parse_matrix(path.read_text()))
 
 
+def _report_sorting_once(monkeypatch, capsys, tmp_path, command, m):
+    # the parse sorts the input's digraph once and keeps the order; the
+    # strictly upper form read from it is built without sorting again
+    moved = op1(m, (4, 2, 0, 3, 1))
+    assert not moved.is_strictly_upper
+    f = tmp_path / "moved.txt"
+    f.write_text(format_matrix_text(moved))
+    calls = []
+    real = bottmatrix._topo_order
+    monkeypatch.setattr(bottmatrix, "_topo_order",
+                        lambda n, rows: calls.append(rows) or real(n, rows))
+    code, out, _ = run(capsys, command, "--matrix", str(f))
+    assert code == 0 and calls == [moved.rows]
+    return moved, last_json(out)["results"]
+
+
 @pytest.mark.parametrize("name", ["A29", "A4"])
 def test_spin_relabels_once(monkeypatch, capsys, tmp_path, name):
     # the report builds the strictly upper form once, reads w1 and w2 from
     # its rows and hands it to the lift search; the verdicts are those of
     # the form the catalog gives
     m = catalog.DIM5_ORIENTED[name]
-    moved = op1(m, (4, 2, 0, 3, 1))
-    assert not moved.is_strictly_upper
-    f = tmp_path / "moved.txt"
-    f.write_text(format_matrix_text(moved))
-    calls = []
-    real = bottmatrix._strict_upper_perm
-    monkeypatch.setattr(bottmatrix, "_strict_upper_perm",
-                        lambda n, rows: calls.append(rows) or real(n, rows))
-    code, out, _ = run(capsys, "spin", "--matrix", str(f))
-    assert code == 0 and calls == [moved.rows]
-    res = last_json(out)["results"]
+    _, res = _report_sorting_once(monkeypatch, capsys, tmp_path, "spin", m)
     assert res["spin"] is spin.has_spin(m) and res["lift_found"] is res["spin"]
+
+
+@pytest.mark.parametrize("name", ["A29", "A4"])
+def test_invariants_relabels_once(monkeypatch, capsys, tmp_path, name):
+    m = catalog.DIM5_ORIENTED[name]
+    # the normalization block is the relabelling the parse kept, and the
+    # relabelling-invariant fields are those of the catalog form
+    moved, res = _report_sorting_once(monkeypatch, capsys, tmp_path, "invariants", m)
+    perm = [p - 1 for p in res["normalization"]["permutation"]]
+    assert tuple(perm) == moved._perm
+    assert res["normalization"]["matrix"] == to_json_dict(op1(moved, perm))
+    assert (res["orientable"], res["rank"]) == (True, rank_masks(m.rows))
 
 
 def test_prop1(capsys):

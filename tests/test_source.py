@@ -266,11 +266,31 @@ def test_package_memos_are_the_listed_ones():
     ]
 
 
-def test_checked_types_set_attributes_only_in_their_constructor():
-    # CohomRing and TransLattice are checked once, when they are built, so
-    # no later call may add or change their state
+def test_the_relabelling_is_sorted_only_by_the_bott_matrix_constructor():
+    # validation sorts each matrix once and keeps the order; every other
+    # reader takes the kept one
     found = []
-    for module, name in (("cohomology.py", "CohomRing"), ("bieberbach.py", "TransLattice")):
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and called(node) == "_topo_order":
+            found.append(f"{path.name}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path, tree in package_trees():
+        visit(tree, "")
+    assert found == ["bottmatrix.py:BottMatrix.__post_init__"]
+
+
+def test_checked_types_set_attributes_only_in_their_constructor():
+    # CohomRing and TransLattice are checked once, when they are built, and
+    # BottMatrix keeps the relabelling its validation finds, so no later
+    # call may add or change their state
+    found = []
+    for module, name in (("cohomology.py", "CohomRing"), ("bieberbach.py", "TransLattice"),
+                         ("bottmatrix.py", "BottMatrix")):
         tree = ast.parse((PACKAGE / module).read_text())
         cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
         for method in cls.body:
