@@ -13,7 +13,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 from .gf2 import (
     BoundExceeded,
@@ -179,7 +179,7 @@ def format_matrix_text(m: BottMatrix) -> str:
     return f"{m.n}\n{m}\n"
 
 def _json_rows(n: int, rows: Sequence[int]) -> dict:
-    return {"n": n, "rows": ["".join(str((r >> j) & 1) for j in range(n)) for r in rows]}
+    return {"n": n, "rows": [format(r, f"0{n}b")[::-1] for r in rows]}
 
 
 def to_json_dict(m: BottMatrix) -> dict:
@@ -188,7 +188,7 @@ def to_json_dict(m: BottMatrix) -> dict:
 
 def named(n: int, rows: Sequence[int]) -> str:
     """The rows in `{"n", "rows"}` form, for messages; they need not be a
-    Bott matrix."""
+    Bott matrix, but each is an n-bit mask."""
     return json.dumps(_json_rows(n, rows))
 
 
@@ -414,7 +414,7 @@ def _code(n: int, rows: Sequence[int]) -> int:
     read and write the code through this layout: Op2 and Op3 add fields
     (`_op23_codes`), and a relabelling that keeps the form strictly upper
     moves each entry to a fixed place, a permutation of the code bits
-    that `_move_masks` tabulates per 8-bit chunk of the code."""
+    that `_move_masks` tabulates per 11-bit chunk of the code."""
     rev = _reversed_bits(n)
     code = 0
     for i, r in enumerate(rows):
@@ -433,27 +433,32 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _chunk_tables(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The lookup tables of the code bit permutation sending bit b to bit
-    perm[b]: table t maps each value of the bits [8t, 8t + 8) to the OR of
-    their images, so the image of a code is the OR of one read per table
-    (`_permuted`), and a table holds at most 256 ints."""
+_CHUNK_BITS = 11  # code bits per lookup table: two tables cover the 21 bits of n = 7
+
+
+def _chunk_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The lookup tables of the OR-linear map that sends code bit b to the
+    mask images[b]: table t maps each value of the bits [11t, 11t + 11)
+    to the OR of their images, so the image of a code is the OR of one
+    read per table (`_permuted`).  A table holds at most
+    2,048 ints, and there are at least two, the second a one-entry table
+    while the code has at most 11 bits, so that every code of n <= 7 is
+    read as two chunks."""
     tables = []
-    for start in range(0, len(perm), 8):
+    for start in range(0, max(len(images), _CHUNK_BITS + 1), _CHUNK_BITS):
         table = [0]
-        for b in perm[start:start + 8]:
-            table += [t | 1 << b for t in table]
+        for image in images[start:start + _CHUNK_BITS]:
+            table += [t | image for t in table]
         tables.append(tuple(table))
     return tuple(tables)
 
 
 def _permuted(code: int, tables: Sequence[Sequence[int]]) -> int:
-    """The image of a code under the bit permutation with these
-    `_chunk_tables`."""
+    """The image of a code under the map with these `_chunk_tables`."""
     out = 0
     for table in tables:
-        out |= table[code & 255]
-        code >>= 8
+        out |= table[code & (1 << _CHUNK_BITS) - 1]
+        code >>= _CHUNK_BITS
     return out
 
 
@@ -462,15 +467,18 @@ def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
     """The per-n masks and lookup tables of the walk's moves, over the
     `_code` layout.
 
-    swaps: (top, tables) per adjacent swap (i i+1), with top the bit of
-    a[i][i+1] and tables the swap's `_chunk_tables`.  When a[i][i+1] = 0
-    the swap is a fixed permutation of the code bits: the relabelling p =
-    (i i+1) carries each entry a[r][c] above the diagonal, other than
-    a[i][i+1], to a[p r][p c], still above it, so columns i and i+1 trade
-    places in every row above i, the fields of rows i and i+1 trade places
-    (the low w_{i+1} bits of row i against row i+1), and a[i][i+1] stays.
-    A bit permutation maps a code to the OR of the images of its bits, so
-    one read per 8 code bits gives the image: 2 reads at n = 6, 3 at n = 7.
+    swaps: (pattern, legal), the tables phase 1 reads.  pattern is the
+    `_chunk_tables` of the superdiagonal: they map a code to the mask
+    with bit i set where a[i][i+1] = 1.  legal[p] lists, in index order,
+    the `_chunk_tables` of exactly the adjacent swaps (i i+1) with bit i
+    of p clear, so legal[0] lists them all.  When a[i][i+1] = 0 the swap is
+    a fixed permutation of the code bits: the relabelling p = (i i+1)
+    carries each entry a[r][c] above the diagonal, other than a[i][i+1],
+    to a[p r][p c], still above it, so columns i and i+1 trade places in
+    every row above i, the fields of rows i and i+1 trade places (the low
+    w_{i+1} bits of row i against row i+1), and a[i][i+1] stays.  A bit
+    permutation maps a code to the OR of the images of its bits, so one
+    read per 11-bit chunk gives the image: two reads for n <= 7.
     rows: (off_k, field mask, column mask C_k, n-1-k) per k (row n-1 is
     empty, its field mask 0).
     pairs: (l, m, off_m, path, off_{m+1}, field mask of m+1) per Op3 pair
@@ -492,8 +500,12 @@ def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
             for c in range(r + 1, n):
                 perm[off[r] + n - 1 - c] = off[min(p[r], p[c])] + n - 1 - max(p[r], p[c])
         perms.append(perm)
-    swaps = tuple((1 << (off[i] + width[i] - 1), _chunk_tables(perm))
-                  for i, perm in enumerate(perms))
+    tables = [_chunk_tables([1 << b for b in perm]) for perm in perms]
+    superdiagonal = [0] * size
+    for i in range(n - 1):
+        superdiagonal[off[i] + width[i] - 1] = 1 << i
+    legal = tuple(tuple(t for i, t in enumerate(tables) if not p >> i & 1)
+                  for p in range(1 << (n - 1)))
     rows = tuple(
         (off[k], (1 << width[k]) - 1, sum(1 << (off[i] + n - 1 - k) for i in range(k)), n - 1 - k)
         for k in range(n))
@@ -503,8 +515,9 @@ def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
             path = list(range(size))
             for i in reversed(range(m, l)):
                 path = [perms[i][b] for b in path]
-            pairs.append((l, m, off[m], _chunk_tables(path), off[m + 1], (1 << width[m + 1]) - 1))
-    return swaps, rows, tuple(pairs)
+            pairs.append((l, m, off[m], _chunk_tables([1 << b for b in path]),
+                          off[m + 1], (1 << width[m + 1]) - 1))
+    return (_chunk_tables(superdiagonal), legal), rows, tuple(pairs)
 
 
 def _swap_orbits(n: int, ids: array) -> array:
@@ -516,16 +529,19 @@ def _swap_orbits(n: int, ids: array) -> array:
     unlabelled) and is the visited set, orbits are numbered by their least
     codes, the representatives, which are returned in that order, and a
     code reached that already holds another id raises InvariantViolation
-    naming its matrix in `{"n", "rows"}` form.  Each swap reads its
-    `_move_masks` tables inline, with no neighbour list: three reads, the
-    third of a one-entry table while the code has at most 16 bits
-    (n <= 6); a swap that fixes the matrix lands on the code itself,
-    which holds the current id.  Three 8-bit reads cover n <= 7, whose
-    2^21 codes are the most the walk keeps a table for.
+    naming its matrix in `{"n", "rows"}` form.  Each code is read as two
+    11-bit chunks, low and high, which cover n <= 7, whose 2^21 codes are
+    the most the walk keeps a table for.  Two reads of the `_move_masks`
+    pattern tables give its superdiagonal, and the legal list of that
+    pattern holds the tables of exactly its legal swaps, so no illegal
+    swap is tested; each legal one costs two more reads, with no
+    neighbour list.  A swap that fixes the matrix lands on the code
+    itself, which holds the current id.
     """
     if n > 7:
         raise BoundExceeded(f"the Op1 orbit table at n = {n} holds 2^{n * (n - 1) // 2} codes")
-    swaps = [(top, *tables, *((0,),) * (3 - len(tables))) for top, tables in _move_masks(n)[0]]
+    (p0, p1), legal = _move_masks(n)[0]
+    chunk = (1 << _CHUNK_BITS) - 1
     seeds = array("I")
     for seed in range(len(ids)):
         if ids[seed] != -1:
@@ -535,16 +551,15 @@ def _swap_orbits(n: int, ids: array) -> array:
         ids[seed] = cid
         todo = [seed]
         for code in todo:  # grows while it is walked
-            low, mid, high = code & 255, code >> 8 & 255, code >> 16
-            for top, t0, t1, t2 in swaps:
-                if not code & top:
-                    nb = t0[low] | t1[mid] | t2[high]
-                    owner = ids[nb]
-                    if owner == -1:
-                        ids[nb] = cid
-                        todo.append(nb)
-                    elif owner != cid:
-                        raise InvariantViolation(f"{named(n, _decode(n, nb))} is in two orbits")
+            low, high = code & chunk, code >> _CHUNK_BITS
+            for t0, t1 in legal[p0[low] | p1[high]]:
+                nb = t0[low] | t1[high]
+                owner = ids[nb]
+                if owner == -1:
+                    ids[nb] = cid
+                    todo.append(nb)
+                elif owner != cid:
+                    raise InvariantViolation(f"{named(n, _decode(n, nb))} is in two orbits")
     return seeds
 
 
@@ -729,7 +744,7 @@ def _fingerprint_blocks(n: int) -> Iterator[tuple[int, bytearray]]:
         yield block << low, _bytes_per_code(size, _fingerprint_planes(n, rows))
 
 
-def _components(ids: array, step: Callable[[int], Iterable[int]],
+def _components(ids: MutableSequence[int], step: Callable[[int], Iterable[int]],
                 rows_of: Callable[[int], tuple[int, ...]]) -> array:
     """Label the nodes 0 .. len(ids)-1 with the connected components of the
     graph whose edges are node -> step(node), by breadth-first search from
@@ -786,9 +801,11 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     edge joins two swapped neighbours), then repeat on the rest.  Each such
     swap moves every other entry above the diagonal to a fixed place, so
     it is a permutation of the code bits, and a bit permutation maps a
-    code to the OR of the images of its 8-bit chunks: one lookup per chunk
-    in the tables `_move_masks` builds per n (256 ints each).  The orbits
-    are numbered by their least codes, the representatives.
+    code to the OR of the images of its 11-bit chunks: one lookup per
+    chunk in the tables `_move_masks` builds per n (at most 2,048 ints
+    each), two per legal swap for n <= 7, where two more reads of the
+    superdiagonal pick the list of legal swaps.  The orbits are numbered
+    by their least codes, the representatives.
 
     Phase 2 joins the orbits into classes.  Op2 and Op3 commute with
     relabelling: for a relabelling p, Op2 at k of p.A is p.(Op2 at p^-1(k)
@@ -806,13 +823,14 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     Both phases are breadth-first searches (`_swap_orbits` with the swaps
     inline, `_components` over `_op23_codes`), each filling its own table:
     `ids` holds the orbit of each code, and `orbit_class` the class of each
-    orbit.  Then one pass in code order turns `ids` into the class-id
-    table and groups the member codes per class.  The
-    least code of a class is the representative of its least orbit, and
-    phase 2 meets the orbits in that order, so classes are numbered by
-    their least codes: the first member of each class is its canonical,
-    and the classes come out in canonical order.  Each class keeps its
-    members as codes (`ClassMembers`).
+    orbit.  Then the class-id table is `orbit_class` read at every entry
+    of `ids`, in one C-level map, and one pass in code order appends each
+    code to its class's member array.  The least code of a class is the
+    representative of its least orbit, and phase 2 meets the orbits in
+    that order, so classes are numbered by their least codes: the first
+    member of each class is its canonical, and the classes come out in
+    canonical order.  Each class keeps its members as codes
+    (`ClassMembers`).
 
     The fingerprint of a class is read off its canonical by
     `_fingerprint_raw`.  Orbit invariance is checked for every member at
@@ -836,15 +854,16 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     # the Op1 orbit of each code, then its class
     ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
     reps = _swap_orbits(n, ids)
-    orbit_class = array("i", [-1]) * len(reps)
+    orbit_class = [-1] * len(reps)  # a list: its reads return the stored ints
     count = len(_components(orbit_class, lambda o: [ids[c] for c in _op23_codes(n, reps[o])],
                             lambda o: _decode(n, reps[o])))
     del reps
-    member_codes = [array("I") for _ in range(count)]
-    for code, orbit in enumerate(ids):
-        cid = ids[code] = orbit_class[orbit]
-        member_codes[cid].append(code)
+    ids = array("i", map(orbit_class.__getitem__, ids))
     del orbit_class
+    member_codes = [array("I") for _ in range(count)]
+    appends = [codes.append for codes in member_codes]
+    for code, cid in enumerate(ids):
+        appends[cid](code)
     classes: list[DiffeoClass] = []
     fps = bytearray()  # the `_fingerprint_byte` of each class
     for cid, codes in enumerate(member_codes):

@@ -1,6 +1,7 @@
 """Bott matrices: validation, the three moves, enumeration, classification."""
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -754,7 +755,27 @@ def _cyclic_perm(n, l, m_idx):
 
 
 def _upper_code(n, mat):
-    return bottmatrix._code(n, BottMatrix.from_rows(mat).rows)
+    # the `_code` layout read off strictly upper lists: the entries above
+    # the diagonal, row-major, as one binary number with a[0][1] highest
+    assert len(mat) == n and not any(any(row[:i + 1]) for i, row in enumerate(mat)), mat
+    return int("0" + "".join("".join(map(str, row[i + 1:])) for i, row in enumerate(mat)), 2)
+
+
+def _upper_lists(n, code):
+    # the strictly upper lists with this code, the inverse of `_upper_code`
+    mat = [[0] * n for _ in range(n)]
+    for i, j in reversed([(i, j) for i in range(n) for j in range(i + 1, n)]):
+        mat[i][j], code = code & 1, code >> 1
+    return mat
+
+
+def _check_table_layout(n, tables):
+    # one table per 11-bit chunk of the code, at least two: the second is
+    # the one-entry table (0,) while the code has at most 11 bits
+    width = n * (n - 1) // 2
+    assert len(tables) == max(2, -(-width // 11)) and all(len(t) <= 2048 for t in tables)
+    for t, table in enumerate(tables):
+        assert len(table) == 1 << min(11, max(0, width - 11 * t)), (n, t)
 
 
 def _check_tables(n, tables, expected, free):
@@ -763,40 +784,51 @@ def _check_tables(n, tables, expected, free):
     # holds none of the bits in free (entries the move never reads on a
     # legal code), and the tables are OR-linear, so the map of any code is
     # the OR of its chunks' entries and each entry is one oracle image
-    width = n * (n - 1) // 2
-    assert len(tables) == -(-width // 8) and all(len(t) <= 256 for t in tables)
+    _check_table_layout(n, tables)
     checked = 0
     for t, table in enumerate(tables):
-        assert len(table) == 1 << min(8, width - 8 * t)
         for value, image in enumerate(table):
-            code = value << (8 * t)
+            code = value << (11 * t)
             if not code & free:
-                mat = lists(BottMatrix(n, bottmatrix._decode(n, code)))
+                mat = _upper_lists(n, code)
                 assert image == _upper_code(n, expected(mat)), (n, t, value)
                 checked += 1
     return checked
 
 
+def _superdiagonal(mat):
+    # the pattern phase 1 reads: bit i is a[i][i+1]
+    return sum(mat[i][i + 1] << i for i in range(len(mat) - 1))
+
+
 def _check_swap_codes(n):
     # Op1's edges in the walk, rebuilt from the list oracle: each swap
-    # (i i+1) is legal where a[i][i+1] = 0, and its tables map a code to the
-    # code of the swapped matrix, on every table entry and on the matrices
-    # of `_moved_matrices`, where the swaps that fix the matrix map the code
-    # to itself
+    # (i i+1) is legal where a[i][i+1] = 0, the pattern tables read that
+    # entry, bit i, on every table entry, and the swap's tables map a code
+    # to the code of the swapped matrix, on every table entry and on the
+    # matrices of `_moved_matrices`, where the legal list of the code's
+    # pattern holds exactly the swaps with a[i][i+1] = 0 and the swaps that
+    # fix the matrix map the code to itself
     total = 1 << (n * (n - 1) // 2)
-    swaps = bottmatrix._move_masks(n)[0]
-    assert len(swaps) == n - 1
-    for i, (top, tables) in enumerate(swaps):
-        assert top == _upper_code(n, [[int((r, c) == (i, i + 1)) for c in range(n)]
-                                      for r in range(n)])
+    pattern, legal = bottmatrix._move_masks(n)[0]
+    swaps = legal[0]
+    assert len(swaps) == n - 1 and len(legal) == 1 << (n - 1)
+    _check_table_layout(n, pattern)
+    for t, table in enumerate(pattern):
+        for value, read in enumerate(table):
+            assert read == _superdiagonal(_upper_lists(n, value << (11 * t))), (n, t, value)
+    for i, tables in enumerate(swaps):
+        top = _upper_code(n, [[int((r, c) == (i, i + 1)) for c in range(n)] for r in range(n)])
         assert _check_tables(n, tables, lambda mat: op1_oracle(mat, _swap_perm(n, i)), top)
     moved = fixed = 0
     for m in _moved_matrices(n):
         mat = lists(m)
         code = bottmatrix._code(n, m.rows)
-        for i, (top, tables) in enumerate(swaps):
+        read = bottmatrix._permuted(code, pattern)
+        assert read == _superdiagonal(mat)
+        assert legal[read] == tuple(swaps[i] for i in range(n - 1) if not mat[i][i + 1])
+        for i, tables in enumerate(swaps):
             if mat[i][i + 1]:
-                assert code & top
                 continue
             image = bottmatrix._permuted(code, tables)
             swapped = op1_oracle(mat, _swap_perm(n, i))
@@ -874,6 +906,20 @@ def _check_op23_codes(n):
     assert n == 2 or all(moved.values()), moved
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_legal_lists_hold_the_swaps_of_their_pattern(n):
+    # phase 1 reads, for the superdiagonal pattern of a code, the tables of
+    # exactly the swaps (i i+1) with bit i clear, in index order: every
+    # pattern, each listed table the very object of its swap in legal[0]
+    pattern, legal = bottmatrix._move_masks(n)[0]
+    assert len(legal) == 1 << max(n - 1, 0) and len(legal[0]) == max(n - 1, 0)
+    assert len(set(map(id, legal[0]))) == len(legal[0])
+    for p, listed in enumerate(legal):
+        assert list(map(id, listed)) == [id(legal[0][i]) for i in range(n - 1) if not p >> i & 1]
+        assert all(len(tables) == 2 for tables in listed)
+    assert len(pattern) == 2
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_neighbors_are_the_strictly_upper_moves(n):
     # the walk's edges against the list oracles: every entry of the swap and
@@ -892,34 +938,37 @@ def _op1_orbit_label(n, rows):
                if all(r & ((2 << i) - 1) == 0 for i, r in enumerate(c)))
 
 
+@functools.cache
 def _swap_orbits(n):
+    # one phase-1 run per n for the whole session (8 MiB of ids at n = 7)
     ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
     return ids, bottmatrix._swap_orbits(n, ids)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_swap_orbits_are_the_strictly_upper_conjugates(n):
     # phase 1 of the walk against brute force: the orbit table labels each
     # code with the orbit whose representative is its least conjugate; every
-    # code for n <= 5, 60 seeded matrices at n = 6
+    # code for n <= 5, 60 seeded matrices at n = 6 and 40 at n = 7
     ids, reps = _swap_orbits(n)
     assert list(reps) == sorted(reps)
     if n <= 5:
         codes = range(len(ids))
     else:
-        codes = [bottmatrix._code(n, m.rows) for m in _sampled_strict_upper(n, 60, 9006)]
+        sampled = _sampled_strict_upper(n, 60, 9006) if n == 6 else _sampled_strict_upper(n, 40, 9007)
+        codes = [bottmatrix._code(n, m.rows) for m in sampled]
     for code in codes:
         assert reps[ids[code]] == _op1_orbit_label(n, bottmatrix._decode(n, code))
 
 
 def test_swap_orbit_counts():
     # the unlabelled acyclic digraphs on n vertices (OEIS A003087)
-    for n, count in zip(range(1, 7), [1, 2, 6, 31, 302, 5984]):
+    for n, count in zip(range(1, 8), [1, 2, 6, 31, 302, 5984, 243_668]):
         assert len(_swap_orbits(n)[1]) == count
 
 
 def test_swap_orbits_refuse_n8():
-    # three 8-bit reads per swap cover the 21 code bits of n = 7; the
+    # two 11-bit reads per swap cover the 21 code bits of n = 7; the
     # orbit table of n = 8 would hold 2^28 ids
     with pytest.raises(BoundExceeded):
         bottmatrix._swap_orbits(8, array("i"))
@@ -1022,6 +1071,17 @@ def test_text_round_trip():
 def test_json_round_trip():
     blob = json.dumps(to_json_dict(A23))
     assert parse_matrix(blob) == A23
+
+
+def test_json_rows_are_the_per_bit_join():
+    # the rows of `to_json_dict` and `named`, each formatted in one call,
+    # against the entries written one by one: character j is a[i][j]
+    rng = random.Random(64)
+    for n in range(1, 65):
+        rows = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(8)]
+        expected = ["".join(str((r >> j) & 1) for j in range(n)) for r in rows]
+        assert bottmatrix._json_rows(n, rows) == {"n": n, "rows": expected}
+        assert json.loads(bottmatrix.named(n, rows)) == {"n": n, "rows": expected}
 
 
 def test_parse_errors():
