@@ -462,10 +462,12 @@ def _permuted(code: int, tables: Sequence[Sequence[int]]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
     """The per-n masks and lookup tables of the walk's moves, over the
-    `_code` layout.
+    `_code` layout.  `diffeo_classes` builds them once per walk, hands
+    them to both phases and drops them with the walk: after it,
+    `diffeo_class_of` reads only the field offsets, which the class table
+    carries (`tops`).
 
     swaps: (pattern, legal), the tables phase 1 reads.  pattern is the
     `_chunk_tables` of the superdiagonal: they map a code to the mask
@@ -520,8 +522,9 @@ def _move_masks(n: int) -> tuple[tuple, tuple, tuple]:
     return (_chunk_tables(superdiagonal), legal), rows, tuple(pairs)
 
 
-def _swap_orbits(n: int, ids: array) -> array:
-    """Phase 1 of `diffeo_classes`: label every code with its Op1 orbit.
+def _swap_orbits(masks: tuple, ids: MutableSequence[int]) -> array:
+    """Phase 1 of `diffeo_classes`: label every code with its Op1 orbit,
+    reading the swaps of the walk's `_move_masks` tables.
 
     Breadth-first search over the adjacent swaps (i i+1) with
     a[i][i+1] = 0, from each code not yet labelled, in code order, with
@@ -531,16 +534,16 @@ def _swap_orbits(n: int, ids: array) -> array:
     code reached that already holds another id raises InvariantViolation
     naming its matrix in `{"n", "rows"}` form.  Each code is read as two
     11-bit chunks, low and high, which cover n <= 7, whose 2^21 codes are
-    the most the walk keeps a table for.  Two reads of the `_move_masks`
-    pattern tables give its superdiagonal, and the legal list of that
-    pattern holds the tables of exactly its legal swaps, so no illegal
-    swap is tested; each legal one costs two more reads, with no
-    neighbour list.  A swap that fixes the matrix lands on the code
-    itself, which holds the current id.
+    the most the walk keeps a table for.  Two reads of the pattern tables
+    give its superdiagonal, and the legal list of that pattern holds the
+    tables of exactly its legal swaps, so no illegal swap is tested; each
+    legal one costs two more reads, with no neighbour list.  A swap that
+    fixes the matrix lands on the code itself, which holds the current id.
     """
+    n = len(masks[1])
     if n > 7:
         raise BoundExceeded(f"the Op1 orbit table at n = {n} holds 2^{n * (n - 1) // 2} codes")
-    (p0, p1), legal = _move_masks(n)[0]
+    (p0, p1), legal = masks[0]
     chunk = (1 << _CHUNK_BITS) - 1
     seeds = array("I")
     for seed in range(len(ids)):
@@ -563,9 +566,10 @@ def _swap_orbits(n: int, ids: array) -> array:
     return seeds
 
 
-def _op23_codes(n: int, code: int) -> list[int]:
+def _op23_codes(masks: tuple, code: int) -> list[int]:
     """The `_code`s one Op2 or Op3 away from the strictly upper matrix with
-    this code, up to relabelling, leaving out the moves that fix it (see
+    this code, up to relabelling, read through the walk's `_move_masks`
+    tables, leaving out the moves that fix it (see
     `diffeo_classes` for why this suffices on one member of each Op1
     orbit):
 
@@ -581,7 +585,7 @@ def _op23_codes(n: int, code: int) -> list[int]:
       equal too, exchanging l and m fixes the matrix and carries one
       direction to the other, so only the forward one is listed.
     """
-    _, rows, pairs = _move_masks(n)
+    _, rows, pairs = masks
     out = []
     fields = []
     spreads = []
@@ -776,11 +780,13 @@ def _components(ids: MutableSequence[int], step: Callable[[int], Iterable[int]],
 
 
 class _ClassTable(tuple):
-    """The classes of one dimension, carrying the class-id table that
-    `diffeo_class_of` and `ClassMembers` read (the index of the class of
-    each `_code`), so the table is memoised, and dropped, with them."""
+    """The classes of one dimension, carrying what `diffeo_class_of` and
+    `ClassMembers` read, so it is memoised, and dropped, with them: the
+    class-id table (the index of the class of each `_code`) and `tops`,
+    tops[i] = off_i + n-1 for each row i of the `_code` layout."""
 
     class_ids: array
+    tops: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -802,8 +808,8 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     swap moves every other entry above the diagonal to a fixed place, so
     it is a permutation of the code bits, and a bit permutation maps a
     code to the OR of the images of its 11-bit chunks: one lookup per
-    chunk in the tables `_move_masks` builds per n (at most 2,048 ints
-    each), two per legal swap for n <= 7, where two more reads of the
+    chunk in the tables `_move_masks` builds (at most 2,048 ints each),
+    two per legal swap for n <= 7, where two more reads of the
     superdiagonal pick the list of legal swaps.  The orbits are numbered
     by their least codes, the representatives.
 
@@ -823,9 +829,13 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     Both phases are breadth-first searches (`_swap_orbits` with the swaps
     inline, `_components` over `_op23_codes`), each filling its own table:
     `ids` holds the orbit of each code, and `orbit_class` the class of each
-    orbit.  Then the class-id table is `orbit_class` read at every entry
-    of `ids`, in one C-level map, and one pass in code order appends each
-    code to its class's member array.  The least code of a class is the
+    orbit.  Both are lists, whose reads return the stored ints, where an
+    `array` would box a new int for every id above 256.  The move tables
+    are built once for the walk and passed to both phases; only the field
+    offsets outlive it, as the class table's `tops`.  Then the class-id
+    table is `orbit_class` read at every entry of `ids`, in one C-level map
+    into an `array("i")`, and one pass in code order appends each code to
+    its class's member array.  The least code of a class is the
     representative of its least orbit, and phase 2 meets the orbits in
     that order, so classes are numbered by their least codes: the first
     member of each class is its canonical, and the classes come out in
@@ -852,12 +862,14 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
     if n > CLASSIFY_BOUND:
         raise BoundExceeded(f"diffeo_classes(n={n}) exceeds the configured bound {CLASSIFY_BOUND}")
     # the Op1 orbit of each code, then its class
-    ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
-    reps = _swap_orbits(n, ids)
-    orbit_class = [-1] * len(reps)  # a list: its reads return the stored ints
-    count = len(_components(orbit_class, lambda o: [ids[c] for c in _op23_codes(n, reps[o])],
+    masks = _move_masks(n)
+    ids = [-1] * (1 << (n * (n - 1) // 2))
+    reps = _swap_orbits(masks, ids)
+    orbit_class = [-1] * len(reps)
+    count = len(_components(orbit_class, lambda o: [ids[c] for c in _op23_codes(masks, reps[o])],
                             lambda o: _decode(n, reps[o])))
-    del reps
+    tops = tuple(off + n - 1 for off, *_ in masks[1])
+    del reps, masks
     ids = array("i", map(orbit_class.__getitem__, ids))
     del orbit_class
     member_codes = [array("I") for _ in range(count)]
@@ -883,7 +895,7 @@ def diffeo_classes(n: int) -> tuple[DiffeoClass, ...]:
                                      f"{named(n, classes[ids[code]].canonical.rows)}: "
                                      f"{named(n, _decode(n, code))}")
     table = _ClassTable(classes)
-    table.class_ids = ids
+    table.class_ids, table.tops = ids, tops
     return table
 
 
@@ -895,18 +907,18 @@ def diffeo_class_of(m: BottMatrix) -> DiffeoClass:
     built: with perm the relabelling m's validation kept (`_perm`, the
     identity when m is strictly upper), edge i -> j is entry
     a[perm i][perm j] of the relabelled matrix, bit off_{perm i} + n-1-perm j
-    of its code (the offsets of `_move_masks`).  An edge with
-    perm j <= perm i would not be strictly upper and raises
+    of its code, read as tops[perm i] - perm j (the class table's `tops`).
+    An edge with perm j <= perm i would not be strictly upper and raises
     InvariantViolation, as `to_strict_upper` does, since its bit would
     land in another row's field and name the wrong class."""
     n, rows = m.n, m.rows
     classes = diffeo_classes(n)
-    fields = _move_masks(n)[1]
+    tops = classes.tops
     perm = range(n) if m._perm is None else m._perm
     code = 0
     for i, r in enumerate(rows):
         pi = perm[i]
-        top = fields[pi][0] + n - 1
+        top = tops[pi]
         while r:
             low = r & -r
             pj = perm[low.bit_length() - 1]

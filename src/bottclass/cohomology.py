@@ -21,9 +21,10 @@ degree.
 
 Products of degree-1 classes have a denser form, read straight from the
 columns with no ring (`degree2`): one bit per square-free pair x_a x_b
-(a < b), at bit `pair_bit(a, b)`.  The isomorphism search of `rigidity`
-and the proof of `ring_invariants` read it; the normal forms stay the
-independent check of both.
+(a < b), at bit `pair_bit(a, b)`.  The package reads closed forms derived
+from it, the row filter of `rigidity`'s isomorphism search and
+`ring_invariants`, so only the tests (and a demo) read it now: it is the
+oracle of both, and the normal forms the check of all three.
 """
 from __future__ import annotations
 

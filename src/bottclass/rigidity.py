@@ -7,14 +7,15 @@ bitmask order; the relation for x_j only involves rows up to j (source
 matrices are normalized to strictly upper), so each level is filtered
 exactly as soon as its row is chosen.
 
-The filter reads the degree-2 products of the target in closed form from
-its columns (`cohomology.degree2`): row v passes for x_j with y_j mapped to
-y iff v (v + y) = 0.  Squaring is additive over GF(2) (Frobenius), so
-v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v; the rows that pass
-are its nonzero kernel, listed ascending for each y the search meets
-(`_admissible`).  The rows already chosen are kept as one `gf2.reduce_into`
-basis: a row is independent when it reduces to a new pivot, which stays
-while the level below is walked and is popped to undo it.
+The filter is read in closed form from the columns y_b of the target:
+row v passes for x_j with y_j mapped to y iff v (v + y) = 0.  Squaring is
+additive over GF(2) (Frobenius), so v (v + y) = sum_{a in v} x_a (x_a + y)
+is linear in v, and the rows that pass are its nonzero kernel, which is
+spanned by y and the x_a whose column y_a equals y (`_admissible`, with
+the proof); it is listed ascending for each y the search meets.  The rows
+already chosen are kept as one `gf2.reduce_into` basis: a row is
+independent when it reduces to a new pivot, which stays while the level
+below is walked and is popped to undo it.
 
 A level j whose y_j lies in the span of x_0..x_level has its y-image, and
 so its admissible rows, fixed once row `level` is chosen.  The search then
@@ -23,10 +24,10 @@ of them has no admissible row outside the span.  This is sound: the span
 only grows as rows are added, so such a level could never be filled, and
 the cut branch holds no witness.  Neither the filter nor the cut changes
 the order in which the remaining candidates are met, so the first witness
-is that of a plain ascending walk.  The search builds no ring: the target
-ring alone is built, to re-check a witness it found on normal forms, apart
-from the closed form; the source relations are read from the source
-columns.
+is that of a plain ascending walk.  The search builds no ring and no
+degree-2 product: the target ring alone is built, to re-check a witness it
+found on normal forms, apart from the closed form; the source relations
+are read from the source columns.
 
 Pairs are first screened by `ring_invariants`, which builds no ring: no
 annihilator of a nonzero degree-1 class has dimension above 1, and which
@@ -41,7 +42,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .bottmatrix import BottMatrix, diffeo_classes, named, to_json_dict, to_strict_upper
-from .cohomology import RING_BOUND, CohomRing, degree2, linear
+from .cohomology import RING_BOUND, CohomRing, linear
 from .gf2 import (
     BoundExceeded,
     DimensionMismatch,
@@ -69,23 +70,30 @@ class RingIsoWitness:
 
 def _relation_holds(ring_b: CohomRing, image_j: int, image_yj: int) -> bool:
     """Does the image of x_j^2 + x_j y_j = x_j (x_j + y_j) reduce to zero in
-    the target?  Computed on normal forms, not by `degree2`."""
+    the target?  Computed on normal forms, not in closed form."""
     return ring_b.multiply(linear(image_j), linear(image_j ^ image_yj)).is_zero()
 
 
 def _admissible(cols: Sequence[int], y: int) -> list[int]:
     """The nonzero v, ascending, with v (v + y) = sum_{a in v} x_a (x_a + y)
-    = 0 in the ring of the strictly upper matrix with columns `cols`.
+    = 0 in the ring of the strictly upper matrix with columns `cols`: the
+    nonzero span of y and the x_a with cols[a] == y.
 
-    The map is linear in v, so its kernel is read off one reduction: row a
-    carries the image of x_a above bit n and x_a itself below, and a row
-    whose image cancels is kept under a key of at most n, holding the v it
-    was reduced to.  Those rows span the kernel.
+    Each of those is in the kernel: y (y + y) = 0, and x_a (x_a + y_a) = 0
+    is a relation.  Conversely, for a < b the coefficient of x_a x_b in
+    v (v + y) is v_a [b in y] + v_b ([a in y] + [b not in y][a in y_b]).
+    Let v be in the kernel.  If y != 0 with top variable t, the pairs
+    (a, t) force v_a = v_t [a in y] below t, so w = v + v_t y vanishes up
+    to t, and is in the kernel too.  Above t (and everywhere if y = 0) a
+    variable b is not in y, so w_b = 1 forces y_b to agree with y below b,
+    i.e. y_b = y: w is a sum of x_b with y_b = y.  The basis is
+    independent, since y_a < 2^a puts every such a above t, so the subset
+    sums are distinct and only 0 is dropped.
     """
-    n = len(cols)
-    pivots: dict[int, int] = {}
-    reduce_into(pivots, ((degree2(cols, 1 << a, (1 << a) ^ y) << n) | 1 << a for a in range(n)))
-    return sorted(subset_sums([v for top, v in pivots.items() if top <= n]))[1:]
+    basis = [1 << a for a, col in enumerate(cols) if col == y]
+    if y:
+        basis.append(y)
+    return sorted(subset_sums(basis))[1:]
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +157,14 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix) -> Optional[RingIsoWitness]:
     (142-161 s of process time on a 2-core Xeon VM, Python 3.11).  The
     search runs on the columns of the strictly upper forms of a and b,
     with no ring: rows are tried in ascending order at each level,
-    restricted to the rows `_admissible` for the image of y_j and
-    independent of the rows before them.  After row j is chosen, every
-    later level j' > j + 1 whose y_j' lies in the span of x_0..x_j must
-    still have an admissible row outside the span, or the branch is cut;
-    the span only grows, so no witness is cut and the first one is
-    unchanged.  A witness found is re-checked on the normal forms of the
+    restricted to the rows `_admissible` for the image y of y_j, the
+    nonzero kernel of v -> v (v + y), which is linear in v since squaring
+    is additive: in closed form, the span of y and the x_a with y_a = y.
+    Each row must also be independent of the rows before it.  After row
+    j is chosen, every later level j' > j + 1 whose y_j' lies in the span
+    of x_0..x_j must still have an admissible row outside the span, or the
+    branch is cut; the span only grows, so no witness is cut and the first
+    one is unchanged.  A witness found is re-checked on the normal forms of the
     target ring, the one ring built, and an InvariantViolation is raised if
     it fails; it is returned in the labels of a and b as given.
     """

@@ -602,6 +602,54 @@ def test_diffeo_class_of_seeded_walks_n6():
         assert BottMatrix.from_rows(start) in diffeo_class_of(BottMatrix.from_rows(moved)).members
 
 
+def test_diffeo_class_of_reads_no_move_table_after_the_walk(monkeypatch):
+    # the move tables live only as long as the walk: 2,000 seeded lookups
+    # at n = 6, relabelled strictly upper matrices, give the same classes
+    # with `_move_masks` raising once the walk is done, and each matrix is
+    # in its class by the `_code` route of `ClassMembers`
+    n = 6
+    rng = random.Random(6060)
+    draws = [op1(BottMatrix(n, bottmatrix._decode(n, rng.getrandbits(15))), rng.sample(range(n), n))
+             for _ in range(2000)]
+    expected = [diffeo_class_of(m) for m in draws]
+
+    def walk_is_over(n):
+        raise AssertionError(f"the tables of n = {n} were asked for after the walk")
+
+    monkeypatch.setattr(bottmatrix, "_move_masks", walk_is_over)
+    for m, cls in zip(draws, expected):
+        assert diffeo_class_of(m) is cls
+        assert to_strict_upper(m)[1] in cls.members
+    assert sum(not m.is_strictly_upper for m in draws) > 1900
+
+
+def _code_tops(n):
+    # tops[i] = off_i + n-1, read from `_code` of the single-entry matrices
+    # alone: entry a[i][j] is bit off_i + n-1-j, the same top for every
+    # j > i; the last row is empty and its offset 0
+    tops = []
+    for i in range(n - 1):
+        found = {bottmatrix._code(n, tuple(1 << j if r == i else 0 for r in range(n))).bit_length()
+                 - 1 + j for j in range(i + 1, n)}
+        assert len(found) == 1, (n, i, found)
+        tops += found
+    return tuple(tops + [n - 1])
+
+
+def test_class_table_tops_are_the_code_offsets(monkeypatch):
+    # `diffeo_class_of` reads the field offsets from the class table; for
+    # n = 7 the walk runs once, unmemoised, with the bound raised, and
+    # gives the counts of the n = 7 classification
+    for n in range(1, 7):
+        assert diffeo_classes(n).tops == _code_tops(n), n
+    monkeypatch.setattr(bottmatrix, "CLASSIFY_BOUND", 7)
+    classes = diffeo_classes.__wrapped__(7)
+    assert classes.tops == _code_tops(7) == (21, 16, 12, 9, 7, 6, 6)
+    assert len(classes) == 8512
+    assert sum(c.fingerprint.orientable for c in classes) == 222
+    assert sum(c.fingerprint.ghw for c in classes) == 1024
+
+
 def test_broken_fingerprint_raises_under_python_O():
     # The orbit checks raise InvariantViolation, not assert, so they
     # survive `python -O`.  Two mutants, each caught by the comparison of
@@ -876,11 +924,12 @@ def _check_op23_codes(n):
     # The one reverse move left out, when rows l and m_idx are equal too,
     # is the forward one under the exchange of l and m_idx.
     total = 1 << (n * (n - 1) // 2)
+    masks = bottmatrix._move_masks(n)
     moved = {"op2": 0, "op3": 0, "reverse": 0, "equal rows": 0}
     for m in _moved_matrices(n):
         mat = lists(m)
         code = bottmatrix._code(n, m.rows)
-        codes = bottmatrix._op23_codes(n, code)
+        codes = bottmatrix._op23_codes(masks, code)
         assert all(0 <= c < total for c in codes) and code not in codes
         found = {"op2": [op2_oracle(mat, k) for k in range(n)], "op3": [], "reverse": []}
         for l in range(n):
@@ -940,9 +989,10 @@ def _op1_orbit_label(n, rows):
 
 @functools.cache
 def _swap_orbits(n):
-    # one phase-1 run per n for the whole session (8 MiB of ids at n = 7)
-    ids = array("i", [-1]) * (1 << (n * (n - 1) // 2))
-    return ids, bottmatrix._swap_orbits(n, ids)
+    # one phase-1 run per n for the whole session, on a list of ids as the
+    # walk's (16 MiB at n = 7)
+    ids = [-1] * (1 << (n * (n - 1) // 2))
+    return ids, bottmatrix._swap_orbits(bottmatrix._move_masks(n), ids)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -971,7 +1021,7 @@ def test_swap_orbits_refuse_n8():
     # two 11-bit reads per swap cover the 21 code bits of n = 7; the
     # orbit table of n = 8 would hold 2^28 ids
     with pytest.raises(BoundExceeded):
-        bottmatrix._swap_orbits(8, array("i"))
+        bottmatrix._swap_orbits(bottmatrix._move_masks(8), [])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -988,11 +1038,12 @@ def test_op23_codes_reach_the_same_orbits_from_every_member(n):
     else:
         label = lambda c: _op1_orbit_label(n, bottmatrix._decode(n, c))
         codes = [bottmatrix._code(n, m.rows) for m in _sampled_strict_upper(n, 40, 8006)]
+    masks = bottmatrix._move_masks(n)
     differ = 0
     for code in codes:
         least = label(code)
-        reached = {label(c) for c in bottmatrix._op23_codes(n, code)}
-        assert reached == {label(c) for c in bottmatrix._op23_codes(n, least)}, (n, code)
+        reached = {label(c) for c in bottmatrix._op23_codes(masks, code)}
+        assert reached == {label(c) for c in bottmatrix._op23_codes(masks, least)}, (n, code)
         differ += code != least
     assert differ
 
@@ -1013,9 +1064,9 @@ def test_two_orbits_raises_under_python_O():
             walk(labelled)
             node = next(x for x, c in enumerate(labelled) if labelled.index(c) != x)
             ids[node] = 10**6
-        def swap_orbits(n, ids):
-            mislabel(ids, lambda table: real_swaps(n, table))
-            return real_swaps(n, ids)
+        def swap_orbits(masks, ids):
+            mislabel(ids, lambda table: real_swaps(masks, table))
+            return real_swaps(masks, ids)
         def components(ids, step, rows_of):
             mislabel(ids, lambda table: real_components(table, step, rows_of))
             return real_components(ids, step, rows_of)

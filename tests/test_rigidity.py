@@ -124,9 +124,23 @@ def ascending_search(a, b):
     return rec(0)
 
 
+def reduced_admissible(cols, y):
+    """Oracle: the rows the filter admits for y, read off one reduction of
+    degree-2 products (`degree2`), as the search listed them before their
+    closed form.  v (v + y) = sum_{a in v} x_a (x_a + y) is linear in v, so
+    row a carries the image of x_a above bit n and x_a itself below, and a
+    row whose image cancels is kept under a key of at most n, holding the
+    v it was reduced to.  Those rows span the kernel."""
+    n = len(cols)
+    pivots = {}
+    reduce_into(pivots, ((degree2(cols, 1 << a, (1 << a) ^ y) << n) | 1 << a for a in range(n)))
+    return sorted(subset_sums([v for top, v in pivots.items() if top <= n]))[1:]
+
+
 def unpruned_search(a, b, counts):
-    """Oracle: the search as it was before the forward check, on the same
-    admissible rows, with the span of the rows chosen kept as a 2^n-bit set.
+    """Oracle: the search as it was before the forward check, on the rows
+    of the reduction (`reduced_admissible`), with the span of the rows
+    chosen kept as a 2^n-bit set.
     It is not refused by `ring_invariants` and returns the first witness
     rows in the labels of a and b as given, or None.  counts["nodes"] and
     counts["tests"] count the calls of the level walk and the independence
@@ -146,7 +160,7 @@ def unpruned_search(a, b, counts):
             return tuple(chosen)
         image_y = elems[cols_a[level]]
         if image_y not in admissible:
-            admissible[image_y] = _admissible(cols_b, image_y)
+            admissible[image_y] = reduced_admissible(cols_b, image_y)
         for v in admissible[image_y]:
             counts["tests"] += 1
             if (span >> v) & 1:
@@ -606,16 +620,10 @@ def test_admissible_rows_are_the_normal_form_kernel_n6_seeded():
         _check_admissible_is_the_normal_form_kernel(BottMatrix(6, rows))
 
 
-def _closed_form_admissible(cols, y):
-    # the kernel of v -> v (v + y) in closed form: spanned by y and the x_a
-    # whose column y_a equals y
-    return sorted(set(subset_sums([y] + [1 << a for a, col in enumerate(cols) if col == y])))[1:]
-
-
 def _check_admissible_closed_form(n, rows):
     cols = transpose_masks(n, rows)
     for y in range(1 << n):
-        assert _admissible(cols, y) == _closed_form_admissible(cols, y), (n, rows, y)
+        assert _admissible(cols, y) == reduced_admissible(cols, y), (n, rows, y)
         # the coefficient of x_a x_b, a < b, in v (v + y) for v = x_c, read
         # from the formula v_a [b in y] + v_b ([a in y] + [b not in y][a in y_b])
         for c in range(n):
@@ -625,13 +633,16 @@ def _check_admissible_closed_form(n, rows):
                     yb, ya = (y >> b) & 1, (y >> a) & 1
                     coeff = ((a == c) & yb) ^ ((b == c) & (ya ^ ((1 - yb) & (cols[b] >> a))))
                     assert (product >> pair_bit(a, b)) & 1 == coeff, (n, rows, y, c, a, b)
+    _check_admissible_is_the_normal_form_kernel(BottMatrix(n, rows))
 
 
 def test_admissible_rows_have_a_closed_form():
     # the rows the search admits for y are the nonzero span of y and the
-    # x_a with column y_a = y; the search keeps its reduction (`_admissible`)
-    # and this closed form is its oracle: every strictly upper matrix and
-    # every y for n <= 4, seeded matrices at n = 5 and 6
+    # x_a with column y_a = y (`_admissible`); three routes agree: that
+    # closed form, the reduction of degree-2 products it replaced
+    # (`reduced_admissible`) and the kernel on normal forms, on every
+    # strictly upper matrix and every y for n <= 4, seeded matrices at
+    # n = 5 and 6
     for n in range(1, 5):
         for m in enumerate_strict_upper(n):
             _check_admissible_closed_form(n, m.rows)
@@ -644,13 +655,54 @@ def test_admissible_rows_have_a_closed_form():
             _check_admissible_closed_form(n, rows)
 
 
+def test_closed_form_filter_keeps_every_first_witness(monkeypatch):
+    # the closed form lists the rows of the reduction it replaced, in the
+    # same order, so the search meets its candidates in the same order:
+    # the same verdicts and first witnesses on every pair of the rigidity
+    # experiment for n <= 4 and on seeded n = 6 same-class pairs, half of
+    # them relabelled, with the slow pairs among them
+    pairs = []
+    real_search = rigidity.ring_isomorphic
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return real_search(a, b)
+
+    monkeypatch.setattr(rigidity, "ring_isomorphic", recording)
+    reports = [rigidity_experiment(n) for n in range(1, 5)]
+    monkeypatch.undo()
+    experiment = len(pairs)
+    assert experiment == sum(r["pairs_checked"] for r in reports) == 129
+    assert all(r["violations"] == [] for r in reports)
+    rng = random.Random(4006)
+    multi = [cls for cls in diffeo_classes(6) if cls.size > 1]
+    for i in range(60):
+        members = sorted(rng.choice(multi).members, key=lambda m: m.rows)
+        a, b = rng.choice(members), rng.choice(members)
+        pairs.append((a, op1(b, rng.sample(range(6), 6)) if i % 2 else b))
+    pairs += SLOW_ISOMORPHIC_PAIRS
+    closed = [ring_isomorphic(a, b) for a, b in pairs]
+    assert sum(w is not None for w in closed[experiment:]) == len(pairs) - experiment
+
+    calls = []
+
+    def reduced(cols, y):
+        calls.append(y)
+        return reduced_admissible(cols, y)
+
+    monkeypatch.setattr(rigidity, "_admissible", reduced)
+    assert [ring_isomorphic(a, b) for a, b in pairs] == closed
+    assert calls
+    assert None in closed[:experiment]
+
+
 def test_corrupted_product_table_raises_under_python_O():
     # The final witness check raises InvariantViolation, not assert, so it
     # survives `python -O`, and names both matrices in their {"n", "rows"}
     # form.  A40 and A48 share their ring_invariants, so the
-    # pair reaches the search.  With every closed-form product zero every
-    # row is admissible and the search returns the identity, which is no
-    # ring isomorphism between these two rings.
+    # pair reaches the search.  With a filter that admits every nonzero row
+    # the search returns the identity, which is no ring isomorphism
+    # between these two rings.
     code = textwrap.dedent("""
         from bottclass import catalog, cohomology, rigidity
         from bottclass.gf2 import InvariantViolation
@@ -658,7 +710,7 @@ def test_corrupted_product_table_raises_under_python_O():
         assert not __debug__
         a, b = catalog.DIM5_ORIENTED["A40"], catalog.DIM5_ORIENTED["A48"]
         assert ring_invariants(a) == ring_invariants(b)
-        rigidity.degree2 = lambda cols, u, v: 0
+        rigidity._admissible = lambda cols, y: list(range(1, 1 << len(cols)))
         try:
             ring_isomorphic(a, b)
         except InvariantViolation as exc:

@@ -258,7 +258,6 @@ def test_package_memos_are_the_listed_ones():
         visit(path.name, tree, "")
     assert found == [
         "bottmatrix.py:_reversed_bits",
-        "bottmatrix.py:_move_masks",
         "bottmatrix.py:diffeo_classes",
         "cohomology.py:_lane_masks",
         "rigidity.py:ring_invariants",
